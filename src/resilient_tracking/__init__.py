@@ -48,7 +48,6 @@ from .geometry import (
 )
 from .matroid import DEFAULT_ENUMERATION_CAP, PartitionMatroid
 from .objectives import (
-    CountingOracle,
     CoverageCount,
     ExpectedDetections,
     GaussianTargetBelief,

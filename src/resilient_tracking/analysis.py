@@ -22,7 +22,7 @@ import numpy as np
 from .adversary import attack_optimal
 from .errors import DegenerateObjective
 from .matroid import DEFAULT_ENUMERATION_CAP, PartitionMatroid
-from .objectives import as_evaluator
+from .objectives import CoverageCount, as_evaluator, grid_union_counts
 from .planners import plan_bruteforce_maxmin, plan_resilient
 
 BOUND_SLACK = 1e-9
@@ -60,6 +60,10 @@ def constrained_curvature(
     sampled mode draws ``sample_budget`` bases uniformly per robot menu and
     reports a lower bound on the true value.  Raises
     :class:`DegenerateObjective` when no nonzero singleton exists.
+
+    Exact mode on a :class:`CoverageCount` scores every basis at once on
+    packed bitmasks and only picks the witness; the reported value is
+    evaluated on the witness through the objective, as in the loop.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
@@ -71,21 +75,39 @@ def constrained_curvature(
     if len(skipped) == len(matroid.ground_set):
         raise DegenerateObjective("every singleton value is zero")
 
-    if mode == "exact":
-        bases = matroid.enumerate_bases(cap=cap)
-        reported_mode = "exact"
+    if mode == "exact" and isinstance(objective, CoverageCount):
+        matroid.require_enumerable(cap)
+        witness = _coverage_curvature_witness(matroid, objective, singleton)
     else:
-        rng = np.random.default_rng(rng_seed)
-        menus = [matroid.blocks[r] for r in matroid.robots]
-        bases = (
-            frozenset(menu[int(rng.integers(len(menu)))] for menu in menus)
-            for _ in range(sample_budget)
-        )
-        reported_mode = "sampled-lower-bound"
+        if mode == "exact":
+            bases = matroid.enumerate_bases(cap=cap)
+        else:
+            rng = np.random.default_rng(rng_seed)
+            menus = [matroid.blocks[r] for r in matroid.robots]
+            bases = (
+                frozenset(menu[int(rng.integers(len(menu)))] for menu in menus)
+                for _ in range(sample_budget)
+            )
+        witness = _curvature_witness(matroid, f, singleton, bases)
+    if witness is None:
+        raise DegenerateObjective("no usable basis member among the sampled bases")
+    witness_set, witness_element = witness
+    best_ratio = (f(witness_set) - f(witness_set - {witness_element})) / singleton[
+        witness_element
+    ]
+    return CurvatureReport(
+        value=1.0 - best_ratio,
+        witness_set=witness_set,
+        witness_element=witness_element,
+        mode="exact" if mode == "exact" else "sampled-lower-bound",
+        skipped_zero_elements=skipped,
+    )
 
+
+def _curvature_witness(matroid, f, singleton, bases):
+    """First (basis, element) with the smallest ratio, in loop order."""
     best_ratio = math.inf
-    witness_set = None
-    witness_element = None
+    witness = None
     for basis in bases:
         full = f(basis)
         for tid in matroid.sorted_members(basis):
@@ -94,17 +116,40 @@ def constrained_curvature(
             ratio = (full - f(basis - {tid})) / singleton[tid]
             if ratio < best_ratio:
                 best_ratio = ratio
-                witness_set = basis
-                witness_element = tid
-    if witness_set is None:
-        raise DegenerateObjective("no usable basis member among the sampled bases")
-    return CurvatureReport(
-        value=1.0 - best_ratio,
-        witness_set=witness_set,
-        witness_element=witness_element,
-        mode=reported_mode,
-        skipped_zero_elements=skipped,
-    )
+                witness = (basis, tid)
+    return witness
+
+
+def _coverage_curvature_witness(matroid, objective: CoverageCount, singleton):
+    """:func:`_curvature_witness` over every basis, scored all at once.
+
+    The full union and the ``n`` leave-one-out unions are counted over the
+    basis grid, and the ratios are divided from the same integers as the
+    loop's.  A strict running minimum over robots keeps each basis's first
+    minimal member, and the first ``argmin`` over the grid (C order is
+    enumeration order) keeps the first minimal basis.
+    """
+    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    tables = objective.menu_tables(menus)
+    n = len(menus)
+    full = grid_union_counts(tables, n)
+    best = np.full(full.shape, np.inf)
+    best_robot = np.zeros(full.shape, dtype=np.intp)
+    for r, menu in enumerate(menus):
+        loss = full - grid_union_counts(tables[:r] + tables[r + 1 :], n)
+        # a zero singleton is skipped: its NaN ratio never compares lower
+        single = np.array([singleton[tid] or np.nan for tid in menu], dtype=float)
+        ratio = loss / single.reshape(tables[r].shape[:-1])
+        lower = ratio < best
+        best = np.where(lower, ratio, best)
+        best_robot = np.where(lower, r, best_robot)
+    flat = int(np.argmin(best))
+    if best.flat[flat] == np.inf:
+        return None
+    index = np.unravel_index(flat, best.shape)
+    robot = int(best_robot[index])
+    basis = frozenset(menu[i] for menu, i in zip(menus, index))
+    return basis, menus[robot][index[robot]]
 
 
 def h_bound(n: int, alpha: int) -> float:

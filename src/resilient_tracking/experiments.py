@@ -25,8 +25,9 @@ CSV schema (version 1)
 Exact header ``trial,round,planner,attacker,m,alpha,f_full,f_attacked,
 attack_rate,oracle_calls,wall_time_micros,seed``; one trailing comment line
 ``# status=complete schema=1 objective=<name> rows=<N>`` marks a complete
-file (a crashed run leaves no marker).  ``wall_time_micros`` is
-informational only and excluded from golden comparisons; for multi-round
+file (a crashed run leaves no marker, and readers refuse a file without it
+or whose ``rows`` disagrees with the rows present).  ``wall_time_micros``
+is informational only and excluded from golden comparisons; for multi-round
 rows it is the whole run's wall time split evenly over rounds.  Recorded
 ``f_attacked`` is snapped to min(f_attacked, f_full): monotonicity makes
 the inequality exact in real arithmetic and the snap only absorbs ~1e-16
@@ -36,10 +37,14 @@ round-off in the expected-detections sums.
 from __future__ import annotations
 
 import json
+import math
+import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from pathlib import Path
 from statistics import mean, pstdev
 
 import numpy as np
@@ -47,7 +52,7 @@ import numpy as np
 from .adversary import ATTACKER_NAMES, get_attacker
 from .errors import CsvFormatError, SpecError
 from .geometry import Rect
-from .objectives import CountingOracle, CoverageCount
+from .objectives import CoverageCount
 from .planners import PLANNER_NAMES, get_planner
 from .simulation import SimConfig, run_rounds
 from .worlds import sample_instance
@@ -146,6 +151,8 @@ def _require_number(data, field, minimum=None, strict=False) -> float:
     value = data.get(field)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(field, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        _fail(field, f"must be finite, got {value}")
     if minimum is not None:
         if strict and not value > minimum:
             _fail(field, f"must be greater than {minimum}, got {value}")
@@ -212,6 +219,8 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         arena = Rect(*[float(v) for v in arena_raw])
     except ValueError as exc:
         _fail("arena", str(exc))
+    if arena.x_min == arena.x_max or arena.y_min == arena.y_max:
+        _fail("arena", f"width and height must be positive, got {arena_raw!r}")
 
     num_targets = _normalize_targets(data.get("num_targets"))
 
@@ -327,10 +336,9 @@ def _one_step_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
     rows = []
     for planner in spec.planners:
         pcode = PLANNER_NAMES.index(planner)
-        oracle = CountingOracle(objective)
         t0 = time.perf_counter_ns()
         result = get_planner(planner)(
-            instance.matroid, oracle, alpha, _role_rng(trial_seed, 1, pcode)
+            instance.matroid, objective, alpha, _role_rng(trial_seed, 1, pcode)
         )
         plan_ns = time.perf_counter_ns() - t0
         f_full = float(objective.evaluate(result.selected))
@@ -432,36 +440,43 @@ def run_suite(spec: ExperimentSpec, jobs: int = 1) -> list[RecordRow]:
     return [row for bucket in buckets for row in bucket]
 
 
-def run_one_step_suite(spec: ExperimentSpec, jobs: int = 1) -> list[RecordRow]:
-    if spec.protocol != "one-step":
-        raise SpecError("field 'protocol': expected 'one-step'")
-    return run_suite(spec, jobs=jobs)
-
-
-def run_multi_round_suite(spec: ExperimentSpec, jobs: int = 1) -> list[RecordRow]:
-    if spec.protocol != "multi-round":
-        raise SpecError("field 'protocol': expected 'multi-round'")
-    return run_suite(spec, jobs=jobs)
-
-
 def objective_name(spec: ExperimentSpec) -> str:
     return "coverage_count" if spec.protocol == "one-step" else "expected_detections"
 
 
 def write_csv(rows, path, objective: str = "coverage_count") -> None:
-    """Write rows plus the completeness marker; str(value) round-trips floats."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row.as_csv_fields()) + "\n")
-        fh.write(
-            f"# status=complete schema={CSV_SCHEMA_VERSION} "
-            f"objective={objective} rows={len(rows)}\n"
-        )
+    """Write rows plus the completeness marker; str(value) round-trips floats.
+
+    The file is written under a temporary name in the same directory and
+    moved into place with ``os.replace``, so ``path`` never holds a
+    partial file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            for row in rows:
+                fh.write(",".join(str(v) for v in row.as_csv_fields()) + "\n")
+            fh.write(
+                f"# status=complete schema={CSV_SCHEMA_VERSION} "
+                f"objective={objective} rows={len(rows)}\n"
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+_MARKER_ROWS = re.compile(r"^# status=complete .*\brows=(\d+)$")
 
 
 def read_csv(path) -> list[RecordRow]:
-    """Parse a results CSV; raises :class:`CsvFormatError` with line numbers."""
+    """Parse a results CSV; raises :class:`CsvFormatError` with line numbers.
+
+    The file must end with the completeness marker, and the marker's
+    ``rows`` must equal the number of rows read.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -469,8 +484,16 @@ def read_csv(path) -> list[RecordRow]:
         raise CsvFormatError("line 1: empty file, expected header")
     if lines[0] != ",".join(CSV_COLUMNS):
         raise CsvFormatError(f"line 1: bad header {lines[0]!r}")
+    marker = None
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        if marker is not None:
+            raise CsvFormatError(f"line {lineno}: content after the completeness marker")
+        if line.startswith("# status=complete"):
+            marker = (lineno, line)
+            continue
+        if line.startswith("#"):
             continue
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
@@ -496,6 +519,17 @@ def read_csv(path) -> list[RecordRow]:
             )
         except ValueError as exc:
             raise CsvFormatError(f"line {lineno}: {exc}") from None
+    if marker is None:
+        raise CsvFormatError(
+            f"line {len(lines) + 1}: no '# status=complete ... rows=N' marker; "
+            "the file is incomplete"
+        )
+    lineno, line = marker
+    match = _MARKER_ROWS.match(line)
+    if match is None or int(match.group(1)) != len(rows):
+        raise CsvFormatError(
+            f"line {lineno}: marker {line!r} does not match the {len(rows)} rows read"
+        )
     return rows
 
 

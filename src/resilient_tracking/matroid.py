@@ -93,17 +93,22 @@ class PartitionMatroid:
     def basis_count(self) -> int:
         return math.prod(len(self.blocks[r]) for r in self.robots)
 
+    def require_enumerable(self, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+        """The basis count; :class:`EnumerationCapExceeded` if beyond ``cap``."""
+        total = self.basis_count()
+        if total > cap:
+            raise EnumerationCapExceeded(
+                f"{total} bases exceed the enumeration cap of {cap}"
+            )
+        return total
+
     def enumerate_bases(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[frozenset]:
         """Yield every basis, lexicographically by (robot order, menu order).
 
         Raises :class:`EnumerationCapExceeded` up front when the basis count
         is beyond ``cap``.
         """
-        total = self.basis_count()
-        if total > cap:
-            raise EnumerationCapExceeded(
-                f"{total} bases exceed the enumeration cap of {cap}"
-            )
+        self.require_enumerable(cap)
         menus = [self.blocks[r] for r in self.robots]
 
         def generate() -> Iterator[frozenset]:

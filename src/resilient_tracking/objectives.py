@@ -14,6 +14,11 @@ nondecreasing and submodular:
 ``check_monotone`` and ``check_submodular`` are seeded sampling drivers that
 hunt for violations of the two properties over the whole power set of the
 ground set; they return the violations found (empty list = clean run).
+
+``CoverageCount.menu_tables`` and ``grid_union_counts`` lay the coverage
+masks out on the grid of all bases, one axis per robot menu, so the exact
+enumerations in the planners and the analysis can score every basis at once
+instead of calling ``evaluate`` per basis.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ def as_evaluator(objective):
     """Normalize an objective-like value to a ``set -> float`` callable.
 
     Accepts either a bare callable or any object with an ``evaluate``
-    method (e.g. the objective classes below, or a CountingOracle).
+    method (e.g. the objective classes below).
     """
     evaluate = getattr(objective, "evaluate", None)
     if callable(evaluate):
@@ -59,29 +64,13 @@ def as_evaluator(objective):
     raise TypeError(f"objective {objective!r} is neither callable nor has .evaluate")
 
 
-class CountingOracle:
-    """Wraps an objective and counts evaluations.
-
-    ``eval_count`` increments by exactly one per ``evaluate`` call.  The
-    counter is not synchronized; run one planning call at a time per oracle.
-    """
-
-    def __init__(self, objective):
-        self._evaluate = as_evaluator(objective)
-        self.eval_count = 0
-
-    def evaluate(self, members: Iterable[str]) -> float:
-        self.eval_count += 1
-        return self._evaluate(frozenset(members))
-
-    __call__ = evaluate
-
-
 class CoverageCount:
     """Number of targets covered by the union of selected rectangles.
 
     Deterministic and integer valued; precomputes one coverage bitmask per
     trajectory so evaluation is O(|S|) regardless of the target count.
+    ``menu_tables`` packs the same bitmasks into ``uint64`` words for the
+    batched exact enumerations.
     """
 
     def __init__(self, targets: Sequence[Point2], rects: Mapping[str, Rect]):
@@ -106,6 +95,53 @@ class CoverageCount:
         return union.bit_count()
 
     __call__ = evaluate
+
+    def menu_tables(self, menus: Sequence[Sequence[str]]) -> list[np.ndarray]:
+        """Packed coverage masks of each menu, laid out on the basis grid.
+
+        The grid has one axis per menu, so a grid point is one basis and
+        C order over the grid is ``PartitionMatroid.enumerate_bases`` order.
+        Menu ``r``'s table has shape ``(1,)*r + (len(menus[r]),) +
+        (1,)*(n-r-1) + (W,)``: ``W = ceil(m / 64)`` ``uint64`` words per
+        trajectory, target ``j`` in bit ``j % 64`` of word ``j // 64``.
+        """
+        words = max(1, -(-len(self.targets) // 64))
+        tables = []
+        for r, menu in enumerate(menus):
+            packed = b"".join(
+                self._mask(tid).to_bytes(8 * words, "little") for tid in menu
+            )
+            shape = (1,) * r + (len(menu),) + (1,) * (len(menus) - r - 1) + (words,)
+            tables.append(np.frombuffer(packed, dtype="<u8").reshape(shape))
+        return tables
+
+    def _mask(self, tid: str) -> int:
+        try:
+            return self._masks[tid]
+        except KeyError:
+            raise MissingCoverageRect(
+                f"no coverage rectangle for trajectory {tid!r}"
+            ) from None
+
+
+def grid_union_counts(tables: Sequence[np.ndarray], ndim: int) -> np.ndarray:
+    """Covered-target count of the union of ``tables`` at every grid point.
+
+    ``tables`` is a subset of one :meth:`CoverageCount.menu_tables` result
+    on an ``ndim``-axis grid.  The counts broadcast over the grid: an axis
+    whose menu is not in ``tables`` has size 1 (every axis when ``tables``
+    is empty, where the count is 0).  Words are OR-ed and counted one at a
+    time, so the work space is one word per grid point whatever ``W`` is.
+    """
+    counts = np.zeros((1,) * ndim, dtype=np.int64)
+    if not tables:
+        return counts
+    for w in range(tables[0].shape[-1]):
+        union = tables[0][..., w]
+        for table in tables[1:]:
+            union = union | table[..., w]
+        counts = counts + np.bitwise_count(union)
+    return counts
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ remaining robots by marginal gain measured against the greedy picks alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 from .adversary import attack_optimal
 from .errors import EnumerationCapExceeded
 from .matroid import DEFAULT_ENUMERATION_CAP, PartitionMatroid
-from .objectives import CountingOracle, as_evaluator
+from .objectives import CoverageCount, as_evaluator, grid_union_counts
 
 
 @dataclass(frozen=True)
@@ -169,11 +170,31 @@ def plan_random(matroid: PartitionMatroid, rng_seed) -> PlanResult:
     return PlanResult(selected=selected, trace=None, oracle_calls=0)
 
 
+def _coverage_maxmin_basis(matroid: PartitionMatroid, objective: CoverageCount, k: int):
+    """The basis the per-basis max-min loop keeps, scored all at once.
+
+    For every set of ``k`` removed robots the survivors' menu tables are
+    OR-ed over the basis grid and counted; a running minimum over the sets
+    gives every basis's worst case.  The grid's C order is enumeration
+    order, so the first ``argmax`` is the loop's first strict maximizer.
+    """
+    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    tables = objective.menu_tables(menus)
+    n = len(menus)
+    worst = None
+    for removed in itertools.combinations(range(n), k):
+        survivors = [table for r, table in enumerate(tables) if r not in removed]
+        counts = grid_union_counts(survivors, n)
+        worst = counts if worst is None else np.minimum(worst, counts)
+    grid = np.broadcast_to(worst, tuple(len(menu) for menu in menus))
+    index = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    return frozenset(menu[i] for menu, i in zip(menus, index))
+
+
 def plan_bruteforce_maxmin(
     matroid: PartitionMatroid,
     objective,
     alpha: int,
-    attack=attack_optimal,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> PlanResult:
     """Exhaustive max-min reference: best basis under worst-case removal.
@@ -181,6 +202,11 @@ def plan_bruteforce_maxmin(
     Enumerates every basis, scores each by its optimally attacked value and
     keeps the lexicographically first maximizer.  The product of basis count
     and attack subsets per basis must stay within ``cap``.
+
+    A :class:`CoverageCount` is scored on packed bitmasks in one batched
+    pass; ``maxmin_value`` still comes from ``evaluate`` via the optimal
+    attack on the chosen basis, and ``oracle_calls`` is the logical count
+    ``bases * C(n, alpha)`` the per-basis loop would make.
     """
     _check_alpha(matroid, alpha)
     n = matroid.num_robots
@@ -189,17 +215,23 @@ def plan_bruteforce_maxmin(
         raise EnumerationCapExceeded(
             f"max-min enumeration needs {work} attacked evaluations, cap is {cap}"
         )
-    f = _CallCounter(objective)
-    best_set = None
-    best_value = -math.inf
-    for basis in matroid.enumerate_bases(cap=cap):
-        worst = attack(f, basis, alpha)
-        if worst.surviving_value > best_value:
-            best_set, best_value = basis, worst.surviving_value
+    if isinstance(objective, CoverageCount):
+        best_set = _coverage_maxmin_basis(matroid, objective, min(alpha, n))
+        best_value = attack_optimal(objective, best_set, alpha).surviving_value
+        oracle_calls = work
+    else:
+        f = _CallCounter(objective)
+        best_set = None
+        best_value = -math.inf
+        for basis in matroid.enumerate_bases(cap=cap):
+            worst = attack_optimal(f, basis, alpha)
+            if worst.surviving_value > best_value:
+                best_set, best_value = basis, worst.surviving_value
+        oracle_calls = f.calls
     return PlanResult(
         selected=best_set,
         trace=None,
-        oracle_calls=f.calls,
+        oracle_calls=oracle_calls,
         maxmin_value=float(best_value),
     )
 

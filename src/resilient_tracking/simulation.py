@@ -29,7 +29,7 @@ import numpy as np
 
 from .adversary import ATTACKER_NAMES, get_attacker
 from .geometry import Point2, Rect, RobotSpec, UNIT_STEP
-from .objectives import CoverageCount, CountingOracle, ExpectedDetections, GaussianTargetBelief
+from .objectives import CoverageCount, ExpectedDetections, GaussianTargetBelief
 from .planners import PLANNER_NAMES, get_planner
 from .worlds import build_instance
 
@@ -72,6 +72,8 @@ class SimConfig:
             raise ValueError(
                 f"alpha must be in [0, {self.num_robots}], got {self.alpha}"
             )
+        if not (self.arena.x_min < self.arena.x_max and self.arena.y_min < self.arena.y_max):
+            raise ValueError(f"arena must have positive width and height, got {self.arena}")
         if self.fov_side <= 0 or self.fly_length < 0:
             raise ValueError("fov_side must be positive and fly_length nonnegative")
         if self.rounds < 1:
@@ -114,8 +116,17 @@ class TargetTrack:
 
 
 def _reflect(value: float, lo: float, hi: float) -> tuple[float, int]:
-    """Fold a coordinate back into [lo, hi]; returns (position, sign flip)."""
+    """Fold a coordinate back into [lo, hi]; returns (position, sign flip).
+
+    Needs ``lo < hi``.  A coordinate more than a period ``2 * (hi - lo)``
+    outside first drops whole periods, which flip the sign an even number
+    of times; folding a huge value directly can cycle forever in floating
+    point.
+    """
     flip = 1
+    period = 2.0 * (hi - lo)
+    if not lo - period <= value <= hi + period:
+        value = lo + math.fmod(value - lo, period)
     # small per-round steps need at most a couple of folds
     while value < lo or value > hi:
         if value < lo:
@@ -295,8 +306,7 @@ def run_rounds(config: SimConfig) -> list[RoundRecord]:
         instance = build_instance(robots, [t.true_position for t in tracks])
         beliefs = [t.belief() for t in tracks]
         objective = ExpectedDetections(beliefs, instance.rects)
-        oracle = CountingOracle(objective)
-        result = plan(instance.matroid, oracle, config.alpha, planner_rng)
+        result = plan(instance.matroid, objective, config.alpha, planner_rng)
         attacked = attack(objective, result.selected, config.alpha, attacker_rng)
 
         f_full = float(objective.evaluate(result.selected))

@@ -2,6 +2,7 @@
 
 from resilient_tracking.geometry import Point2, Rect, RobotSpec
 from resilient_tracking.matroid import PartitionMatroid
+from resilient_tracking.objectives import as_evaluator
 from resilient_tracking.worlds import build_instance
 
 ARENA = Rect(0.0, 10.0, 0.0, 10.0)
@@ -22,6 +23,24 @@ class SetCover:
         for tid in members:
             covered |= self.cover[tid]
         return len(covered)
+
+    __call__ = evaluate
+
+
+class CountingOracle:
+    """Wraps an objective and counts evaluations.
+
+    An audit counter independent of the planners' own ``oracle_calls``
+    tally: ``eval_count`` increments by exactly one per ``evaluate`` call.
+    """
+
+    def __init__(self, objective):
+        self._evaluate = as_evaluator(objective)
+        self.eval_count = 0
+
+    def evaluate(self, members):
+        self.eval_count += 1
+        return self._evaluate(frozenset(members))
 
     __call__ = evaluate
 

@@ -27,7 +27,7 @@ from resilient_tracking.analysis import constrained_curvature, h_bound
 from resilient_tracking.checks import run_property_suite
 from resilient_tracking.experiments import run_suite, spec_from_dict, summarize_rows
 from resilient_tracking.geometry import Point2, Rect, RobotSpec
-from resilient_tracking.objectives import CountingOracle, CoverageCount, ExpectedDetections, GaussianTargetBelief
+from resilient_tracking.objectives import CoverageCount, ExpectedDetections, GaussianTargetBelief
 from resilient_tracking.planners import plan_greedy, plan_resilient
 from resilient_tracking.simulation import SimConfig, run_rounds
 from resilient_tracking.worlds import build_instance, sample_instance
@@ -216,7 +216,7 @@ def test_criterion_07_planner_call_budget(scale_rows):
     # independent audit: a counting wrapper must agree with the reported tally
     rng = np.random.default_rng(MASTER_SEED + 3)
     inst = sample_instance(rng, 6, 30, 3.0, 7.0, helpers.ARENA)
-    counter = CountingOracle(CoverageCount(inst.targets, inst.rects))
+    counter = helpers.CountingOracle(CoverageCount(inst.targets, inst.rects))
     result = plan_resilient(inst.matroid, counter, 3)
     audit_ok = result.oracle_calls == counter.eval_count and result.oracle_calls <= budget
     ok = not over and audit_ok

@@ -17,7 +17,7 @@ from resilient_tracking.adversary import (
     get_attacker,
 )
 from resilient_tracking.errors import UndefinedAttackRate
-from resilient_tracking.objectives import CoverageCount, CountingOracle
+from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.worlds import sample_instance
 
 
@@ -137,6 +137,6 @@ def test_attacker_registry():
 
 def test_optimal_attack_call_count_is_exhaustive():
     f, members = cover_fixture()
-    counting = CountingOracle(f)
+    counting = helpers.CountingOracle(f)
     attack_optimal(counting, members, 1)
     assert counting.eval_count == 3  # C(3,1) survivors evaluated once each

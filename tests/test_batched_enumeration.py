@@ -1,0 +1,140 @@
+"""Batched exact max-min and curvature on coverage versus the per-basis loops.
+
+``plan_bruteforce_maxmin`` and exact ``constrained_curvature`` score every
+basis at once when handed a ``CoverageCount``.  Passing ``cov.evaluate`` as a
+bare callable forces the generic per-basis loop on the same objective, and
+``oracles.py`` holds the literal nested enumerations; all three must agree on
+the selection, the witness, the value and the reported call count.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from resilient_tracking.analysis import constrained_curvature
+from resilient_tracking.errors import DegenerateObjective, EnumerationCapExceeded
+from resilient_tracking.geometry import Point2, Rect
+from resilient_tracking.matroid import PartitionMatroid
+from resilient_tracking.objectives import CoverageCount, grid_union_counts
+from resilient_tracking.planners import plan_bruteforce_maxmin
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def random_coverage(seed, menu_sizes, num_targets, spread=10.0):
+    """A matroid over the given menus and a coverage objective on random rects.
+
+    Targets fall in [0, spread]^2 and rectangles in [0, 10]^2, so a large
+    ``spread`` makes sparse or all-zero coverage likely.
+    """
+    rng = np.random.default_rng(seed)
+    blocks, rects = {}, {}
+    for r, size in enumerate(menu_sizes):
+        robot = f"r{r:02d}"
+        blocks[robot] = [f"{robot}:{k}" for k in range(size)]
+        for tid in blocks[robot]:
+            x, y = rng.uniform(0.0, 8.0, size=2)
+            w, h = rng.uniform(0.5, 4.0, size=2)
+            rects[tid] = Rect(x, x + w, y, y + h)
+    targets = [Point2(*rng.uniform(0.0, spread, size=2)) for _ in range(num_targets)]
+    return PartitionMatroid(blocks), CoverageCount(targets, rects)
+
+
+instances = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    st.integers(0, 150),
+    st.sampled_from([10.0, 1000.0]),
+)
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances, data=st.data())
+def test_batched_maxmin_matches_loop_and_oracle(instance, data):
+    seed, menu_sizes, num_targets, spread = instance
+    matroid, cov = random_coverage(seed, menu_sizes, num_targets, spread)
+    alpha = data.draw(st.integers(0, matroid.num_robots))
+
+    batched = plan_bruteforce_maxmin(matroid, cov, alpha)
+    loop = plan_bruteforce_maxmin(matroid, cov.evaluate, alpha)
+    want_value, want_basis = oracles.maxmin_bruteforce(matroid.blocks, cov.evaluate, alpha)
+
+    assert batched.selected == loop.selected == want_basis
+    assert batched.maxmin_value == loop.maxmin_value == want_value
+    assert batched.oracle_calls == loop.oracle_calls
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances)
+def test_batched_curvature_matches_loop_and_oracle(instance):
+    seed, menu_sizes, num_targets, spread = instance
+    matroid, cov = random_coverage(seed, menu_sizes, num_targets, spread)
+    want = oracles.curvature_bruteforce(matroid.blocks, cov.evaluate)
+    if want is None:
+        with pytest.raises(DegenerateObjective):
+            constrained_curvature(matroid, cov)
+        with pytest.raises(DegenerateObjective):
+            constrained_curvature(matroid, cov.evaluate)
+        return
+
+    batched = constrained_curvature(matroid, cov)
+    loop = constrained_curvature(matroid, cov.evaluate)
+    assert batched == loop
+    assert batched.value == pytest.approx(want, abs=1e-12)
+
+
+def test_menu_tables_pack_more_than_64_targets():
+    matroid, cov = random_coverage(3, [2, 3, 1], num_targets=150)
+    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    tables = cov.menu_tables(menus)
+    assert [t.shape for t in tables] == [(2, 1, 1, 3), (1, 3, 1, 3), (1, 1, 1, 3)]
+    for r, menu in enumerate(menus):
+        alone = grid_union_counts([tables[r]], len(menus)).ravel()
+        assert list(alone) == [cov.evaluate({tid}) for tid in menu]
+    grid = grid_union_counts(tables, len(menus))
+    for index in itertools.product(*(range(len(menu)) for menu in menus)):
+        basis = {menu[i] for menu, i in zip(menus, index)}
+        assert grid[index] == cov.evaluate(basis)
+    assert grid_union_counts([], len(menus)).shape == (1, 1, 1)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 3])
+def test_batched_maxmin_edge_alphas_and_single_item_menus(alpha):
+    # alpha 3 removes every robot: all bases tie at 0 and the first one wins
+    matroid, cov = random_coverage(11, [1, 4, 1], num_targets=90)
+    batched = plan_bruteforce_maxmin(matroid, cov, alpha)
+    loop = plan_bruteforce_maxmin(matroid, cov.evaluate, alpha)
+    assert (batched.selected, batched.maxmin_value, batched.oracle_calls) == (
+        loop.selected,
+        loop.maxmin_value,
+        loop.oracle_calls,
+    )
+    if alpha == matroid.num_robots:
+        assert batched.maxmin_value == 0.0
+        assert batched.selected == next(matroid.enumerate_bases())
+
+
+def test_batched_curvature_on_all_zero_coverage_is_degenerate():
+    matroid = PartitionMatroid({"r0": ["a", "b"], "r1": ["c", "d"]})
+    far = [Point2(500.0, 500.0)] * 20
+    cov = CoverageCount(far, {tid: Rect(0.0, 1.0, 0.0, 1.0) for tid in matroid.ground_set})
+    assert plan_bruteforce_maxmin(matroid, cov, 1).maxmin_value == 0.0
+    with pytest.raises(DegenerateObjective):
+        constrained_curvature(matroid, cov)
+
+
+def test_batched_enumerations_keep_the_cap_checks():
+    matroid, cov = random_coverage(2, [4, 4, 4], num_targets=10)
+    with pytest.raises(EnumerationCapExceeded):
+        plan_bruteforce_maxmin(matroid, cov, 1, cap=100)
+    with pytest.raises(EnumerationCapExceeded):
+        constrained_curvature(matroid, cov, cap=63)

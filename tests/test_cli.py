@@ -75,6 +75,25 @@ def test_bad_spec_exits_2_and_names_field(tmp_path, capsys):
     assert "alphas" in err
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"fov_side": float("inf")}, "fov_side"),
+        ({"fov_side": float("nan")}, "fov_side"),
+        ({"protocol": "multi-round", "arena": [0, 0, 0, 10], "rounds": 2}, "arena"),
+    ],
+)
+def test_non_finite_or_flat_spec_exits_2_without_traceback(tmp_path, capsys, overrides, field):
+    # json.dumps writes Infinity and NaN, which json.load reads back
+    spec = write_spec(tmp_path, **overrides)
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_spec_file_exits_1(tmp_path, capsys):
     assert main(["run", "--spec", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 1
     assert "error:" in capsys.readouterr().err

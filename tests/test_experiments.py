@@ -59,6 +59,16 @@ def test_spec_errors_name_the_field():
         ({"attackers": ["emp"]}, "attackers"),
         ({"master_seed": -1}, "master_seed"),
         ({"bogus_knob": 1}, "bogus_knob"),
+        ({"fov_side": float("inf")}, "fov_side"),
+        ({"fov_side": float("nan")}, "fov_side"),
+        ({"fly_length": float("inf")}, "fly_length"),
+        ({"arena": [0, float("inf"), 0, 10]}, "arena"),
+        ({"arena": [0, float("nan"), 0, 10]}, "arena"),
+        ({"arena": [0, 0, 0, 10]}, "arena"),
+        ({"arena": [0, 10, 5, 5]}, "arena"),
+        ({"protocol": "multi-round", "target_speed": float("nan")}, "target_speed"),
+        ({"protocol": "multi-round", "process_noise": float("inf")}, "process_noise"),
+        ({"protocol": "multi-round", "initial_variance": float("inf")}, "initial_variance"),
     ]
     for overrides, field in cases:
         with pytest.raises(SpecError, match=field):
@@ -179,6 +189,49 @@ def test_read_csv_rejects_malformed_files(tmp_path):
     bad_type.write_text(good_header + "\n0,1,greedy,optimal,5,1,x,3.0,0.25,10,100,7\n")
     with pytest.raises(CsvFormatError, match="line 2"):
         read_csv(bad_type)
+
+
+def test_read_csv_refuses_a_truncated_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(fixture_rows(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-3]))  # a run that died after two more rows
+    with pytest.raises(CsvFormatError, match="marker"):
+        read_csv(path)
+    with pytest.raises(CsvFormatError, match="marker"):
+        summarize(path)
+
+
+def test_read_csv_refuses_a_marker_with_the_wrong_row_count(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = fixture_rows()
+    write_csv(rows, path)
+    text = path.read_text()
+    path.write_text(text.replace(f"rows={len(rows)}", f"rows={len(rows) + 1}"))
+    with pytest.raises(CsvFormatError, match=f"line {len(rows) + 2}"):
+        read_csv(path)
+    path.write_text(text + text.splitlines(keepends=True)[1])
+    with pytest.raises(CsvFormatError, match="after the completeness marker"):
+        read_csv(path)
+
+
+def test_write_csv_replaces_the_file_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(fixture_rows(), path)
+    before = path.read_text()
+
+    class Broken:
+        def as_csv_fields(self):
+            raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError):
+        write_csv(fixture_rows()[:2] + [Broken()], path)
+    assert path.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
+
+    write_csv(fixture_rows()[:2], path)
+    assert read_csv(path) == fixture_rows()[:2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
 
 def fixture_rows():

@@ -11,7 +11,6 @@ from resilient_tracking.errors import MissingCoverageRect, ObjectiveSetTooLarge
 from resilient_tracking.geometry import Point2, Rect
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import (
-    CountingOracle,
     CoverageCount,
     ExpectedDetections,
     GaussianTargetBelief,
@@ -88,7 +87,7 @@ def test_missing_rect_raises():
 
 def test_counting_oracle_counts_every_call():
     cov = CoverageCount([Point2(0.5, 0.5)], simple_rects())
-    oracle = CountingOracle(cov)
+    oracle = helpers.CountingOracle(cov)
     assert oracle.eval_count == 0
     oracle.evaluate({"a"})
     oracle.evaluate({"a"})

@@ -8,7 +8,7 @@ import pytest
 import helpers
 import oracles
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import CountingOracle, CoverageCount
+from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.planners import (
     PLANNER_NAMES,
     get_planner,
@@ -77,7 +77,7 @@ def test_oracle_call_budget_and_audit():
     rng = np.random.default_rng(17)
     inst = sample_instance(rng, 6, 30, 3.0, 7.0, helpers.ARENA)
     cov = CoverageCount(inst.targets, inst.rects)
-    counting = CountingOracle(cov)
+    counting = helpers.CountingOracle(cov)
     before = counting.eval_count
     result = plan_resilient(inst.matroid, counting, 3)
     delta = counting.eval_count - before

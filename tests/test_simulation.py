@@ -44,6 +44,22 @@ def test_reflect_folds_and_flips():
     assert flip == 1  # two folds cancel
 
 
+def test_reflect_far_outside_terminates_with_the_literal_fold_parity():
+    # the literal loop folds 95 nine times (95, -75, 75, ..., 15, 5) and
+    # -95 once more, since its first fold lands on 95
+    assert _reflect(95.0, 0.0, 10.0) == (5.0, -1)
+    assert _reflect(-95.0, 0.0, 10.0) == (5.0, 1)
+    # folding 1e300 directly cycles between +-1e300 in floating point
+    for far in (1e300, -1e300, 1e17):
+        value, flip = _reflect(far, 0.0, 10.0)
+        assert 0.0 <= value <= 10.0 and flip in (1, -1)
+
+
+def test_huge_target_speed_run_completes():
+    records = run_rounds(SimConfig(num_targets=5, rounds=2, target_speed=1e300, rng_seed=3))
+    assert len(records) == 2
+
+
 def test_step_targets_stays_in_arena_and_keeps_speed():
     config = SimConfig(target_speed=0.9, rng_seed=4)
     rng = np.random.default_rng(0)
@@ -192,3 +208,6 @@ def test_sim_config_validation():
         SimConfig(planner="telepathy")
     with pytest.raises(ValueError):
         SimConfig(attacker="emp")
+    for flat in (Rect(0.0, 0.0, 0.0, 10.0), Rect(0.0, 10.0, 3.0, 3.0)):
+        with pytest.raises(ValueError, match="arena"):
+            SimConfig(arena=flat)
