@@ -31,7 +31,6 @@ from .errors import (
     DegenerateObjective,
     EnumerationCapExceeded,
     MissingCoverageRect,
-    ObjectiveSetTooLarge,
     SpecError,
     TrackingError,
     UndefinedAttackRate,

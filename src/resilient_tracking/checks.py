@@ -79,9 +79,9 @@ class PropertySuiteResult:
 def run_property_suite(trials: int = 1000, rng_seed: int = 20260815) -> PropertySuiteResult:
     """Monotonicity/submodularity sampling for both objectives.
 
-    The coverage objective runs at full six-robot scale; expected detections
-    runs on a two-robot menu because its exact union mass is exponential in
-    the sampled set size.  Negative controls assert the checkers still fire:
+    Both objectives run at full scale: six robots with four-direction menus
+    and 30 targets each, so sampled sets hold up to 24 rectangles.  Negative
+    controls assert the checkers still fire:
     f(S) = -|S| breaks monotonicity, f(S) = |S|^2 breaks submodularity.
     """
     rng = np.random.default_rng(rng_seed)
@@ -91,7 +91,7 @@ def run_property_suite(trials: int = 1000, rng_seed: int = 20260815) -> Property
     coverage = CoverageCount(coverage_world.targets, coverage_world.rects)
 
     belief_world = sample_instance(
-        rng, num_robots=2, num_targets=10, fov_side=3.0, fly_length=7.0, arena=CHECK_ARENA
+        rng, num_robots=6, num_targets=30, fov_side=3.0, fly_length=7.0, arena=CHECK_ARENA
     )
     beliefs = [
         GaussianTargetBelief(

@@ -9,10 +9,6 @@ class EnumerationCapExceeded(TrackingError):
     """An exhaustive enumeration would exceed the configured cap."""
 
 
-class ObjectiveSetTooLarge(TrackingError):
-    """A trajectory set is too large for exact union-mass evaluation."""
-
-
 class MissingCoverageRect(TrackingError):
     """A trajectory id has no coverage rectangle configured."""
 

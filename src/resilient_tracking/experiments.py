@@ -274,7 +274,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             spec,
             rounds=_require_int(data, "rounds", minimum=1) if "rounds" in data else 50,
             measurement_noise_std=(
-                _require_number(data, "measurement_noise_std", minimum=0)
+                _require_number(data, "measurement_noise_std", minimum=0, strict=True)
                 if "measurement_noise_std" in data
                 else 0.1
             ),
@@ -336,21 +336,19 @@ def _one_step_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
     rows = []
     for planner in spec.planners:
         pcode = PLANNER_NAMES.index(planner)
+        # only the random planner and the random attacker draw from a stream
+        planner_rng = _role_rng(trial_seed, 1, pcode) if planner == "random" else None
         t0 = time.perf_counter_ns()
-        result = get_planner(planner)(
-            instance.matroid, objective, alpha, _role_rng(trial_seed, 1, pcode)
-        )
+        result = get_planner(planner)(instance.matroid, objective, alpha, planner_rng)
         plan_ns = time.perf_counter_ns() - t0
         f_full = float(objective.evaluate(result.selected))
         for attacker in spec.attackers:
             acode = ATTACKER_NAMES.index(attacker)
-            t1 = time.perf_counter_ns()
-            attacked = get_attacker(attacker)(
-                objective,
-                result.selected,
-                alpha,
-                _role_rng(trial_seed, 2, pcode, acode),
+            attacker_rng = (
+                _role_rng(trial_seed, 2, pcode, acode) if attacker == "random" else None
             )
+            t1 = time.perf_counter_ns()
+            attacked = get_attacker(attacker)(objective, result.selected, alpha, attacker_rng)
             attack_ns = time.perf_counter_ns() - t1
             f_att = min(float(attacked.surviving_value), f_full)
             rate = 0.0 if f_full <= 0 else (f_full - f_att) / f_full

@@ -7,9 +7,12 @@ nondecreasing and submodular:
   trajectories' coverage rectangles (closed rectangles, integer valued).
 - expected_detections: sum over targets of the probability that the target
   lies in the union, under independent axis-aligned Gaussian position
-  beliefs.  Per-rectangle mass is the product of two 1D normal CDF
-  differences; the union mass is computed exactly by inclusion-exclusion
-  over rectangle intersections, pruning empty ones.
+  beliefs.  The union mass is exact on the coordinate-compressed grid of
+  all menu rectangle edges (at most 2R lines per axis for R rectangles):
+  each grid cell's mass is a product of two 1D normal CDF differences, the
+  beliefs fold into one weight per cell at construction, and evaluation is
+  one dot product of the covered-cell mask with those weights, linear in
+  the grid size whatever the set size.
 
 ``check_monotone`` and ``check_submodular`` are seeded sampling drivers that
 hunt for violations of the two properties over the whole power set of the
@@ -30,13 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .errors import MissingCoverageRect, ObjectiveSetTooLarge
+from .errors import MissingCoverageRect
 from .geometry import Point2, Rect
 
 # Absolute slack for the monotonicity / submodularity checks.
 PROPERTY_TOLERANCE = 1e-9
-
-DEFAULT_MAX_SET_SIZE = 20
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -163,78 +164,65 @@ class GaussianTargetBelief:
 class ExpectedDetections:
     """Expected number of targets inside the union of selected rectangles.
 
-    For each belief the union mass is computed by inclusion-exclusion over
-    the selected rectangles (exact; empty intersections prune the subtree).
-    Evaluations are memoized per trajectory set, which keeps exhaustive
-    planners cheap; the memo never changes observable values because the
-    function is deterministic for fixed beliefs and rectangles.
+    The union mass is exact on a coordinate-compressed grid.  Every menu
+    rectangle edge is a grid line, so each grid cell lies wholly inside or
+    wholly outside any union of menu rectangles, and a cell's mass under an
+    axis-aligned Gaussian belief is the product of its two per-axis CDF
+    differences.  Construction sums those products over the beliefs into
+    one weight per cell; evaluation paints the selected rectangles' cell
+    spans into a boolean grid and takes its dot product with the weights.
 
-    ``max_set_size`` bounds the inclusion-exclusion term count; larger sets
-    raise :class:`ObjectiveSetTooLarge`.
+    The dot product always runs over every cell, so a set's value depends
+    only on which cells it covers, never on how many: a trajectory that
+    adds no new cell leaves the value bit for bit unchanged.  Evaluations
+    are memoized per trajectory set; the memo never changes observable
+    values because the function is deterministic for fixed beliefs and
+    rectangles.
     """
 
-    def __init__(
-        self,
-        beliefs: Sequence[GaussianTargetBelief],
-        rects: Mapping[str, Rect],
-        max_set_size: int = DEFAULT_MAX_SET_SIZE,
-    ):
+    def __init__(self, beliefs: Sequence[GaussianTargetBelief], rects: Mapping[str, Rect]):
         self.beliefs = tuple(beliefs)
-        self.max_set_size = max_set_size
-        self._rects = dict(rects)
-        self._mu_x = np.array([b.mean.x for b in self.beliefs])
-        self._mu_y = np.array([b.mean.y for b in self.beliefs])
-        self._sd_x = np.array([b.std_x for b in self.beliefs])
-        self._sd_y = np.array([b.std_y for b in self.beliefs])
+        edges = np.array(
+            [(r.x_min, r.x_max, r.y_min, r.y_max) for r in rects.values()], dtype=float
+        ).reshape(-1, 4)
+        xs = np.unique(edges[:, :2])
+        ys = np.unique(edges[:, 2:])
+        # cell (i, j) is [xs[i], xs[i+1]] x [ys[j], ys[j+1]]
+        x_spans = np.searchsorted(xs, edges[:, :2]).tolist()
+        y_spans = np.searchsorted(ys, edges[:, 2:]).tolist()
+        self._spans = {
+            tid: (slice(*x_span), slice(*y_span))
+            for tid, x_span, y_span in zip(rects, x_spans, y_spans)
+        }
+        moments = np.array(
+            [(b.mean.x, b.mean.y, b.std_x, b.std_y) for b in self.beliefs], dtype=float
+        ).reshape(-1, 4)
+        mu_x, mu_y, sd_x, sd_y = moments.T[:, :, None]
+        # per-belief CDF differences across each axis' cells: (beliefs, cells)
+        dpx = np.diff(normal_cdf((xs - mu_x) / sd_x), axis=1)
+        dpy = np.diff(normal_cdf((ys - mu_y) / sd_y), axis=1)
+        self._shape = (dpx.shape[1], dpy.shape[1])
+        self._weights = (dpx.T @ dpy).ravel()
         self._cache: dict[frozenset, float] = {}
-
-    def _mass(self, rect: Rect) -> np.ndarray:
-        """P(target_j in rect) for every belief j."""
-        px = normal_cdf((rect.x_max - self._mu_x) / self._sd_x) - normal_cdf(
-            (rect.x_min - self._mu_x) / self._sd_x
-        )
-        py = normal_cdf((rect.y_max - self._mu_y) / self._sd_y) - normal_cdf(
-            (rect.y_min - self._mu_y) / self._sd_y
-        )
-        return px * py
 
     def evaluate(self, members: Iterable[str]) -> float:
         selected = frozenset(members)
         hit = self._cache.get(selected)
         if hit is not None:
             return hit
-        if len(selected) > self.max_set_size:
-            raise ObjectiveSetTooLarge(
-                f"{len(selected)} rectangles exceed the exact union limit of "
-                f"{self.max_set_size}"
-            )
-        rects = []
-        for tid in sorted(selected):
+        covered = np.zeros(self._shape, dtype=bool)
+        for tid in selected:
             try:
-                rects.append(self._rects[tid])
+                covered[self._spans[tid]] = True
             except KeyError:
                 raise MissingCoverageRect(
                     f"no coverage rectangle for trajectory {tid!r}"
                 ) from None
-        if not self.beliefs or not rects:
-            value = 0.0
-        else:
-            acc = np.zeros(len(self.beliefs))
-            self._accumulate(rects, 0, None, 1.0, acc)
-            value = float(acc.sum())
+        value = float(np.dot(covered.ravel(), self._weights))
         self._cache[selected] = value
         return value
 
     __call__ = evaluate
-
-    def _accumulate(self, rects, start, region, sign, acc):
-        # inclusion-exclusion over nonempty rectangle intersections
-        for i in range(start, len(rects)):
-            inter = rects[i] if region is None else region.intersection(rects[i])
-            if inter is None:
-                continue
-            acc += sign * self._mass(inter)
-            self._accumulate(rects, i + 1, inter, -sign, acc)
 
 
 def coverage_count(
@@ -248,10 +236,9 @@ def expected_detections(
     beliefs: Sequence[GaussianTargetBelief],
     rects: Mapping[str, Rect],
     members: Iterable[str],
-    max_set_size: int = DEFAULT_MAX_SET_SIZE,
 ) -> float:
     """Functional form of :class:`ExpectedDetections`."""
-    return ExpectedDetections(beliefs, rects, max_set_size).evaluate(members)
+    return ExpectedDetections(beliefs, rects).evaluate(members)
 
 
 @dataclass(frozen=True)

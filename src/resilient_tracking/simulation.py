@@ -80,8 +80,14 @@ class SimConfig:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
         if self.round_duration <= 0:
             raise ValueError(f"round_duration must be positive, got {self.round_duration}")
-        if self.measurement_noise_std < 0 or self.process_noise < 0:
-            raise ValueError("noise parameters must be nonnegative")
+        if not self.measurement_noise_std > 0:
+            # a noiseless update drives the belief variance to 0, which no
+            # Gaussian belief can carry into the next round's plan
+            raise ValueError(
+                f"measurement_noise_std must be positive, got {self.measurement_noise_std}"
+            )
+        if self.process_noise < 0:
+            raise ValueError(f"process_noise must be nonnegative, got {self.process_noise}")
         if self.initial_variance <= 0:
             raise ValueError(f"initial_variance must be positive, got {self.initial_variance}")
         if self.target_speed < 0 or self.velocity_jitter_std < 0:
@@ -313,7 +319,9 @@ def run_rounds(config: SimConfig) -> list[RoundRecord]:
         # monotone in exact arithmetic; snap away <=1e-15 round-off inversions
         f_att = min(float(attacked.surviving_value), f_full)
         rate = 0.0 if f_full <= 0 else (f_full - f_att) / f_full
-        truth = CoverageCount(instance.targets, instance.rects)
+        truth = CoverageCount(
+            instance.targets, {tid: instance.rects[tid] for tid in result.selected}
+        )
         survivors = result.selected - attacked.removed
         records.append(
             RoundRecord(
@@ -329,16 +337,11 @@ def run_rounds(config: SimConfig) -> list[RoundRecord]:
             )
         )
 
+        direction_of = {t.trajectory_id: t.direction for t in instance.trajectories}
         by_robot = {instance.matroid.robot_of(tid): tid for tid in result.selected}
         moved = []
         for robot in robots:
-            trajectory_id = by_robot[robot.robot_id]
-            direction = next(
-                t.direction
-                for t in instance.trajectories
-                if t.trajectory_id == trajectory_id
-            )
-            dx, dy = UNIT_STEP[direction]
+            dx, dy = UNIT_STEP[direction_of[by_robot[robot.robot_id]]]
             moved.append(
                 RobotSpec(
                     robot_id=robot.robot_id,

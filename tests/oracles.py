@@ -67,6 +67,40 @@ def point_in_rect(x, y, rect):
     return rect.x_min <= x <= rect.x_max and rect.y_min <= y <= rect.y_max
 
 
+def _normal_cdf(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def inclusion_exclusion_union_mass(beliefs, rects):
+    """Sum over beliefs of P(position in the union of rects).
+
+    Literal inclusion-exclusion: every nonempty subset of ``rects``
+    contributes the Gaussian mass of its (closed) intersection with sign
+    (-1)^(|subset| + 1); subsets whose intersection is empty contribute
+    nothing.  ``beliefs`` need ``mean.x``, ``mean.y``, ``std_x``, ``std_y``.
+    """
+    boxes = [(r.x_min, r.x_max, r.y_min, r.y_max) for r in rects]
+    total = 0.0
+    for b in beliefs:
+        for size in range(1, len(boxes) + 1):
+            sign = 1.0 if size % 2 else -1.0
+            for combo in itertools.combinations(boxes, size):
+                x_lo = max(box[0] for box in combo)
+                x_hi = min(box[1] for box in combo)
+                y_lo = max(box[2] for box in combo)
+                y_hi = min(box[3] for box in combo)
+                if x_lo > x_hi or y_lo > y_hi:
+                    continue
+                px = _normal_cdf((x_hi - b.mean.x) / b.std_x) - _normal_cdf(
+                    (x_lo - b.mean.x) / b.std_x
+                )
+                py = _normal_cdf((y_hi - b.mean.y) / b.std_y) - _normal_cdf(
+                    (y_lo - b.mean.y) / b.std_y
+                )
+                total += sign * px * py
+    return total
+
+
 def mc_union_mass(rng, mean_x, mean_y, std_x, std_y, rects, samples):
     """Monte Carlo estimate of P(point in union) with its standard error."""
     xs = rng.normal(mean_x, std_x, size=samples)

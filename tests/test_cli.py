@@ -81,6 +81,8 @@ def test_bad_spec_exits_2_and_names_field(tmp_path, capsys):
         ({"fov_side": float("inf")}, "fov_side"),
         ({"fov_side": float("nan")}, "fov_side"),
         ({"protocol": "multi-round", "arena": [0, 0, 0, 10], "rounds": 2}, "arena"),
+        # a noiseless sensor drove the belief variance to 0 after round 1
+        ({"protocol": "multi-round", "measurement_noise_std": 0, "rounds": 3}, "measurement_noise_std"),
     ],
 )
 def test_non_finite_or_flat_spec_exits_2_without_traceback(tmp_path, capsys, overrides, field):

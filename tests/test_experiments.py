@@ -69,6 +69,7 @@ def test_spec_errors_name_the_field():
         ({"protocol": "multi-round", "target_speed": float("nan")}, "target_speed"),
         ({"protocol": "multi-round", "process_noise": float("inf")}, "process_noise"),
         ({"protocol": "multi-round", "initial_variance": float("inf")}, "initial_variance"),
+        ({"protocol": "multi-round", "measurement_noise_std": 0}, "measurement_noise_std"),
     ]
     for overrides, field in cases:
         with pytest.raises(SpecError, match=field):

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
-from resilient_tracking.errors import MissingCoverageRect, ObjectiveSetTooLarge
+from resilient_tracking.errors import MissingCoverageRect
 from resilient_tracking.geometry import Point2, Rect
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import (
@@ -20,6 +22,7 @@ from resilient_tracking.objectives import (
     expected_detections,
     normal_cdf,
 )
+from resilient_tracking.simulation import SimConfig, run_rounds
 from resilient_tracking.worlds import sample_instance
 
 
@@ -160,13 +163,99 @@ def test_expected_detections_approaches_count_as_std_shrinks():
         assert exp.evaluate(members) == pytest.approx(count.evaluate(members), abs=1e-6)
 
 
-def test_expected_detections_set_size_cap():
-    beliefs = [GaussianTargetBelief("t0", Point2(0, 0), 1.0, 1.0)]
-    rects = {f"k{i}": Rect(0, 1, 0, 1) for i in range(5)}
-    exp = ExpectedDetections(beliefs, rects, max_set_size=3)
-    exp.evaluate(["k0", "k1", "k2"])
-    with pytest.raises(ObjectiveSetTooLarge):
-        exp.evaluate(["k0", "k1", "k2", "k3"])
+def test_closed_loop_runs_past_the_old_set_size_cap():
+    # 21 selected rectangles were past the former 20-rectangle limit of the
+    # exponential union mass; the grid has no cap
+    config = SimConfig(num_robots=21, num_targets=30, alpha=2, rounds=3, rng_seed=5)
+    records = run_rounds(config)
+    assert [r.round_index for r in records] == [1, 2, 3]
+    for record in records:
+        assert len(record.selected) == 21
+        assert len(record.removed) == 2
+        assert 0.0 <= record.f_attacked <= record.f_full <= config.num_targets
+
+
+# Edges on a half-unit lattice make shared edges, nesting, duplicates and
+# zero-width rectangles common.
+lattice = st.integers(0, 8).map(lambda k: 0.5 * k)
+
+
+@st.composite
+def boxes(draw):
+    x0, x1 = sorted((draw(lattice), draw(lattice)))
+    y0, y1 = sorted((draw(lattice), draw(lattice)))
+    return Rect(x0, x1, y0, y1)
+
+
+beliefs_strategy = st.lists(
+    st.builds(
+        lambda x, y, sx, sy: GaussianTargetBelief("t", Point2(x, y), sx, sy),
+        st.floats(-1.0, 5.0),
+        st.floats(-1.0, 5.0),
+        st.floats(0.05, 3.0),
+        st.floats(0.05, 3.0),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(boxes(), min_size=1, max_size=6),
+    beliefs_strategy,
+    st.data(),
+)
+def test_grid_union_matches_inclusion_exclusion(rect_list, beliefs, data):
+    rects = {f"k{i}": r for i, r in enumerate(rect_list)}
+    members = data.draw(st.sets(st.sampled_from(sorted(rects))))
+    got = ExpectedDetections(beliefs, rects).evaluate(members)
+    want = oracles.inclusion_exclusion_union_mass(beliefs, [rects[k] for k in members])
+    assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        [Rect(0.0, 4.0, 0.0, 4.0), Rect(1.0, 2.0, 1.0, 3.0)],  # nested
+        [Rect(0.0, 2.0, 0.0, 2.0), Rect(2.0, 4.0, 0.0, 2.0)],  # shared side
+        [Rect(0.0, 2.0, 0.0, 2.0), Rect(2.0, 3.0, 2.0, 3.0)],  # shared corner
+        [Rect(0.0, 2.0, 0.0, 2.0), Rect(1.0, 1.0, -1.0, 3.0)],  # zero width
+        [Rect(0.0, 1.0, 0.0, 1.0), Rect(3.0, 4.0, 3.0, 4.0)],  # disjoint
+        [Rect(0.0, 2.0, 0.0, 2.0), Rect(0.0, 2.0, 0.0, 2.0)],  # duplicate
+    ],
+    ids=["nested", "shared-side", "shared-corner", "zero-width", "disjoint", "duplicate"],
+)
+def test_grid_union_on_degenerate_layouts(layout):
+    beliefs = [
+        GaussianTargetBelief("t0", Point2(1.5, 1.0), 0.7, 1.3),
+        GaussianTargetBelief("t1", Point2(3.0, 3.5), 0.4, 0.4),
+    ]
+    rects = dict(zip("ab", layout))
+    exp = ExpectedDetections(beliefs, rects)
+    assert exp.evaluate(frozenset()) == 0.0
+    for members in ({"a"}, {"b"}, {"a", "b"}):
+        want = oracles.inclusion_exclusion_union_mass(beliefs, [rects[k] for k in members])
+        assert abs(exp.evaluate(members) - want) <= 1e-12
+    if layout[1].x_min == layout[1].x_max:
+        assert exp.evaluate({"b"}) == 0.0
+        assert exp.evaluate({"a", "b"}) == exp.evaluate({"a"})
+
+
+def test_grid_union_ignores_set_and_menu_order():
+    rng = np.random.default_rng(17)
+    inst = sample_instance(rng, 5, 20, 3.0, 7.0, helpers.ARENA)
+    beliefs = [
+        GaussianTargetBelief(f"t{j}", p, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
+        for j, p in enumerate(inst.targets)
+    ]
+    reversed_rects = dict(reversed(list(inst.rects.items())))
+    for _ in range(30):
+        size = int(rng.integers(0, len(inst.matroid.ground_set) + 1))
+        members = list(rng.choice(inst.matroid.ground_set, size=size, replace=False))
+        forward = ExpectedDetections(beliefs, inst.rects).evaluate(members)
+        backward = ExpectedDetections(beliefs, reversed_rects).evaluate(members[::-1])
+        assert forward == backward
 
 
 def property_world(seed=20260815):

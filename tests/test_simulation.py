@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,8 +118,10 @@ def test_kalman_posterior_never_exceeds_predicted_variance():
 
 def test_kalman_zero_noise_locks_onto_constant_velocity_target():
     # r=0 makes the gain one, so the mean rides the exact measurements and
-    # the finite-difference velocity becomes exact after two of them
-    config = SimConfig(measurement_noise_std=0.0, process_noise=0.0, target_speed=0.2)
+    # the finite-difference velocity becomes exact after two of them.
+    # SimConfig refuses r=0 for the closed loop, so the filter gets the
+    # three fields it reads directly.
+    config = SimpleNamespace(round_duration=1.0, process_noise=0.0, measurement_noise_std=0.0)
     track = make_track(1.0, 1.0, vx=0.2, vy=0.1)
     rng = np.random.default_rng(6)
     motion = SimConfig(target_speed=0.2, rng_seed=0)
@@ -202,6 +205,8 @@ def test_sim_config_validation():
         SimConfig(rounds=0)
     with pytest.raises(ValueError):
         SimConfig(measurement_noise_std=-0.1)
+    with pytest.raises(ValueError, match="measurement_noise_std"):
+        SimConfig(measurement_noise_std=0.0)
     with pytest.raises(ValueError):
         SimConfig(initial_variance=0.0)
     with pytest.raises(ValueError):
