@@ -16,7 +16,6 @@ from .adversary import (
     attack_none,
     attack_optimal,
     attack_random,
-    attack_rate,
     get_attacker,
 )
 from .analysis import (
@@ -33,7 +32,6 @@ from .errors import (
     MissingCoverageRect,
     SpecError,
     TrackingError,
-    UndefinedAttackRate,
 )
 from .geometry import (
     Direction,
@@ -41,9 +39,7 @@ from .geometry import (
     Rect,
     RobotSpec,
     Trajectory,
-    contains,
     coverage_rect,
-    rect_intersection,
 )
 from .matroid import DEFAULT_ENUMERATION_CAP, PartitionMatroid
 from .objectives import (
@@ -53,8 +49,6 @@ from .objectives import (
     PropertyViolation,
     check_monotone,
     check_submodular,
-    coverage_count,
-    expected_detections,
     normal_cdf,
 )
 from .planners import (
@@ -82,7 +76,6 @@ from .worlds import (
     DIRECTION_ORDER,
     WorldInstance,
     build_instance,
-    coverage_objective,
     sample_instance,
     trajectory_menu,
 )

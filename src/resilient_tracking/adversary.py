@@ -4,7 +4,8 @@ An attack removes trajectories from a selection; the attacked value is the
 objective on the survivors.  ``attack_optimal`` is the exact worst case,
 ``attack_greedy`` a myopic approximation, ``attack_random`` a baseline.
 Ties break lexicographically on sorted trajectory ids (for the exhaustive
-search: sizes ascending, then combination order), first winner kept.
+search: combination order), first winner kept.  ``score_attack`` turns an
+attack into the recorded attacked value and attack rate.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded, UndefinedAttackRate
-from .objectives import as_evaluator
+from .errors import EnumerationCapExceeded
 
 DEFAULT_ATTACK_CAP = 10**6
 
@@ -30,39 +30,30 @@ class AttackResult:
 
 
 def attack_optimal(
-    objective,
-    members,
-    alpha: int,
-    restrict_cardinality: bool = True,
-    cap: int = DEFAULT_ATTACK_CAP,
+    objective, members, alpha: int, cap: int = DEFAULT_ATTACK_CAP
 ) -> AttackResult:
     """Exact minimizer of the surviving value over removal sets.
 
-    With ``restrict_cardinality`` (the default) only removals of exactly
-    min(alpha, |S|) elements are searched; for monotone objectives removing
-    fewer never hurts more, so the optimum is unchanged.  Pass False to
-    search every size from 0 to alpha (the literal definition; kept as a
-    cross-check for the restriction).
+    Only removals of exactly min(alpha, |S|) elements are searched: for a
+    monotone objective removing fewer never hurts more, so the optimum over
+    every size up to alpha is unchanged.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    f = as_evaluator(objective)
     selected = frozenset(members)
     ordered = sorted(selected)
     k = min(alpha, len(ordered))
-    sizes = range(k, k + 1) if restrict_cardinality else range(0, k + 1)
-    total = sum(math.comb(len(ordered), size) for size in sizes)
+    total = math.comb(len(ordered), k)
     if total > cap:
         raise EnumerationCapExceeded(
             f"{total} removal sets exceed the enumeration cap of {cap}"
         )
     best_removed = None
     best_value = math.inf
-    for size in sizes:
-        for combo in itertools.combinations(ordered, size):
-            value = f(selected.difference(combo))
-            if value < best_value:
-                best_removed, best_value = frozenset(combo), value
+    for combo in itertools.combinations(ordered, k):
+        value = objective.evaluate(selected.difference(combo))
+        if value < best_value:
+            best_removed, best_value = frozenset(combo), value
     return AttackResult(removed=best_removed, surviving_value=float(best_value))
 
 
@@ -70,7 +61,6 @@ def attack_greedy(objective, members, alpha: int) -> AttackResult:
     """Myopic attack: repeatedly remove the single most damaging element."""
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    f = as_evaluator(objective)
     survivors = frozenset(members)
     removed = set()
     value = None
@@ -78,14 +68,14 @@ def attack_greedy(objective, members, alpha: int) -> AttackResult:
         best = None
         best_value = math.inf
         for tid in sorted(survivors):
-            candidate = f(survivors - {tid})
+            candidate = objective.evaluate(survivors - {tid})
             if candidate < best_value:
                 best, best_value = tid, candidate
         survivors = survivors - {best}
         removed.add(best)
         value = best_value
     if value is None:
-        value = f(survivors)
+        value = objective.evaluate(survivors)
     return AttackResult(removed=frozenset(removed), surviving_value=float(value))
 
 
@@ -93,7 +83,6 @@ def attack_random(objective, members, alpha: int, rng_seed) -> AttackResult:
     """Uniformly random removal of min(alpha, |S|) distinct elements."""
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    f = as_evaluator(objective)
     selected = frozenset(members)
     rng = np.random.default_rng(rng_seed)
     ordered = sorted(selected)
@@ -102,29 +91,29 @@ def attack_random(objective, members, alpha: int, rng_seed) -> AttackResult:
     if k:
         picks = rng.choice(len(ordered), size=k, replace=False)
         removed = frozenset(ordered[int(i)] for i in picks)
-    return AttackResult(removed=removed, surviving_value=float(f(selected - removed)))
+    value = objective.evaluate(selected - removed)
+    return AttackResult(removed=removed, surviving_value=float(value))
 
 
 def attack_none(objective, members) -> AttackResult:
     """No removal; surviving value is the full value."""
-    f = as_evaluator(objective)
-    return AttackResult(removed=frozenset(), surviving_value=float(f(frozenset(members))))
+    return AttackResult(
+        removed=frozenset(), surviving_value=float(objective.evaluate(frozenset(members)))
+    )
 
 
-def attack_rate(objective, members, removed) -> float:
-    """Relative loss (f(S) - f(S \\ A)) / f(S) for a realized removal A.
+def score_attack(f_full: float, surviving_value: float) -> tuple[float, float]:
+    """Recorded ``(f_attacked, attack_rate)`` of an attack on a selection.
 
-    Raises :class:`UndefinedAttackRate` when f(S) is zero.
+    ``f_attacked`` is the surviving value snapped to at most ``f_full``:
+    monotonicity makes the inequality exact in real arithmetic, and the snap
+    absorbs round-off inversions in the expected-detections sums.  The rate
+    is the relative loss ``(f_full - f_attacked) / f_full``, and 0 when
+    ``f_full`` is not positive.
     """
-    f = as_evaluator(objective)
-    selected = frozenset(members)
-    removed = frozenset(removed)
-    if not removed <= selected:
-        raise ValueError("removed set must be a subset of the selection")
-    full = f(selected)
-    if full == 0:
-        raise UndefinedAttackRate("attack rate undefined: unattacked value is zero")
-    return (full - f(selected - removed)) / full
+    f_attacked = min(float(surviving_value), f_full)
+    rate = 0.0 if f_full <= 0 else (f_full - f_attacked) / f_full
+    return f_attacked, rate
 
 
 ATTACKER_NAMES = ("optimal", "greedy", "random", "none")

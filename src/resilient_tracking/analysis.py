@@ -22,7 +22,7 @@ import numpy as np
 from .adversary import attack_optimal
 from .errors import DegenerateObjective
 from .matroid import DEFAULT_ENUMERATION_CAP, PartitionMatroid
-from .objectives import CoverageCount, as_evaluator, grid_union_counts
+from .objectives import CoverageCount, grid_union_counts
 from .planners import plan_bruteforce_maxmin, plan_resilient
 
 BOUND_SLACK = 1e-9
@@ -32,83 +32,60 @@ BOUND_SLACK = 1e-9
 class CurvatureReport:
     """Constrained curvature value and the witness that attains it.
 
-    ``mode`` is "exact" (minimum over every basis) or "sampled-lower-bound"
-    (minimum over sampled bases only; a subset minimum can only be too
-    large, so the reported value can only understate the true curvature).
-    Elements whose singleton value is zero are excluded from the inner
-    minimum and listed in ``skipped_zero_elements``.
+    The minimum runs over every basis.  Elements whose singleton value is
+    zero are excluded from the inner minimum and listed in
+    ``skipped_zero_elements``.
     """
 
     value: float
     witness_set: frozenset
     witness_element: str
-    mode: str
     skipped_zero_elements: tuple[str, ...]
 
 
 def constrained_curvature(
     matroid: PartitionMatroid,
     objective,
-    mode: str = "exact",
-    sample_budget: int = 1000,
-    rng_seed: int = 0,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CurvatureReport:
     """Curvature nu = 1 - min over bases S, s in S of (f(S)-f(S-s)) / f(s).
 
-    Exact mode enumerates every basis (subject to the enumeration cap);
-    sampled mode draws ``sample_budget`` bases uniformly per robot menu and
-    reports a lower bound on the true value.  Raises
+    Enumerates every basis (subject to the enumeration cap).  Raises
     :class:`DegenerateObjective` when no nonzero singleton exists.
 
-    Exact mode on a :class:`CoverageCount` scores every basis at once on
-    packed bitmasks and only picks the witness; the reported value is
-    evaluated on the witness through the objective, as in the loop.
+    On a :class:`CoverageCount` every basis is scored at once on packed
+    bitmasks, which only picks the witness; the reported value is evaluated
+    on the witness through the objective, as in the loop.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    f = as_evaluator(objective)
-    singleton = {tid: f(frozenset({tid})) for tid in matroid.ground_set}
+    evaluate = objective.evaluate
+    singleton = {tid: evaluate(frozenset({tid})) for tid in matroid.ground_set}
     skipped = tuple(
         tid for tid in matroid.ground_set if singleton[tid] == 0
     )
     if len(skipped) == len(matroid.ground_set):
         raise DegenerateObjective("every singleton value is zero")
 
-    if mode == "exact" and isinstance(objective, CoverageCount):
+    if isinstance(objective, CoverageCount):
         matroid.require_enumerable(cap)
-        witness = _coverage_curvature_witness(matroid, objective, singleton)
+        witness_set, witness_element = _coverage_curvature_witness(
+            matroid, objective, singleton
+        )
     else:
-        if mode == "exact":
-            bases = matroid.enumerate_bases(cap=cap)
-        else:
-            rng = np.random.default_rng(rng_seed)
-            menus = [matroid.blocks[r] for r in matroid.robots]
-            bases = (
-                frozenset(menu[int(rng.integers(len(menu)))] for menu in menus)
-                for _ in range(sample_budget)
-            )
-        witness = _curvature_witness(matroid, f, singleton, bases)
-    if witness is None:
-        raise DegenerateObjective("no usable basis member among the sampled bases")
-    witness_set, witness_element = witness
-    best_ratio = (f(witness_set) - f(witness_set - {witness_element})) / singleton[
-        witness_element
-    ]
+        witness_set, witness_element = _curvature_witness(matroid, evaluate, singleton, cap)
+    loss = evaluate(witness_set) - evaluate(witness_set - {witness_element})
     return CurvatureReport(
-        value=1.0 - best_ratio,
+        value=1.0 - loss / singleton[witness_element],
         witness_set=witness_set,
         witness_element=witness_element,
-        mode="exact" if mode == "exact" else "sampled-lower-bound",
         skipped_zero_elements=skipped,
     )
 
 
-def _curvature_witness(matroid, f, singleton, bases):
-    """First (basis, element) with the smallest ratio, in loop order."""
+def _curvature_witness(matroid, f, singleton, cap):
+    """First (basis, element) with the smallest ratio, in enumeration order."""
     best_ratio = math.inf
     witness = None
-    for basis in bases:
+    for basis in matroid.enumerate_bases(cap=cap):
         full = f(basis)
         for tid in matroid.sorted_members(basis):
             if singleton[tid] == 0:
@@ -144,8 +121,6 @@ def _coverage_curvature_witness(matroid, objective: CoverageCount, singleton):
         best = np.where(lower, ratio, best)
         best_robot = np.where(lower, r, best_robot)
     flat = int(np.argmin(best))
-    if best.flat[flat] == np.inf:
-        return None
     index = np.unravel_index(flat, best.shape)
     robot = int(best_robot[index])
     basis = frozenset(menu[i] for menu, i in zip(menus, index))
@@ -222,7 +197,7 @@ def check_performance_bound(
             degenerate=True,
         )
 
-    curvature = constrained_curvature(matroid, objective, mode="exact", cap=cap)
+    curvature = constrained_curvature(matroid, objective, cap=cap)
     factor = h_bound(n, alpha)
     guarantee = 0.5 * max(1.0 - curvature.value, factor) * optimal_value
     return BoundReport(

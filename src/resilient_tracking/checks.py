@@ -10,6 +10,7 @@ still catch deliberately broken functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -104,6 +105,9 @@ def run_property_suite(trials: int = 1000, rng_seed: int = 20260815) -> Property
     ]
     expected = ExpectedDetections(beliefs, belief_world.rects)
 
+    decreasing = SimpleNamespace(evaluate=lambda s: -len(s))
+    supermodular = SimpleNamespace(evaluate=lambda s: float(len(s)) ** 2)
+
     seeds = rng.integers(0, 2**32, size=6)
     return PropertySuiteResult(
         trials=trials,
@@ -120,13 +124,9 @@ def run_property_suite(trials: int = 1000, rng_seed: int = 20260815) -> Property
             check_submodular(expected, belief_world.matroid, trials, int(seeds[3]))
         ),
         control_monotone=len(
-            check_monotone(
-                lambda s: -len(s), coverage_world.matroid, trials, int(seeds[4])
-            )
+            check_monotone(decreasing, coverage_world.matroid, trials, int(seeds[4]))
         ),
         control_submodular=len(
-            check_submodular(
-                lambda s: float(len(s)) ** 2, coverage_world.matroid, trials, int(seeds[5])
-            )
+            check_submodular(supermodular, coverage_world.matroid, trials, int(seeds[5]))
         ),
     )

@@ -17,10 +17,6 @@ class DegenerateObjective(TrackingError):
     """Curvature is undefined because no usable singleton value is nonzero."""
 
 
-class UndefinedAttackRate(TrackingError):
-    """Attack rate is undefined because the unattacked value is zero."""
-
-
 class SpecError(TrackingError):
     """An experiment spec failed validation; the message names the field."""
 

@@ -29,8 +29,9 @@ file (a crashed run leaves no marker, and readers refuse a file without it
 or whose ``rows`` disagrees with the rows present).  ``wall_time_micros``
 is informational only and excluded from golden comparisons; for multi-round
 rows it is the whole run's wall time split evenly over rounds.  Recorded
-``f_attacked`` is snapped to min(f_attacked, f_full): monotonicity makes
-the inequality exact in real arithmetic and the snap only absorbs ~1e-16
+``f_attacked`` and ``attack_rate`` come from ``adversary.score_attack``,
+which snaps f_attacked to min(f_attacked, f_full): monotonicity makes the
+inequality exact in real arithmetic and the snap only absorbs ~1e-16
 round-off in the expected-detections sums.
 """
 
@@ -42,14 +43,14 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from statistics import mean, pstdev
 
 import numpy as np
 
-from .adversary import ATTACKER_NAMES, get_attacker
+from .adversary import ATTACKER_NAMES, get_attacker, score_attack
 from .errors import CsvFormatError, SpecError
 from .geometry import Rect
 from .objectives import CoverageCount
@@ -124,12 +125,8 @@ class ExperimentSpec:
     attackers: tuple[str, ...]
     master_seed: int
     output: str | None = None
-    rounds: int = 50
-    measurement_noise_std: float = 0.1
-    process_noise: float = 0.01
-    initial_variance: float = 1.0
-    target_speed: float = 0.3
-    velocity_jitter_std: float = 0.0
+    # multi-round SimConfig fields the spec sets; the rest keep SimConfig's defaults
+    simulation: dict = field(default_factory=dict)
 
 
 def _fail(field: str, problem: str):
@@ -186,6 +183,17 @@ def _normalize_targets(value) -> tuple[int, ...]:
     return tuple(values)
 
 
+# Validators of the optional multi-round fields, which are SimConfig fields.
+_SIMULATION_FIELDS = {
+    "rounds": partial(_require_int, minimum=1),
+    "measurement_noise_std": partial(_require_number, minimum=0, strict=True),
+    "process_noise": partial(_require_number, minimum=0),
+    "initial_variance": partial(_require_number, minimum=0, strict=True),
+    "target_speed": partial(_require_number, minimum=0),
+    "velocity_jitter_std": partial(_require_number, minimum=0),
+}
+
+
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Validate a parsed spec; raises :class:`SpecError` naming the field."""
     if not isinstance(data, dict):
@@ -193,9 +201,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     known = {
         "protocol", "num_robots", "fov_side", "fly_length", "arena",
         "num_targets", "alphas", "trials", "planners", "attackers",
-        "master_seed", "output", "rounds", "measurement_noise_std",
-        "process_noise", "initial_variance", "target_speed",
-        "velocity_jitter_std",
+        "master_seed", "output", *_SIMULATION_FIELDS,
     }
     for key in data:
         if key not in known:
@@ -255,7 +261,11 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     if output is not None and not isinstance(output, str):
         _fail("output", f"expected a string path, got {output!r}")
 
-    spec = ExperimentSpec(
+    # validated for either protocol; only the multi-round protocol uses them
+    simulation = {
+        key: check(data, key) for key, check in _SIMULATION_FIELDS.items() if key in data
+    }
+    return ExperimentSpec(
         protocol=protocol,
         num_robots=num_robots,
         fov_side=fov_side,
@@ -268,38 +278,8 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         attackers=tuple(attackers_raw),
         master_seed=master_seed,
         output=output,
+        simulation=simulation,
     )
-    if protocol == "multi-round":
-        spec = replace(
-            spec,
-            rounds=_require_int(data, "rounds", minimum=1) if "rounds" in data else 50,
-            measurement_noise_std=(
-                _require_number(data, "measurement_noise_std", minimum=0, strict=True)
-                if "measurement_noise_std" in data
-                else 0.1
-            ),
-            process_noise=(
-                _require_number(data, "process_noise", minimum=0)
-                if "process_noise" in data
-                else 0.01
-            ),
-            initial_variance=(
-                _require_number(data, "initial_variance", minimum=0, strict=True)
-                if "initial_variance" in data
-                else 1.0
-            ),
-            target_speed=(
-                _require_number(data, "target_speed", minimum=0)
-                if "target_speed" in data
-                else 0.3
-            ),
-            velocity_jitter_std=(
-                _require_number(data, "velocity_jitter_std", minimum=0)
-                if "velocity_jitter_std" in data
-                else 0.0
-            ),
-        )
-    return spec
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -350,8 +330,7 @@ def _one_step_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
             t1 = time.perf_counter_ns()
             attacked = get_attacker(attacker)(objective, result.selected, alpha, attacker_rng)
             attack_ns = time.perf_counter_ns() - t1
-            f_att = min(float(attacked.surviving_value), f_full)
-            rate = 0.0 if f_full <= 0 else (f_full - f_att) / f_full
+            f_att, rate = score_attack(f_full, attacked.surviving_value)
             rows.append(
                 RecordRow(
                     trial=trial,
@@ -384,19 +363,14 @@ def _multi_round_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
                 fov_side=spec.fov_side,
                 fly_length=spec.fly_length,
                 arena=spec.arena,
-                rounds=spec.rounds,
-                measurement_noise_std=spec.measurement_noise_std,
-                process_noise=spec.process_noise,
-                initial_variance=spec.initial_variance,
-                target_speed=spec.target_speed,
-                velocity_jitter_std=spec.velocity_jitter_std,
                 planner=planner,
                 attacker=attacker,
                 rng_seed=trial_seed,
+                **spec.simulation,
             )
             t0 = time.perf_counter_ns()
             records = run_rounds(config)
-            per_round_micros = (time.perf_counter_ns() - t0) // 1000 // spec.rounds
+            per_round_micros = (time.perf_counter_ns() - t0) // 1000 // config.rounds
             for record in records:
                 rows.append(
                     RecordRow(

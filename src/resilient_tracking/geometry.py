@@ -135,12 +135,3 @@ def coverage_rect(robot: RobotSpec, direction: Direction) -> Rect:
         robot.position.y + half + max(0.0, sy),
     )
 
-
-def rect_intersection(a: Rect, b: Rect) -> Rect | None:
-    """Module-level alias for :meth:`Rect.intersection`."""
-    return a.intersection(b)
-
-
-def contains(rect: Rect, p: Point2) -> bool:
-    """Module-level alias for :meth:`Rect.contains`."""
-    return rect.contains(p)

@@ -3,16 +3,26 @@
 Two set functions are provided, both normalized (f(empty) = 0), monotone
 nondecreasing and submodular:
 
-- coverage_count: number of targets inside the union of the selected
-  trajectories' coverage rectangles (closed rectangles, integer valued).
-- expected_detections: sum over targets of the probability that the target
-  lies in the union, under independent axis-aligned Gaussian position
-  beliefs.  The union mass is exact on the coordinate-compressed grid of
-  all menu rectangle edges (at most 2R lines per axis for R rectangles):
-  each grid cell's mass is a product of two 1D normal CDF differences, the
-  beliefs fold into one weight per cell at construction, and evaluation is
-  one dot product of the covered-cell mask with those weights, linear in
-  the grid size whatever the set size.
+- :class:`CoverageCount`: number of targets inside the union of the
+  selected trajectories' coverage rectangles (closed rectangles, integer
+  valued).
+- :class:`ExpectedDetections`: sum over targets of the probability that the
+  target lies in the union, under independent axis-aligned Gaussian
+  position beliefs.  The union mass is exact on the coordinate-compressed
+  grid of all menu rectangle edges (at most 2R lines per axis for R
+  rectangles): each grid cell's mass is a product of two 1D normal CDF
+  differences, the beliefs fold into one weight per cell at construction,
+  and evaluation is one dot product of the covered-cell mask with those
+  weights, linear in the grid size whatever the set size.
+
+Objective protocol
+------------------
+An objective is any object with ``evaluate(members) -> float``; planners,
+attacks, the analysis and the property checkers call that method and
+nothing else.  The objective classes are deliberately not callable: the
+benchmark's tracer and its ``--fault perturb`` control replace
+``evaluate`` on the class, so an evaluation that bypassed the method would
+go unseen by both.
 
 ``check_monotone`` and ``check_submodular`` are seeded sampling drivers that
 hunt for violations of the two properties over the whole power set of the
@@ -51,20 +61,6 @@ def normal_cdf(z):
     return 0.5 * erfc(-z / _SQRT2)
 
 
-def as_evaluator(objective):
-    """Normalize an objective-like value to a ``set -> float`` callable.
-
-    Accepts either a bare callable or any object with an ``evaluate``
-    method (e.g. the objective classes below).
-    """
-    evaluate = getattr(objective, "evaluate", None)
-    if callable(evaluate):
-        return evaluate
-    if callable(objective):
-        return objective
-    raise TypeError(f"objective {objective!r} is neither callable nor has .evaluate")
-
-
 class CoverageCount:
     """Number of targets covered by the union of selected rectangles.
 
@@ -76,13 +72,18 @@ class CoverageCount:
 
     def __init__(self, targets: Sequence[Point2], rects: Mapping[str, Rect]):
         self.targets = tuple(targets)
-        self._masks: dict[str, int] = {}
-        for tid, rect in rects.items():
-            mask = 0
-            for j, p in enumerate(self.targets):
-                if rect.contains(p):
-                    mask |= 1 << j
-            self._masks[tid] = mask
+        x = np.array([p.x for p in self.targets], dtype=float)
+        y = np.array([p.y for p in self.targets], dtype=float)
+        bounds = np.array(
+            [(r.x_min, r.x_max, r.y_min, r.y_max) for r in rects.values()], dtype=float
+        )
+        x_min, x_max, y_min, y_max = bounds.reshape(-1, 4, 1).transpose(1, 0, 2)
+        # (rects, targets): the closed-rectangle test of Rect.contains
+        inside = (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
+        packed = np.packbits(inside, axis=1, bitorder="little").tolist()
+        self._masks = {
+            tid: int.from_bytes(bytes(row), "little") for tid, row in zip(rects, packed)
+        }
 
     def evaluate(self, members: Iterable[str]) -> int:
         union = 0
@@ -94,8 +95,6 @@ class CoverageCount:
                     f"no coverage rectangle for trajectory {tid!r}"
                 ) from None
         return union.bit_count()
-
-    __call__ = evaluate
 
     def menu_tables(self, menus: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Packed coverage masks of each menu, laid out on the basis grid.
@@ -222,24 +221,6 @@ class ExpectedDetections:
         self._cache[selected] = value
         return value
 
-    __call__ = evaluate
-
-
-def coverage_count(
-    targets: Sequence[Point2], rects: Mapping[str, Rect], members: Iterable[str]
-) -> int:
-    """Functional form of :class:`CoverageCount`."""
-    return CoverageCount(targets, rects).evaluate(members)
-
-
-def expected_detections(
-    beliefs: Sequence[GaussianTargetBelief],
-    rects: Mapping[str, Rect],
-    members: Iterable[str],
-) -> float:
-    """Functional form of :class:`ExpectedDetections`."""
-    return ExpectedDetections(beliefs, rects).evaluate(members)
-
 
 @dataclass(frozen=True)
 class PropertyViolation:
@@ -271,7 +252,7 @@ def check_monotone(objective, matroid, trials: int, rng_seed: int) -> list[Prope
     A clean run returns []; for a deliberately decreasing function every
     trial is a violation because the pairs are strictly nested.
     """
-    f = as_evaluator(objective)
+    f = objective.evaluate
     ground = list(matroid.ground_set)
     rng = np.random.default_rng(rng_seed)
     violations = []
@@ -290,7 +271,7 @@ def check_submodular(objective, matroid, trials: int, rng_seed: int) -> list[Pro
 
     Checks f(S + s) - f(S) >= f(S' + s) - f(S') within tolerance.
     """
-    f = as_evaluator(objective)
+    f = objective.evaluate
     ground = list(matroid.ground_set)
     if len(ground) < 2:
         raise ValueError("submodularity sampling needs at least two elements")

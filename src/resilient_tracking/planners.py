@@ -22,7 +22,7 @@ import numpy as np
 from .adversary import attack_optimal
 from .errors import EnumerationCapExceeded
 from .matroid import DEFAULT_ENUMERATION_CAP, PartitionMatroid
-from .objectives import CoverageCount, as_evaluator, grid_union_counts
+from .objectives import CoverageCount, grid_union_counts
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,8 @@ class AlgorithmTrace:
 class PlanResult:
     """Outcome of one planning call.
 
-    ``oracle_calls`` counts objective evaluations made by this call only.
+    ``oracle_calls`` counts objective evaluations made by this call only
+    (for the exhaustive planner, the per-basis loop's count on either path).
     ``maxmin_value`` is filled by the exhaustive planner (the worst-case
     surviving value of the returned basis) and None otherwise.
     """
@@ -59,26 +60,14 @@ def _check_alpha(matroid: PartitionMatroid, alpha: int) -> None:
         )
 
 
-class _CallCounter:
-    """Counts evaluations routed through one planning call."""
-
-    def __init__(self, objective):
-        self._evaluate = as_evaluator(objective)
-        self.calls = 0
-
-    def __call__(self, members: frozenset) -> float:
-        self.calls += 1
-        return self._evaluate(members)
-
-
-def _greedy_fill(matroid, f, bait: frozenset):
+def _greedy_fill(matroid, objective, bait: frozenset):
     """Greedy phase: scan T \\ bait by marginal gain against the fill alone.
 
-    Returns (fill, scanned).  Marginals are measured on the fill set only,
-    not on bait + fill; an element is admitted when bait + fill + element
-    stays independent.  Candidate values are cached while the fill is
-    unchanged, which leaves the selection sequence identical to recomputing
-    every round.
+    Returns (fill, scanned, evaluations made).  Marginals are measured on
+    the fill set only, not on bait + fill; an element is admitted when
+    bait + fill + element stays independent.  Candidate values are cached
+    while the fill is unchanged, which leaves the selection sequence
+    identical to recomputing every round.
     """
     remaining = [tid for tid in matroid.ground_set if tid not in bait]
     used_robots = {matroid.robot_of(tid) for tid in bait}
@@ -86,10 +75,12 @@ def _greedy_fill(matroid, f, bait: frozenset):
     scanned: list[str] = []
     current = frozenset()
     pending: dict[str, float | None] = {tid: None for tid in remaining}
+    calls = 0
     while pending:
         for tid, value in pending.items():
             if value is None:
-                pending[tid] = f(current | {tid})
+                pending[tid] = objective.evaluate(current | {tid})
+                calls += 1
         best = None
         best_value = -math.inf
         for tid in remaining:
@@ -104,7 +95,7 @@ def _greedy_fill(matroid, f, bait: frozenset):
             current = current | {best}
             for tid in pending:
                 pending[tid] = None
-    return tuple(fill), tuple(scanned)
+    return tuple(fill), tuple(scanned), calls
 
 
 def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResult:
@@ -120,9 +111,7 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
     every selection can be wiped out and the guarantee is vacuous.
     """
     _check_alpha(matroid, alpha)
-    f = _CallCounter(objective)
-
-    singleton = {tid: f(frozenset({tid})) for tid in matroid.ground_set}
+    singleton = {tid: objective.evaluate(frozenset({tid})) for tid in matroid.ground_set}
     bait: list[str] = []
     used_robots: set[str] = set()
     scan_order = sorted(
@@ -134,7 +123,7 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
             bait.append(tid)
             used_robots.add(robot)
 
-    fill, scanned_fill = _greedy_fill(matroid, f, frozenset(bait))
+    fill, scanned_fill, fill_calls = _greedy_fill(matroid, objective, frozenset(bait))
     selected = frozenset(bait) | set(fill)
     if not matroid.is_basis(selected):
         raise AssertionError("planner failed to assemble a basis")
@@ -144,20 +133,21 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
         scanned_bait=tuple(scan_order),
         scanned_fill=scanned_fill,
     )
-    return PlanResult(selected=selected, trace=trace, oracle_calls=f.calls)
+    return PlanResult(
+        selected=selected, trace=trace, oracle_calls=len(matroid.ground_set) + fill_calls
+    )
 
 
 def plan_greedy(matroid: PartitionMatroid, objective) -> PlanResult:
     """Standard matroid greedy: largest marginal gain until a basis."""
-    f = _CallCounter(objective)
-    fill, scanned = _greedy_fill(matroid, f, frozenset())
+    fill, scanned, calls = _greedy_fill(matroid, objective, frozenset())
     trace = AlgorithmTrace(
         bait=(),
         greedy_fill=fill,
         scanned_bait=(),
         scanned_fill=scanned,
     )
-    return PlanResult(selected=frozenset(fill), trace=trace, oracle_calls=f.calls)
+    return PlanResult(selected=frozenset(fill), trace=trace, oracle_calls=calls)
 
 
 def plan_random(matroid: PartitionMatroid, rng_seed) -> PlanResult:
@@ -203,10 +193,12 @@ def plan_bruteforce_maxmin(
     keeps the lexicographically first maximizer.  The product of basis count
     and attack subsets per basis must stay within ``cap``.
 
-    A :class:`CoverageCount` is scored on packed bitmasks in one batched
-    pass; ``maxmin_value`` still comes from ``evaluate`` via the optimal
-    attack on the chosen basis, and ``oracle_calls`` is the logical count
-    ``bases * C(n, alpha)`` the per-basis loop would make.
+    ``oracle_calls`` is ``bases * C(n, min(alpha, n))``, exactly the
+    evaluations of the per-basis loop (one optimal attack per basis).  A
+    :class:`CoverageCount` is scored on packed bitmasks in one batched pass
+    instead; ``maxmin_value`` still comes from ``evaluate`` via the optimal
+    attack on the chosen basis, and ``oracle_calls`` is the same logical
+    count.
     """
     _check_alpha(matroid, alpha)
     n = matroid.num_robots
@@ -218,20 +210,17 @@ def plan_bruteforce_maxmin(
     if isinstance(objective, CoverageCount):
         best_set = _coverage_maxmin_basis(matroid, objective, min(alpha, n))
         best_value = attack_optimal(objective, best_set, alpha).surviving_value
-        oracle_calls = work
     else:
-        f = _CallCounter(objective)
         best_set = None
         best_value = -math.inf
         for basis in matroid.enumerate_bases(cap=cap):
-            worst = attack_optimal(f, basis, alpha)
+            worst = attack_optimal(objective, basis, alpha)
             if worst.surviving_value > best_value:
                 best_set, best_value = basis, worst.surviving_value
-        oracle_calls = f.calls
     return PlanResult(
         selected=best_set,
         trace=None,
-        oracle_calls=oracle_calls,
+        oracle_calls=work,
         maxmin_value=float(best_value),
     )
 

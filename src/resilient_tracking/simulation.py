@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import ATTACKER_NAMES, get_attacker
+from .adversary import ATTACKER_NAMES, get_attacker, score_attack
 from .geometry import Point2, Rect, RobotSpec, UNIT_STEP
 from .objectives import CoverageCount, ExpectedDetections, GaussianTargetBelief
 from .planners import PLANNER_NAMES, get_planner
@@ -316,9 +316,7 @@ def run_rounds(config: SimConfig) -> list[RoundRecord]:
         attacked = attack(objective, result.selected, config.alpha, attacker_rng)
 
         f_full = float(objective.evaluate(result.selected))
-        # monotone in exact arithmetic; snap away <=1e-15 round-off inversions
-        f_att = min(float(attacked.surviving_value), f_full)
-        rate = 0.0 if f_full <= 0 else (f_full - f_att) / f_full
+        f_att, rate = score_attack(f_full, attacked.surviving_value)
         truth = CoverageCount(
             instance.targets, {tid: instance.rects[tid] for tid in result.selected}
         )

@@ -8,7 +8,6 @@ import numpy as np
 
 from .geometry import Direction, Point2, Rect, RobotSpec, Trajectory, coverage_rect
 from .matroid import PartitionMatroid
-from .objectives import CoverageCount
 
 # Menu order; also the trajectory index order used for tie-breaking.
 DIRECTION_ORDER = (
@@ -119,7 +118,3 @@ def sample_instance(
     targets = [sample_point(rng, arena) for _ in range(num_targets)]
     return build_instance(robots, targets, directions_by_robot)
 
-
-def coverage_objective(instance: WorldInstance) -> CoverageCount:
-    """Ground-truth coverage objective for an instance."""
-    return CoverageCount(instance.targets, instance.rects)

@@ -2,7 +2,6 @@
 
 from resilient_tracking.geometry import Point2, Rect, RobotSpec
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import as_evaluator
 from resilient_tracking.worlds import build_instance
 
 ARENA = Rect(0.0, 10.0, 0.0, 10.0)
@@ -24,7 +23,12 @@ class SetCover:
             covered |= self.cover[tid]
         return len(covered)
 
-    __call__ = evaluate
+
+class SetFunction:
+    """A bare ``set -> value`` function given the objective protocol."""
+
+    def __init__(self, fn):
+        self.evaluate = fn
 
 
 class CountingOracle:
@@ -35,14 +39,12 @@ class CountingOracle:
     """
 
     def __init__(self, objective):
-        self._evaluate = as_evaluator(objective)
+        self._objective = objective
         self.eval_count = 0
 
     def evaluate(self, members):
         self.eval_count += 1
-        return self._evaluate(frozenset(members))
-
-    __call__ = evaluate
+        return self._objective.evaluate(frozenset(members))
 
 
 def grid_world(num_robots, targets, fov=3.0, fly=7.0, spacing=2.0):

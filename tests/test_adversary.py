@@ -1,4 +1,4 @@
-"""Removal attacks: exhaustive, greedy, random, and the attack-rate metric."""
+"""Removal attacks: exhaustive, greedy, random, and the attacked-row score."""
 
 import itertools
 
@@ -13,10 +13,9 @@ from resilient_tracking.adversary import (
     attack_none,
     attack_optimal,
     attack_random,
-    attack_rate,
     get_attacker,
+    score_attack,
 )
-from resilient_tracking.errors import UndefinedAttackRate
 from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.worlds import sample_instance
 
@@ -32,7 +31,7 @@ def test_optimal_attack_hand_fixture():
     result = attack_optimal(f, members, 1)
     assert result.surviving_value == 3
     assert result.removed == frozenset({"A"})  # tie broken by sorted ids
-    assert attack_rate(f, members, result.removed) == pytest.approx(0.25)
+    assert score_attack(f.evaluate(members), result.surviving_value)[1] == pytest.approx(0.25)
 
 
 def test_attack_edge_sizes():
@@ -55,16 +54,8 @@ def test_restricted_matches_full_range_on_monotone_objectives():
         members = next(iter(inst.matroid.enumerate_bases()))
         alpha = int(rng.integers(0, 5))
         fast = attack_optimal(cov, members, alpha)
-        slow = attack_optimal(cov, members, alpha, restrict_cardinality=False)
-        assert fast.surviving_value == pytest.approx(slow.surviving_value)
         want_value, _ = oracles.attack_bruteforce(cov.evaluate, members, alpha)
         assert fast.surviving_value == pytest.approx(want_value)
-
-
-def test_full_range_prefers_smaller_removals_on_ties():
-    constant = lambda s: 1.0  # noqa: E731
-    result = attack_optimal(constant, frozenset({"a", "b"}), 2, restrict_cardinality=False)
-    assert result.removed == frozenset()  # sizes scanned ascending
 
 
 def test_greedy_equals_optimal_on_modular_objectives():
@@ -72,7 +63,7 @@ def test_greedy_equals_optimal_on_modular_objectives():
     for _ in range(20):
         ids = [f"e{i}" for i in range(6)]
         weights = {tid: float(rng.uniform(0, 10)) for tid in ids}
-        modular = lambda s, w=weights: sum(w[tid] for tid in s)  # noqa: E731
+        modular = helpers.SetFunction(lambda s, w=weights: sum(w[tid] for tid in s))
         alpha = int(rng.integers(0, 4))
         a = attack_optimal(modular, frozenset(ids), alpha)
         b = attack_greedy(modular, frozenset(ids), alpha)
@@ -115,13 +106,15 @@ def test_random_attack_determinism_and_spread():
     assert len(seen) == 3  # C(3,2) possibilities all reachable
 
 
-def test_attack_rate_bounds_and_undefined():
-    f, members = cover_fixture()
-    assert attack_rate(f, members, frozenset()) == 0.0
-    assert attack_rate(f, members, members) == 1.0
-    empty = helpers.SetCover({"A": set(), "B": set()})
-    with pytest.raises(UndefinedAttackRate):
-        attack_rate(empty, frozenset({"A", "B"}), frozenset({"A"}))
+def test_score_attack_zero_full_value_and_snap():
+    assert score_attack(4.0, 3.0) == (3.0, 0.25)
+    assert score_attack(4.0, 4.0) == (4.0, 0.0)
+    assert score_attack(4.0, 0.0) == (0.0, 1.0)
+    # nothing to lose: the rate is 0, not undefined
+    assert score_attack(0.0, 0.0) == (0.0, 0.0)
+    # a round-off inversion above the full value is snapped down to it
+    assert score_attack(4.0, 4.0 + 1e-15) == (4.0, 0.0)
+    assert score_attack(0.0, 1e-16) == (0.0, 0.0)
 
 
 def test_attacker_registry():

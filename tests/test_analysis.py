@@ -16,7 +16,7 @@ from resilient_tracking.errors import DegenerateObjective
 from resilient_tracking.geometry import Point2, RobotSpec
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import CoverageCount
-from resilient_tracking.worlds import build_instance, coverage_objective, sample_instance
+from resilient_tracking.worlds import build_instance, sample_instance
 
 
 def far_apart_world():
@@ -38,17 +38,16 @@ def duplicated_world():
 
 def test_curvature_zero_for_additive_coverage():
     inst = far_apart_world()
-    report = constrained_curvature(inst.matroid, coverage_objective(inst))
+    report = constrained_curvature(inst.matroid, CoverageCount(inst.targets, inst.rects))
     assert report.value == 0.0
-    assert report.mode == "exact"
 
 
 def test_curvature_one_for_duplicated_robots():
     inst = duplicated_world()
-    report = constrained_curvature(inst.matroid, coverage_objective(inst))
+    report = constrained_curvature(inst.matroid, CoverageCount(inst.targets, inst.rects))
     assert report.value == 1.0
     # the witness element contributes nothing on top of its twin
-    f = coverage_objective(inst).evaluate
+    f = CoverageCount(inst.targets, inst.rects).evaluate
     s = report.witness_set
     e = report.witness_element
     assert f(s) - f(s - {e}) == 0
@@ -69,19 +68,6 @@ def test_curvature_matches_bruteforce_oracle():
         assert 0.0 <= got.value <= 1.0
 
 
-def test_sampled_curvature_never_exceeds_exact():
-    rng = np.random.default_rng(77)
-    for seed in range(8):
-        inst = sample_instance(rng, 4, 12, 3.0, 5.0, helpers.ARENA)
-        cov = CoverageCount(inst.targets, inst.rects)
-        exact = constrained_curvature(inst.matroid, cov)
-        sampled = constrained_curvature(
-            inst.matroid, cov, mode="sampled", sample_budget=50, rng_seed=seed
-        )
-        assert sampled.mode == "sampled-lower-bound"
-        assert sampled.value <= exact.value + 1e-12
-
-
 def test_zero_singletons_are_skipped_not_fatal():
     # element "useless" covers nothing; ratios must ignore it
     f = helpers.SetCover({"good": {"t1"}, "useless": set(), "other": {"t2"}})
@@ -94,13 +80,7 @@ def test_zero_singletons_are_skipped_not_fatal():
 def test_all_zero_objective_is_degenerate():
     matroid = PartitionMatroid({"r0": ["a"], "r1": ["b"]})
     with pytest.raises(DegenerateObjective):
-        constrained_curvature(matroid, lambda s: 0.0)
-
-
-def test_curvature_mode_validation():
-    matroid = PartitionMatroid({"r0": ["a"]})
-    with pytest.raises(ValueError):
-        constrained_curvature(matroid, lambda s: float(len(s)), mode="guess")
+        constrained_curvature(matroid, helpers.SetFunction(lambda s: 0.0))
 
 
 def test_h_bound_values():
@@ -160,7 +140,7 @@ def test_bound_degenerate_when_optimum_is_zero():
     # no targets: every value is zero
     robots = [RobotSpec("r00", Point2(1, 1), 3.0, 3.0), RobotSpec("r01", Point2(9, 9), 3.0, 3.0)]
     inst = build_instance(robots, [])
-    report = check_performance_bound(inst.matroid, coverage_objective(inst), 1)
+    report = check_performance_bound(inst.matroid, CoverageCount(inst.targets, inst.rects), 1)
     assert report.degenerate
     assert report.satisfied
     assert report.guarantee == 0.0
@@ -169,6 +149,6 @@ def test_bound_degenerate_when_optimum_is_zero():
 
 def test_bound_degenerate_when_alpha_equals_robots():
     inst = far_apart_world()
-    report = check_performance_bound(inst.matroid, coverage_objective(inst), inst.matroid.num_robots)
+    report = check_performance_bound(inst.matroid, CoverageCount(inst.targets, inst.rects), inst.matroid.num_robots)
     assert report.degenerate
     assert report.satisfied

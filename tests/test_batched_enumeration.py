@@ -1,10 +1,11 @@
 """Batched exact max-min and curvature on coverage versus the per-basis loops.
 
 ``plan_bruteforce_maxmin`` and exact ``constrained_curvature`` score every
-basis at once when handed a ``CoverageCount``.  Passing ``cov.evaluate`` as a
-bare callable forces the generic per-basis loop on the same objective, and
-``oracles.py`` holds the literal nested enumerations; all three must agree on
-the selection, the witness, the value and the reported call count.
+basis at once when handed a ``CoverageCount``.  Wrapping the same objective
+in ``helpers.CountingOracle`` (or ``helpers.SetFunction``) forces the generic
+per-basis loop, and ``oracles.py`` holds the literal nested enumerations; all
+three must agree on the selection, the witness, the value and the call
+count, which for the loop is also the number of evaluations it made.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from resilient_tracking.analysis import constrained_curvature
 from resilient_tracking.errors import DegenerateObjective, EnumerationCapExceeded
@@ -65,12 +67,13 @@ def test_batched_maxmin_matches_loop_and_oracle(instance, data):
     alpha = data.draw(st.integers(0, matroid.num_robots))
 
     batched = plan_bruteforce_maxmin(matroid, cov, alpha)
-    loop = plan_bruteforce_maxmin(matroid, cov.evaluate, alpha)
+    counting = helpers.CountingOracle(cov)
+    loop = plan_bruteforce_maxmin(matroid, counting, alpha)
     want_value, want_basis = oracles.maxmin_bruteforce(matroid.blocks, cov.evaluate, alpha)
 
     assert batched.selected == loop.selected == want_basis
     assert batched.maxmin_value == loop.maxmin_value == want_value
-    assert batched.oracle_calls == loop.oracle_calls
+    assert batched.oracle_calls == loop.oracle_calls == counting.eval_count
 
 
 @PROPERTY_SETTINGS
@@ -83,11 +86,11 @@ def test_batched_curvature_matches_loop_and_oracle(instance):
         with pytest.raises(DegenerateObjective):
             constrained_curvature(matroid, cov)
         with pytest.raises(DegenerateObjective):
-            constrained_curvature(matroid, cov.evaluate)
+            constrained_curvature(matroid, helpers.SetFunction(cov.evaluate))
         return
 
     batched = constrained_curvature(matroid, cov)
-    loop = constrained_curvature(matroid, cov.evaluate)
+    loop = constrained_curvature(matroid, helpers.SetFunction(cov.evaluate))
     assert batched == loop
     assert batched.value == pytest.approx(want, abs=1e-12)
 
@@ -112,12 +115,14 @@ def test_batched_maxmin_edge_alphas_and_single_item_menus(alpha):
     # alpha 3 removes every robot: all bases tie at 0 and the first one wins
     matroid, cov = random_coverage(11, [1, 4, 1], num_targets=90)
     batched = plan_bruteforce_maxmin(matroid, cov, alpha)
-    loop = plan_bruteforce_maxmin(matroid, cov.evaluate, alpha)
+    counting = helpers.CountingOracle(cov)
+    loop = plan_bruteforce_maxmin(matroid, counting, alpha)
     assert (batched.selected, batched.maxmin_value, batched.oracle_calls) == (
         loop.selected,
         loop.maxmin_value,
-        loop.oracle_calls,
+        counting.eval_count,
     )
+    assert loop.oracle_calls == counting.eval_count
     if alpha == matroid.num_robots:
         assert batched.maxmin_value == 0.0
         assert batched.selected == next(matroid.enumerate_bases())

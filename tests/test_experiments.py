@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from resilient_tracking import experiments
 from resilient_tracking.errors import CsvFormatError, SpecError
 from resilient_tracking.experiments import (
     CSV_COLUMNS,
@@ -22,6 +23,7 @@ from resilient_tracking.experiments import (
     summarize_rows,
     write_csv,
 )
+from resilient_tracking.simulation import SimConfig
 
 
 def base_spec(**overrides):
@@ -70,6 +72,8 @@ def test_spec_errors_name_the_field():
         ({"protocol": "multi-round", "process_noise": float("inf")}, "process_noise"),
         ({"protocol": "multi-round", "initial_variance": float("inf")}, "initial_variance"),
         ({"protocol": "multi-round", "measurement_noise_std": 0}, "measurement_noise_std"),
+        ({"rounds": "abc"}, "rounds"),
+        ({"measurement_noise_std": -3}, "measurement_noise_std"),
     ]
     for overrides, field in cases:
         with pytest.raises(SpecError, match=field):
@@ -162,6 +166,30 @@ def test_multi_round_suite_row_count():
     rows = run_suite(spec)
     assert len(rows) == 2 * 2 * 5
     assert sorted({r.round for r in rows}) == [1, 2, 3, 4, 5]
+
+
+SIMULATION_FIELDS = (
+    "rounds",
+    "measurement_noise_std",
+    "process_noise",
+    "initial_variance",
+    "target_speed",
+    "velocity_jitter_std",
+)
+
+
+def test_multi_round_spec_without_sim_fields_gets_sim_config_defaults(monkeypatch):
+    configs = []
+    monkeypatch.setattr(experiments, "run_rounds", lambda config: configs.append(config) or [])
+    run_suite(spec_from_dict(base_spec(protocol="multi-round", trials=1)))
+    given = dict(zip(SIMULATION_FIELDS, (3, 0.2, 0.05, 2.0, 0.5, 0.1)))
+    run_suite(spec_from_dict(base_spec(protocol="multi-round", trials=1, **given)))
+
+    defaults = SimConfig()
+    assert len(configs) == 4  # two planners x one attacker, per spec
+    for name in SIMULATION_FIELDS:
+        assert getattr(configs[0], name) == getattr(defaults, name)
+        assert getattr(configs[-1], name) == given[name]
 
 
 def test_csv_round_trip(tmp_path):

@@ -8,9 +8,7 @@ from resilient_tracking.geometry import (
     Point2,
     Rect,
     RobotSpec,
-    contains,
     coverage_rect,
-    rect_intersection,
 )
 
 
@@ -31,7 +29,7 @@ def test_boundary_point_counts_as_covered():
     assert rect.contains(Point2(1.0, 1.0))
     assert rect.contains(Point2(0.0, 0.5))
     assert not rect.contains(Point2(1.0 + 1e-12, 0.5))
-    assert contains(rect, Point2(0.5, 0.5))
+    assert rect.contains(Point2(0.5, 0.5))
 
 
 @pytest.mark.parametrize("direction", list(Direction))
@@ -84,11 +82,11 @@ def test_zero_fly_length_gives_the_fov_square():
 
 
 def test_intersection_of_disjoint_rects_is_none():
-    assert rect_intersection(Rect(0, 1, 0, 1), Rect(2, 3, 0, 1)) is None
+    assert Rect(0, 1, 0, 1).intersection(Rect(2, 3, 0, 1)) is None
 
 
 def test_intersection_shared_edge_is_degenerate_not_none():
-    inter = rect_intersection(Rect(0, 1, 0, 1), Rect(1, 2, 0, 1))
+    inter = Rect(0, 1, 0, 1).intersection(Rect(1, 2, 0, 1))
     assert inter == Rect(1, 1, 0, 1)
     assert inter.area == 0.0
 

@@ -18,8 +18,6 @@ from resilient_tracking.objectives import (
     GaussianTargetBelief,
     check_monotone,
     check_submodular,
-    coverage_count,
-    expected_detections,
     normal_cdf,
 )
 from resilient_tracking.simulation import SimConfig, run_rounds
@@ -59,12 +57,45 @@ def test_coverage_count_basics():
     assert cov.evaluate({"b"}) == 2
     assert cov.evaluate({"a", "b"}) == 3  # shared target counted once
     assert cov.evaluate({"a", "b", "c"}) == 4
-    assert coverage_count(targets, simple_rects(), {"a", "c"}) == 3
+    assert cov.evaluate({"a", "c"}) == 3
 
 
 def test_coverage_count_boundary_is_inclusive():
     cov = CoverageCount([Point2(2.0, 2.0)], simple_rects())
     assert cov.evaluate({"a"}) == 1
+
+
+def literal_masks(targets, rects):
+    """One Rect.contains call per (rectangle, target) pair."""
+    masks = {}
+    for tid, rect in rects.items():
+        masks[tid] = 0
+        for j, p in enumerate(targets):
+            if rect.contains(p):
+                masks[tid] |= 1 << j
+    return masks
+
+
+def test_coverage_masks_match_the_literal_contains_loop():
+    # half-unit lattice targets land on rectangle edges and corners; 300
+    # targets span several bytes and words of the packed masks
+    rng = np.random.default_rng(5)
+    rects = simple_rects()
+    for k in range(20):
+        lo = 0.5 * rng.integers(0, 12, size=2)
+        size = 0.5 * rng.integers(0, 6, size=2)  # zero-width rectangles too
+        rects[f"r{k}"] = Rect(lo[0], lo[0] + size[0], lo[1], lo[1] + size[1])
+    targets = [Point2(*(0.5 * rng.integers(-1, 14, size=2))) for _ in range(300)]
+    cov = CoverageCount(targets, rects)
+    assert cov._masks == literal_masks(targets, rects)
+    assert any(0 < mask for mask in cov._masks.values())
+
+
+def test_coverage_masks_with_no_targets_or_no_rects():
+    cov = CoverageCount([], simple_rects())
+    assert cov._masks == {"a": 0, "b": 0, "c": 0}
+    assert cov.evaluate({"a", "b", "c"}) == 0
+    assert CoverageCount([Point2(1.0, 1.0)], {})._masks == {}
 
 
 def test_coverage_value_bounded_by_target_count():
@@ -140,7 +171,7 @@ def test_expected_detections_matches_monte_carlo():
             )
         ]
         keys = ["a", "b", "c"][: int(rng.integers(1, 4))]
-        exact = expected_detections(beliefs, rects, keys)
+        exact = ExpectedDetections(beliefs, rects).evaluate(keys)
         b = beliefs[0]
         p_hat, se = oracles.mc_union_mass(
             rng, b.mean.x, b.mean.y, b.std_x, b.std_y, [rects[k] for k in keys], 20000
@@ -284,8 +315,8 @@ def test_expected_detections_is_monotone_and_submodular():
 
 def test_negative_controls_trip_the_checkers():
     inst = property_world()
-    decreasing = lambda s: -len(s)  # noqa: E731
-    supermodular = lambda s: float(len(s)) ** 2  # noqa: E731
+    decreasing = helpers.SetFunction(lambda s: -len(s))
+    supermodular = helpers.SetFunction(lambda s: float(len(s)) ** 2)
     monotone_hits = check_monotone(decreasing, inst.matroid, 200, rng_seed=5)
     assert len(monotone_hits) == 200  # strictly nested pairs always violate
     submodular_hits = check_submodular(supermodular, inst.matroid, 200, rng_seed=6)
@@ -296,7 +327,7 @@ def test_negative_controls_trip_the_checkers():
 
 def test_violation_records_carry_the_witness():
     matroid = PartitionMatroid({"r0": ["a"], "r1": ["b"]})
-    hits = check_monotone(lambda s: -len(s), matroid, 50, rng_seed=9)
+    hits = check_monotone(helpers.SetFunction(lambda s: -len(s)), matroid, 50, rng_seed=9)
     for v in hits:
         assert v.smaller < v.larger
         assert v.lhs > v.rhs

@@ -67,7 +67,7 @@ def test_resilient_is_deterministic():
 def test_ties_break_by_canonical_ground_order():
     # identical singleton values everywhere: bait and fill must follow menu order
     matroid = PartitionMatroid({"r0": ["r0:a", "r0:b"], "r1": ["r1:a", "r1:b"]})
-    flat = lambda s: float(min(len(set(s)), 1))  # noqa: E731
+    flat = helpers.SetFunction(lambda s: float(min(len(set(s)), 1)))
     result = plan_resilient(matroid, flat, 1)
     assert result.trace.bait == ("r0:a",)
     assert result.selected == frozenset({"r0:a", "r1:a"})
@@ -85,6 +85,17 @@ def test_oracle_call_budget_and_audit():
     assert n == 24
     assert result.oracle_calls == delta
     assert result.oracle_calls <= 2 * n * n + n
+
+    before = counting.eval_count
+    result = plan_greedy(inst.matroid, counting)
+    assert result.oracle_calls == counting.eval_count - before
+    assert result.oracle_calls <= 2 * n * n + n
+
+    # the generic per-basis max-min loop (any objective but CoverageCount)
+    small = sample_instance(rng, 4, 12, 3.0, 7.0, helpers.ARENA)
+    counting = helpers.CountingOracle(CoverageCount(small.targets, small.rects))
+    result = plan_bruteforce_maxmin(small.matroid, counting, 2)
+    assert result.oracle_calls == counting.eval_count == 4**4 * 6
 
 
 def test_cached_selection_matches_naive_recompute():
@@ -161,7 +172,7 @@ def test_random_planner_determinism_and_spread():
 
 def test_alpha_out_of_range_rejected():
     matroid = PartitionMatroid({"r0": ["a"], "r1": ["b"]})
-    f = lambda s: float(len(s))  # noqa: E731
+    f = helpers.SetFunction(lambda s: float(len(s)))
     for bad in (-1, 3, 0.5, "1"):
         with pytest.raises((ValueError, TypeError)):
             plan_resilient(matroid, f, bad)
@@ -184,7 +195,7 @@ def test_planner_registry():
 
 def test_selected_set_is_always_a_basis_even_with_zero_objective():
     matroid = PartitionMatroid({"r0": ["a", "b"], "r1": ["c"]})
-    zero = lambda s: 0.0  # noqa: E731
+    zero = helpers.SetFunction(lambda s: 0.0)
     for alpha in (0, 1, 2):
         result = plan_resilient(matroid, zero, alpha)
         assert matroid.is_basis(result.selected)

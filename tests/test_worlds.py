@@ -5,10 +5,10 @@ import pytest
 
 import helpers
 from resilient_tracking.geometry import Direction, Point2, RobotSpec, coverage_rect
+from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.worlds import (
     DIRECTION_ORDER,
     build_instance,
-    coverage_objective,
     sample_instance,
     trajectory_menu,
 )
@@ -32,7 +32,7 @@ def test_build_instance_wires_rects_and_matroid():
     for t in inst.trajectories:
         robot = robots[0] if t.robot_id == "r00" else robots[1]
         assert inst.rects[t.trajectory_id] == coverage_rect(robot, t.direction)
-    assert coverage_objective(inst).evaluate({"r00:forward"}) == 1
+    assert CoverageCount(inst.targets, inst.rects).evaluate({"r00:forward"}) == 1
 
 
 def test_build_instance_rejects_duplicate_ids():
