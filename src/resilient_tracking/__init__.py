@@ -41,7 +41,7 @@ from .geometry import (
     Trajectory,
     coverage_rect,
 )
-from .matroid import DEFAULT_ENUMERATION_CAP, PartitionMatroid
+from .matroid import ENUMERATION_CAP, PartitionMatroid
 from .objectives import (
     CoverageCount,
     ExpectedDetections,

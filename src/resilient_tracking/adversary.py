@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationCapExceeded
-
-DEFAULT_ATTACK_CAP = 10**6
+from .matroid import ENUMERATION_CAP
 
 
 @dataclass(frozen=True)
@@ -29,9 +28,7 @@ class AttackResult:
     surviving_value: float
 
 
-def attack_optimal(
-    objective, members, alpha: int, cap: int = DEFAULT_ATTACK_CAP
-) -> AttackResult:
+def attack_optimal(objective, members, alpha: int) -> AttackResult:
     """Exact minimizer of the surviving value over removal sets.
 
     Only removals of exactly min(alpha, |S|) elements are searched: for a
@@ -44,9 +41,9 @@ def attack_optimal(
     ordered = sorted(selected)
     k = min(alpha, len(ordered))
     total = math.comb(len(ordered), k)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"{total} removal sets exceed the enumeration cap of {cap}"
+            f"{total} removal sets exceed the enumeration cap of {ENUMERATION_CAP}"
         )
     best_removed = None
     best_value = math.inf

@@ -21,7 +21,7 @@ import numpy as np
 
 from .adversary import attack_optimal
 from .errors import DegenerateObjective
-from .matroid import DEFAULT_ENUMERATION_CAP, PartitionMatroid
+from .matroid import PartitionMatroid
 from .objectives import CoverageCount, grid_union_counts
 from .planners import plan_bruteforce_maxmin, plan_resilient
 
@@ -43,11 +43,7 @@ class CurvatureReport:
     skipped_zero_elements: tuple[str, ...]
 
 
-def constrained_curvature(
-    matroid: PartitionMatroid,
-    objective,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> CurvatureReport:
+def constrained_curvature(matroid: PartitionMatroid, objective) -> CurvatureReport:
     """Curvature nu = 1 - min over bases S, s in S of (f(S)-f(S-s)) / f(s).
 
     Enumerates every basis (subject to the enumeration cap).  Raises
@@ -66,12 +62,12 @@ def constrained_curvature(
         raise DegenerateObjective("every singleton value is zero")
 
     if isinstance(objective, CoverageCount):
-        matroid.require_enumerable(cap)
+        matroid.require_enumerable()
         witness_set, witness_element = _coverage_curvature_witness(
             matroid, objective, singleton
         )
     else:
-        witness_set, witness_element = _curvature_witness(matroid, evaluate, singleton, cap)
+        witness_set, witness_element = _curvature_witness(matroid, evaluate, singleton)
     loss = evaluate(witness_set) - evaluate(witness_set - {witness_element})
     return CurvatureReport(
         value=1.0 - loss / singleton[witness_element],
@@ -81,11 +77,11 @@ def constrained_curvature(
     )
 
 
-def _curvature_witness(matroid, f, singleton, cap):
+def _curvature_witness(matroid, f, singleton):
     """First (basis, element) with the smallest ratio, in enumeration order."""
     best_ratio = math.inf
     witness = None
-    for basis in matroid.enumerate_bases(cap=cap):
+    for basis in matroid.enumerate_bases():
         full = f(basis)
         for tid in matroid.sorted_members(basis):
             if singleton[tid] == 0:
@@ -161,25 +157,20 @@ class BoundReport:
     degenerate: bool
 
 
-def check_performance_bound(
-    matroid: PartitionMatroid,
-    objective,
-    alpha: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    slack: float = BOUND_SLACK,
-) -> BoundReport:
+def check_performance_bound(matroid: PartitionMatroid, objective, alpha: int) -> BoundReport:
     """Run the resilient planner and verify its guarantee on one instance.
 
     Plans, attacks the plan optimally, computes the exhaustive max-min
     optimum f*, the exact curvature and the cardinality factor, and checks
-    the surviving value against max(1-nu, h)/2 * f* with additive slack.
-    With alpha = number of robots (everything removable) or f* = 0 the
-    report is flagged degenerate and the check reduces to nonnegativity.
+    the surviving value against max(1-nu, h)/2 * f* with additive slack
+    ``BOUND_SLACK``.  With alpha = number of robots (everything removable)
+    or f* = 0 the report is flagged degenerate and the check reduces to
+    nonnegativity.
     """
     n = matroid.num_robots
     plan = plan_resilient(matroid, objective, alpha)
-    worst = attack_optimal(objective, plan.selected, alpha, cap=cap)
-    reference = plan_bruteforce_maxmin(matroid, objective, alpha, cap=cap)
+    worst = attack_optimal(objective, plan.selected, alpha)
+    reference = plan_bruteforce_maxmin(matroid, objective, alpha)
     optimal_value = reference.maxmin_value
 
     if optimal_value == 0 or alpha == n:
@@ -193,11 +184,11 @@ def check_performance_bound(
             curvature=None,
             cardinality_factor=None,
             guarantee=0.0,
-            satisfied=worst.surviving_value >= -slack,
+            satisfied=worst.surviving_value >= -BOUND_SLACK,
             degenerate=True,
         )
 
-    curvature = constrained_curvature(matroid, objective, cap=cap)
+    curvature = constrained_curvature(matroid, objective)
     factor = h_bound(n, alpha)
     guarantee = 0.5 * max(1.0 - curvature.value, factor) * optimal_value
     return BoundReport(
@@ -210,6 +201,6 @@ def check_performance_bound(
         curvature=curvature.value,
         cardinality_factor=factor,
         guarantee=guarantee,
-        satisfied=worst.surviving_value >= guarantee - slack,
+        satisfied=worst.surviving_value >= guarantee - BOUND_SLACK,
         degenerate=False,
     )

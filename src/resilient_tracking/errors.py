@@ -6,7 +6,7 @@ class TrackingError(Exception):
 
 
 class EnumerationCapExceeded(TrackingError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """An exhaustive enumeration would exceed ``matroid.ENUMERATION_CAP``."""
 
 
 class MissingCoverageRect(TrackingError):

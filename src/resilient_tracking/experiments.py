@@ -53,10 +53,11 @@ import numpy as np
 from .adversary import ATTACKER_NAMES, get_attacker, score_attack
 from .errors import CsvFormatError, SpecError
 from .geometry import Rect
+from .matroid import ENUMERATION_CAP
 from .objectives import CoverageCount
 from .planners import PLANNER_NAMES, get_planner
 from .simulation import SimConfig, run_rounds
-from .worlds import sample_instance
+from .worlds import DIRECTION_ORDER, sample_instance
 
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = (
@@ -255,6 +256,23 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     for a in attackers_raw:
         if a not in ATTACKER_NAMES:
             _fail("attackers", f"unknown attacker {a!r}; expected one of {ATTACKER_NAMES}")
+    # the exact enumerations' own cap checks, made before any cell runs;
+    # both protocols give every robot the full four-direction menu
+    bases = len(DIRECTION_ORDER) ** num_robots
+    for a in alphas_raw:
+        removals = math.comb(num_robots, a)
+        if "brute-force" in planners_raw and bases * removals > ENUMERATION_CAP:
+            _fail(
+                "planners",
+                f"brute-force at alpha {a} needs {bases * removals} attacked "
+                f"evaluations, beyond the enumeration cap of {ENUMERATION_CAP}",
+            )
+        if "optimal" in attackers_raw and removals > ENUMERATION_CAP:
+            _fail(
+                "attackers",
+                f"the optimal attacker at alpha {a} searches {removals} removal "
+                f"sets, beyond the enumeration cap of {ENUMERATION_CAP}",
+            )
 
     master_seed = _require_int(data, "master_seed", minimum=0)
     output = data.get("output")

@@ -16,7 +16,9 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EnumerationCapExceeded
 
-DEFAULT_ENUMERATION_CAP = 10**6
+# Most bases, removal sets or attacked evaluations any exact enumeration
+# may visit.
+ENUMERATION_CAP = 10**6
 
 
 class PartitionMatroid:
@@ -93,22 +95,22 @@ class PartitionMatroid:
     def basis_count(self) -> int:
         return math.prod(len(self.blocks[r]) for r in self.robots)
 
-    def require_enumerable(self, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-        """The basis count; :class:`EnumerationCapExceeded` if beyond ``cap``."""
+    def require_enumerable(self) -> int:
+        """The basis count; :class:`EnumerationCapExceeded` if beyond the cap."""
         total = self.basis_count()
-        if total > cap:
+        if total > ENUMERATION_CAP:
             raise EnumerationCapExceeded(
-                f"{total} bases exceed the enumeration cap of {cap}"
+                f"{total} bases exceed the enumeration cap of {ENUMERATION_CAP}"
             )
         return total
 
-    def enumerate_bases(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[frozenset]:
+    def enumerate_bases(self) -> Iterator[frozenset]:
         """Yield every basis, lexicographically by (robot order, menu order).
 
         Raises :class:`EnumerationCapExceeded` up front when the basis count
-        is beyond ``cap``.
+        is beyond ``ENUMERATION_CAP``.
         """
-        self.require_enumerable(cap)
+        self.require_enumerable()
         menus = [self.blocks[r] for r in self.robots]
 
         def generate() -> Iterator[frozenset]:

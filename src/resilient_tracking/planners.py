@@ -21,28 +21,31 @@ import numpy as np
 
 from .adversary import attack_optimal
 from .errors import EnumerationCapExceeded
-from .matroid import DEFAULT_ENUMERATION_CAP, PartitionMatroid
+from .matroid import ENUMERATION_CAP, PartitionMatroid
 from .objectives import CoverageCount, grid_union_counts
 
 
 @dataclass(frozen=True)
 class AlgorithmTrace:
-    """Which elements each phase admitted and scanned, in order."""
+    """Which elements each phase admitted, in order, and the bait scan order."""
 
     bait: tuple
     greedy_fill: tuple
     scanned_bait: tuple
-    scanned_fill: tuple
 
 
 @dataclass(frozen=True)
 class PlanResult:
     """Outcome of one planning call.
 
-    ``oracle_calls`` counts objective evaluations made by this call only
-    (for the exhaustive planner, the per-basis loop's count on either path).
-    ``maxmin_value`` is filled by the exhaustive planner (the worst-case
-    surviving value of the returned basis) and None otherwise.
+    ``oracle_calls`` counts objective evaluations made by this call only.
+    With every robot's menu of size ``m``, ``n`` robots and ``k`` of them
+    left open by the bait, the fill makes ``m * k(k+1)/2`` evaluations, so
+    the greedy planner makes ``m * n(n+1)/2`` and the resilient planner
+    ``m * n`` more for its singletons.  For the exhaustive planner it is the
+    per-basis loop's count on either path.  ``maxmin_value`` is filled by
+    the exhaustive planner (the worst-case surviving value of the returned
+    basis) and None otherwise.
     """
 
     selected: frozenset
@@ -61,41 +64,30 @@ def _check_alpha(matroid: PartitionMatroid, alpha: int) -> None:
 
 
 def _greedy_fill(matroid, objective, bait: frozenset):
-    """Greedy phase: scan T \\ bait by marginal gain against the fill alone.
+    """Greedy phase: fill the robots the bait left open, by marginal gain.
 
-    Returns (fill, scanned, evaluations made).  Marginals are measured on
-    the fill set only, not on bait + fill; an element is admitted when
-    bait + fill + element stays independent.  Candidate values are cached
-    while the fill is unchanged, which leaves the selection sequence
-    identical to recomputing every round.
+    Each round evaluates ``fill | {t}`` for every trajectory ``t`` of a
+    robot that is still open and admits the first maximum in canonical
+    ground order; the admitted robot's other trajectories then leave the
+    candidates.  Marginals are measured on the fill set only, not on bait +
+    fill.  Only an open robot's trajectory keeps bait + fill independent,
+    so this admits exactly what scanning all of T \\ bait and rejecting
+    dependent elements would.  Returns (fill, evaluations made).
     """
-    remaining = [tid for tid in matroid.ground_set if tid not in bait]
     used_robots = {matroid.robot_of(tid) for tid in bait}
+    candidates = [tid for tid in matroid.ground_set if matroid.robot_of(tid) not in used_robots]
     fill: list[str] = []
-    scanned: list[str] = []
     current = frozenset()
-    pending: dict[str, float | None] = {tid: None for tid in remaining}
     calls = 0
-    while pending:
-        for tid, value in pending.items():
-            if value is None:
-                pending[tid] = objective.evaluate(current | {tid})
-                calls += 1
-        best = None
-        best_value = -math.inf
-        for tid in remaining:
-            value = pending.get(tid)
-            if value is not None and value > best_value:
-                best, best_value = tid, value
-        del pending[best]
-        scanned.append(best)
-        if matroid.robot_of(best) not in used_robots:
-            fill.append(best)
-            used_robots.add(matroid.robot_of(best))
-            current = current | {best}
-            for tid in pending:
-                pending[tid] = None
-    return tuple(fill), tuple(scanned), calls
+    while candidates:
+        values = [objective.evaluate(current | {tid}) for tid in candidates]
+        calls += len(values)
+        best = candidates[values.index(max(values))]
+        fill.append(best)
+        current = current | {best}
+        robot = matroid.robot_of(best)
+        candidates = [tid for tid in candidates if matroid.robot_of(tid) != robot]
+    return tuple(fill), calls
 
 
 def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResult:
@@ -123,7 +115,7 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
             bait.append(tid)
             used_robots.add(robot)
 
-    fill, scanned_fill, fill_calls = _greedy_fill(matroid, objective, frozenset(bait))
+    fill, fill_calls = _greedy_fill(matroid, objective, frozenset(bait))
     selected = frozenset(bait) | set(fill)
     if not matroid.is_basis(selected):
         raise AssertionError("planner failed to assemble a basis")
@@ -131,7 +123,6 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
         bait=tuple(bait),
         greedy_fill=fill,
         scanned_bait=tuple(scan_order),
-        scanned_fill=scanned_fill,
     )
     return PlanResult(
         selected=selected, trace=trace, oracle_calls=len(matroid.ground_set) + fill_calls
@@ -140,13 +131,8 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
 
 def plan_greedy(matroid: PartitionMatroid, objective) -> PlanResult:
     """Standard matroid greedy: largest marginal gain until a basis."""
-    fill, scanned, calls = _greedy_fill(matroid, objective, frozenset())
-    trace = AlgorithmTrace(
-        bait=(),
-        greedy_fill=fill,
-        scanned_bait=(),
-        scanned_fill=scanned,
-    )
+    fill, calls = _greedy_fill(matroid, objective, frozenset())
+    trace = AlgorithmTrace(bait=(), greedy_fill=fill, scanned_bait=())
     return PlanResult(selected=frozenset(fill), trace=trace, oracle_calls=calls)
 
 
@@ -181,17 +167,12 @@ def _coverage_maxmin_basis(matroid: PartitionMatroid, objective: CoverageCount, 
     return frozenset(menu[i] for menu, i in zip(menus, index))
 
 
-def plan_bruteforce_maxmin(
-    matroid: PartitionMatroid,
-    objective,
-    alpha: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> PlanResult:
+def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> PlanResult:
     """Exhaustive max-min reference: best basis under worst-case removal.
 
     Enumerates every basis, scores each by its optimally attacked value and
     keeps the lexicographically first maximizer.  The product of basis count
-    and attack subsets per basis must stay within ``cap``.
+    and attack subsets per basis must stay within ``ENUMERATION_CAP``.
 
     ``oracle_calls`` is ``bases * C(n, min(alpha, n))``, exactly the
     evaluations of the per-basis loop (one optimal attack per basis).  A
@@ -203,9 +184,10 @@ def plan_bruteforce_maxmin(
     _check_alpha(matroid, alpha)
     n = matroid.num_robots
     work = matroid.basis_count() * math.comb(n, min(alpha, n))
-    if work > cap:
+    if work > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"max-min enumeration needs {work} attacked evaluations, cap is {cap}"
+            f"max-min enumeration needs {work} attacked evaluations, "
+            f"cap is {ENUMERATION_CAP}"
         )
     if isinstance(objective, CoverageCount):
         best_set = _coverage_maxmin_basis(matroid, objective, min(alpha, n))
@@ -213,7 +195,7 @@ def plan_bruteforce_maxmin(
     else:
         best_set = None
         best_value = -math.inf
-        for basis in matroid.enumerate_bases(cap=cap):
+        for basis in matroid.enumerate_bases():
             worst = attack_optimal(objective, basis, alpha)
             if worst.surviving_value > best_value:
                 best_set, best_value = basis, worst.surviving_value

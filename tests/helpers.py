@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite: tiny controlled worlds and objectives."""
 
+from hypothesis import strategies as st
+
 from resilient_tracking.geometry import Point2, Rect, RobotSpec
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.worlds import build_instance
@@ -45,6 +47,18 @@ class CountingOracle:
     def evaluate(self, members):
         self.eval_count += 1
         return self._objective.evaluate(frozenset(members))
+
+
+# Edges on a half-unit lattice make shared edges, nesting, duplicates and
+# zero-width rectangles common.
+lattice = st.integers(0, 8).map(lambda k: 0.5 * k)
+
+
+@st.composite
+def boxes(draw):
+    x0, x1 = sorted((draw(lattice), draw(lattice)))
+    y0, y1 = sorted((draw(lattice), draw(lattice)))
+    return Rect(x0, x1, y0, y1)
 
 
 def grid_world(num_robots, targets, fov=3.0, fly=7.0, spacing=2.0):

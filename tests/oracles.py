@@ -8,6 +8,8 @@ callables it is handed.  Blocks are plain {robot: [trajectory, ...]} dicts.
 import itertools
 import math
 
+import numpy as np
+
 
 def all_bases(blocks):
     """Every one-per-robot selection, robots in sorted id order."""
@@ -42,6 +44,39 @@ def maxmin_bruteforce(blocks, f, alpha):
     return best_value, best_basis
 
 
+def resilient_literal(blocks, f, alpha):
+    """The two-phase resilient selection as stated, with no cache or pruning.
+
+    Bait: scan every element by descending singleton value (ground order on
+    ties) and admit it while the bait stays independent and no larger than
+    ``alpha``.  Fill: every round re-evaluates f(fill + e) for each element
+    e of T \\ bait not yet scanned, scans the first maximum in ground order
+    (f(fill) is common to all, so this ranks by marginal gain against the
+    fill alone) and admits it when bait + fill + e stays independent,
+    rejecting it otherwise, until every element has been scanned.  Returns
+    (bait, fill) as tuples; ``alpha = 0`` is the plain matroid greedy.
+    """
+    ground = [tid for robot in sorted(blocks) for tid in blocks[robot]]
+    robot_of = {tid: robot for robot in blocks for tid in blocks[robot]}
+    singleton = {tid: f(frozenset([tid])) for tid in ground}
+    bait = []
+    for tid in sorted(ground, key=lambda t: (-singleton[t], ground.index(t))):
+        if len(bait) < alpha and robot_of[tid] not in {robot_of[b] for b in bait}:
+            bait.append(tid)
+    fill = []
+    unscanned = [tid for tid in ground if tid not in bait]
+    while unscanned:
+        best = None
+        for tid in unscanned:
+            value = f(frozenset(fill + [tid]))
+            if best is None or value > best_value:
+                best, best_value = tid, value
+        unscanned.remove(best)
+        if robot_of[best] not in {robot_of[t] for t in bait + fill}:
+            fill.append(best)
+    return tuple(bait), tuple(fill)
+
+
 def curvature_bruteforce(blocks, f):
     """1 - min over bases S and members s of (f(S) - f(S - s)) / f({s}).
 
@@ -61,10 +96,6 @@ def curvature_bruteforce(blocks, f):
     if best_ratio is math.inf:
         return None
     return 1.0 - best_ratio
-
-
-def point_in_rect(x, y, rect):
-    return rect.x_min <= x <= rect.x_max and rect.y_min <= y <= rect.y_max
 
 
 def _normal_cdf(z):
@@ -102,14 +133,16 @@ def inclusion_exclusion_union_mass(beliefs, rects):
 
 
 def mc_union_mass(rng, mean_x, mean_y, std_x, std_y, rects, samples):
-    """Monte Carlo estimate of P(point in union) with its standard error."""
+    """Monte Carlo estimate of P(point in union) with its standard error.
+
+    A sample counts when it lies in any of the closed ``rects``.
+    """
     xs = rng.normal(mean_x, std_x, size=samples)
     ys = rng.normal(mean_y, std_y, size=samples)
-    inside = 0
-    for x, y in zip(xs, ys):
-        if any(point_in_rect(x, y, rect) for rect in rects):
-            inside += 1
-    p_hat = inside / samples
+    inside = np.zeros(samples, dtype=bool)
+    for r in rects:
+        inside |= (r.x_min <= xs) & (xs <= r.x_max) & (r.y_min <= ys) & (ys <= r.y_max)
+    p_hat = int(inside.sum()) / samples
     se = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return p_hat, se
 

@@ -138,8 +138,10 @@ def test_batched_curvature_on_all_zero_coverage_is_degenerate():
 
 
 def test_batched_enumerations_keep_the_cap_checks():
-    matroid, cov = random_coverage(2, [4, 4, 4], num_targets=10)
+    # 4**9 bases x C(9, 1) attacks and 4**10 bases are both beyond 10**6
+    matroid, cov = random_coverage(2, [4] * 9, num_targets=10)
     with pytest.raises(EnumerationCapExceeded):
-        plan_bruteforce_maxmin(matroid, cov, 1, cap=100)
+        plan_bruteforce_maxmin(matroid, cov, 1)
+    matroid, cov = random_coverage(2, [4] * 10, num_targets=10)
     with pytest.raises(EnumerationCapExceeded):
-        constrained_curvature(matroid, cov, cap=63)
+        constrained_curvature(matroid, cov)

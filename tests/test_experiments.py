@@ -74,10 +74,25 @@ def test_spec_errors_name_the_field():
         ({"protocol": "multi-round", "measurement_noise_std": 0}, "measurement_noise_std"),
         ({"rounds": "abc"}, "rounds"),
         ({"measurement_noise_std": -3}, "measurement_noise_std"),
+        ({"num_robots": 8, "alphas": [2], "planners": ["brute-force"]}, "planners"),
+        ({"num_robots": 23, "alphas": [10]}, "attackers"),
     ]
     for overrides, field in cases:
         with pytest.raises(SpecError, match=field):
             spec_from_dict(base_spec(**overrides))
+
+
+def test_spec_refuses_enumerations_past_the_cap_at_load():
+    # brute force: 4**8 bases x C(8, alpha) attacks; optimal: C(23, alpha) removals
+    inside = spec_from_dict(base_spec(num_robots=8, alphas=[0, 1], planners=["brute-force"]))
+    assert inside.alphas == (0, 1)
+    with pytest.raises(SpecError, match="'planners'.*alpha 2.*1835008"):
+        spec_from_dict(base_spec(num_robots=8, alphas=[1, 2], planners=["brute-force"]))
+    assert spec_from_dict(base_spec(num_robots=23, alphas=[9, 14])).alphas == (9, 14)
+    with pytest.raises(SpecError, match="'attackers'.*alpha 10.*1144066"):
+        spec_from_dict(base_spec(num_robots=23, alphas=[9, 10]))
+    # only the exact planner and attacker enumerate
+    spec_from_dict(base_spec(num_robots=40, alphas=[20], attackers=["greedy"]))
 
 
 def test_spec_accepts_target_range_forms():

@@ -80,9 +80,6 @@ def test_enumeration_cap():
     assert m.basis_count() == 10**7
     with pytest.raises(EnumerationCapExceeded):
         m.enumerate_bases()
-    # a raised cap lets the generator start
-    gen = m.enumerate_bases(cap=10**7)
-    assert len(next(iter(gen))) == 7
 
 
 def test_ground_index_tracks_canonical_order():

@@ -206,18 +206,6 @@ def test_closed_loop_runs_past_the_old_set_size_cap():
         assert 0.0 <= record.f_attacked <= record.f_full <= config.num_targets
 
 
-# Edges on a half-unit lattice make shared edges, nesting, duplicates and
-# zero-width rectangles common.
-lattice = st.integers(0, 8).map(lambda k: 0.5 * k)
-
-
-@st.composite
-def boxes(draw):
-    x0, x1 = sorted((draw(lattice), draw(lattice)))
-    y0, y1 = sorted((draw(lattice), draw(lattice)))
-    return Rect(x0, x1, y0, y1)
-
-
 beliefs_strategy = st.lists(
     st.builds(
         lambda x, y, sx, sy: GaussianTargetBelief("t", Point2(x, y), sx, sy),
@@ -233,7 +221,7 @@ beliefs_strategy = st.lists(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    st.lists(boxes(), min_size=1, max_size=6),
+    st.lists(helpers.boxes(), min_size=1, max_size=6),
     beliefs_strategy,
     st.data(),
 )

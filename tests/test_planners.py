@@ -1,14 +1,15 @@
 """Planner behavior: bait phase, greedy fill, brute force, call budgets."""
 
-import itertools
-
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
+from resilient_tracking.geometry import Point2
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import CoverageCount
+from resilient_tracking.objectives import CoverageCount, ExpectedDetections, GaussianTargetBelief
 from resilient_tracking.planners import (
     PLANNER_NAMES,
     get_planner,
@@ -98,33 +99,94 @@ def test_oracle_call_budget_and_audit():
     assert result.oracle_calls == counting.eval_count == 4**4 * 6
 
 
-def test_cached_selection_matches_naive_recompute():
-    # recompute-everything greedy as an oracle for the lazy-cache variant
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        inst = sample_instance(rng, 3, 10, 3.0, 7.0, helpers.ARENA)
-        cov = CoverageCount(inst.targets, inst.rects)
-        alpha = int(rng.integers(0, 4))
-        got = plan_resilient(inst.matroid, cov, alpha)
+def test_oracle_calls_follow_the_closed_form_on_full_menus():
+    # the fill evaluates only open robots' trajectories: 4k + 4(k-1) + ... + 4
+    rng = np.random.default_rng(17)
+    inst = sample_instance(rng, 6, 30, 3.0, 7.0, helpers.ARENA)
+    beliefs = [GaussianTargetBelief(f"t{j}", p, 1.0, 1.0) for j, p in enumerate(inst.targets)]
+    n = inst.matroid.num_robots
+    for objective in (
+        CoverageCount(inst.targets, inst.rects),
+        ExpectedDetections(beliefs, inst.rects),
+    ):
+        assert plan_greedy(inst.matroid, objective).oracle_calls == 4 * n * (n + 1) // 2 == 84
+        calls = [plan_resilient(inst.matroid, objective, alpha).oracle_calls for alpha in range(n + 1)]
+        assert calls == [4 * n + 4 * (n - a) * (n - a + 1) // 2 for a in range(n + 1)]
+        assert calls[:4] == [108, 84, 64, 48]
 
-        bait = list(got.trace.bait)
-        fill = []
-        used = {inst.matroid.robot_of(t) for t in bait}
-        while True:
-            best = None
-            for cand in inst.matroid.ground_set:
-                if cand in bait or cand in fill:
-                    continue
-                if inst.matroid.robot_of(cand) in used:
-                    continue
-                gain = cov.evaluate(fill + [cand]) - cov.evaluate(fill)
-                if best is None or gain > best[0]:
-                    best = (gain, cand)
-            if best is None:
-                break
-            fill.append(best[1])
-            used.add(inst.matroid.robot_of(best[1]))
-        assert got.trace.greedy_fill == tuple(fill)
+
+@st.composite
+def near_tie_layouts(draw):
+    """(matroid, targets, rects) with exact value ties common.
+
+    Rectangles come from a small pool of lattice boxes and targets sit on
+    the same lattice, so duplicate rectangles, shared edges and targets on
+    edges are frequent; ``far`` moves every target out of reach.
+    """
+    pool = draw(st.lists(helpers.boxes(), min_size=1, max_size=4))
+    menu_sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    blocks, rects = {}, {}
+    for r, size in enumerate(menu_sizes):
+        blocks[f"r{r}"] = [f"r{r}:{k}" for k in range(size)]
+        for tid in blocks[f"r{r}"]:
+            rects[tid] = draw(st.sampled_from(pool))
+    far = draw(st.sampled_from([0.0, 0.0, 0.0, 1000.0]))
+    points = draw(st.lists(st.tuples(helpers.lattice, helpers.lattice), max_size=8))
+    targets = [Point2(x + far, y + far) for x, y in points]
+    return PartitionMatroid(blocks), targets, rects
+
+
+@st.composite
+def sampled_worlds(draw):
+    """A random world from ``sample_instance``, as the planners see it in runs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = sample_instance(
+        rng, draw(st.integers(1, 4)), draw(st.integers(0, 12)), 3.0, 7.0, helpers.ARENA
+    )
+    return inst.matroid, inst.targets, inst.rects
+
+
+@st.composite
+def planning_instances(draw):
+    """A matroid and one of the two objectives over a near-tie or sampled world."""
+    matroid, targets, rects = draw(st.one_of(near_tie_layouts(), sampled_worlds()))
+    if draw(st.booleans()):
+        return matroid, CoverageCount(targets, rects)
+    std = draw(st.sampled_from([0.25, 1.0, 2.5]))
+    beliefs = [GaussianTargetBelief(f"t{j}", p, std, std) for j, p in enumerate(targets)]
+    return matroid, ExpectedDetections(beliefs, rects)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instance=planning_instances())
+def test_cached_selection_matches_naive_recompute(instance):
+    # the open-robot fill against the literal scan-and-reject loop, which
+    # recomputes every round and also scans robots already filled; and
+    # every planner returns a basis
+    matroid, objective = instance
+    for alpha in range(matroid.num_robots + 1):
+        counting = helpers.CountingOracle(objective)
+        got = plan_resilient(matroid, counting, alpha)
+        bait, fill = oracles.resilient_literal(matroid.blocks, objective.evaluate, alpha)
+        assert got.trace.bait == bait
+        assert got.trace.greedy_fill == fill
+        assert got.selected == frozenset(bait + fill)
+        assert got.oracle_calls == counting.eval_count
+        for name in PLANNER_NAMES:
+            result = get_planner(name)(matroid, objective, alpha, np.random.default_rng(alpha))
+            assert matroid.is_basis(result.selected)
+
+    counting = helpers.CountingOracle(objective)
+    got = plan_greedy(matroid, counting)
+    _, fill = oracles.resilient_literal(matroid.blocks, objective.evaluate, 0)
+    assert got.trace.greedy_fill == fill
+    assert got.selected == frozenset(fill)
+    assert got.oracle_calls == counting.eval_count
 
 
 def test_greedy_half_approximation_over_bases():
