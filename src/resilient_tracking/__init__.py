@@ -33,19 +33,11 @@ from .errors import (
     SpecError,
     TrackingError,
 )
-from .geometry import (
-    Direction,
-    Point2,
-    Rect,
-    RobotSpec,
-    Trajectory,
-    coverage_rect,
-)
+from .geometry import Direction, Rect
 from .matroid import ENUMERATION_CAP, PartitionMatroid
 from .objectives import (
     CoverageCount,
     ExpectedDetections,
-    GaussianTargetBelief,
     PropertyViolation,
     check_monotone,
     check_submodular,
@@ -64,7 +56,7 @@ from .planners import (
 from .simulation import (
     RoundRecord,
     SimConfig,
-    TargetTrack,
+    TargetState,
     init_robots,
     init_tracks,
     kalman_update,
@@ -77,7 +69,6 @@ from .worlds import (
     WorldInstance,
     build_instance,
     sample_instance,
-    trajectory_menu,
 )
 
 __version__ = "0.1.0"

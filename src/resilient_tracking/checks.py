@@ -19,7 +19,6 @@ from .geometry import Rect
 from .objectives import (
     CoverageCount,
     ExpectedDetections,
-    GaussianTargetBelief,
     check_monotone,
     check_submodular,
 )
@@ -48,7 +47,7 @@ def run_bound_suite(num_instances: int = 200, rng_seed: int = 20260815) -> list[
             menu_sizes=(2, 3),
         )
         alpha = int(rng.integers(0, num_robots))
-        objective = CoverageCount(instance.targets, instance.rects)
+        objective = CoverageCount(instance.targets, instance.ids, instance.bounds)
         reports.append(check_performance_bound(instance.matroid, objective, alpha))
     return reports
 
@@ -89,21 +88,16 @@ def run_property_suite(trials: int = 1000, rng_seed: int = 20260815) -> Property
     coverage_world = sample_instance(
         rng, num_robots=6, num_targets=30, fov_side=3.0, fly_length=7.0, arena=CHECK_ARENA
     )
-    coverage = CoverageCount(coverage_world.targets, coverage_world.rects)
+    coverage = CoverageCount(coverage_world.targets, coverage_world.ids, coverage_world.bounds)
 
     belief_world = sample_instance(
         rng, num_robots=6, num_targets=30, fov_side=3.0, fly_length=7.0, arena=CHECK_ARENA
     )
-    beliefs = [
-        GaussianTargetBelief(
-            target_id=f"t{j:03d}",
-            mean=p,
-            std_x=float(rng.uniform(0.3, 2.0)),
-            std_y=float(rng.uniform(0.3, 2.0)),
-        )
-        for j, p in enumerate(belief_world.targets)
-    ]
-    expected = ExpectedDetections(beliefs, belief_world.rects)
+    # beliefs centered on the targets, std_x then std_y per target
+    stds = rng.uniform(0.3, 2.0, size=belief_world.targets.shape)
+    expected = ExpectedDetections(
+        belief_world.targets, stds, belief_world.ids, belief_world.bounds
+    )
 
     decreasing = SimpleNamespace(evaluate=lambda s: -len(s))
     supermodular = SimpleNamespace(evaluate=lambda s: float(len(s)) ** 2)

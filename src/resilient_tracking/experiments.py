@@ -283,6 +283,19 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     simulation = {
         key: check(data, key) for key, check in _SIMULATION_FIELDS.items() if key in data
     }
+    # SimConfig refuses arithmetic that would overflow or zero the belief
+    # variance, naming the field; a one-step world is one unmoved round
+    try:
+        SimConfig(
+            num_robots=num_robots,
+            alpha=0,
+            fov_side=fov_side,
+            fly_length=fly_length,
+            arena=arena,
+            **(simulation if protocol == "multi-round" else {"rounds": 1}),
+        )
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     return ExperimentSpec(
         protocol=protocol,
         num_robots=num_robots,
@@ -330,7 +343,7 @@ def _one_step_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
         fly_length=spec.fly_length,
         arena=spec.arena,
     )
-    objective = CoverageCount(instance.targets, instance.rects)
+    objective = CoverageCount(instance.targets, instance.ids, instance.bounds)
     rows = []
     for planner in spec.planners:
         pcode = PLANNER_NAMES.index(planner)

@@ -15,6 +15,11 @@ nondecreasing and submodular:
   and evaluation is one dot product of the covered-cell mask with those
   weights, linear in the grid size whatever the set size.
 
+Both are built from arrays: the trajectory ids in ground order, their
+coverage rectangles as one ``(T, 4)`` array of ``(x_min, x_max, y_min,
+y_max)`` rows, and the targets (or the belief means and standard
+deviations) as ``(m, 2)`` arrays.
+
 Objective protocol
 ------------------
 An objective is any object with ``evaluate(members) -> float``; planners,
@@ -37,14 +42,12 @@ instead of calling ``evaluate`` per basis.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import MissingCoverageRect
-from .geometry import Point2, Rect
 
 # Absolute slack for the monotonicity / submodularity checks.
 PROPERTY_TOLERANCE = 1e-9
@@ -56,9 +59,21 @@ def normal_cdf(z):
     """Standard normal CDF via the complementary error function.
 
     Accepts scalars or numpy arrays; absolute error is far below 1e-12 over
-    the |z| <= 8 range the rectangle masses ever see.
+    the |z| <= 8 range the rectangle masses ever see.  scipy is imported on
+    first use: it is most of the package's import time, and only
+    :class:`ExpectedDetections` needs it.
     """
+    from scipy.special import erfc
+
     return 0.5 * erfc(-z / _SQRT2)
+
+
+def _bounds(ids: Sequence[str], bounds) -> np.ndarray:
+    """``bounds`` as a ``(T, 4)`` array with one row per id."""
+    bounds = np.asarray(bounds, dtype=float).reshape(-1, 4)
+    if len(bounds) != len(ids):
+        raise ValueError(f"{len(ids)} trajectory ids but {len(bounds)} coverage rectangles")
+    return bounds
 
 
 class CoverageCount:
@@ -67,22 +82,20 @@ class CoverageCount:
     Deterministic and integer valued; precomputes one coverage bitmask per
     trajectory so evaluation is O(|S|) regardless of the target count.
     ``menu_tables`` packs the same bitmasks into ``uint64`` words for the
-    batched exact enumerations.
+    batched exact enumerations.  ``targets`` is ``(m, 2)``, and ``bounds``
+    holds the rectangle ``(x_min, x_max, y_min, y_max)`` of ``ids[g]`` in
+    row ``g``.
     """
 
-    def __init__(self, targets: Sequence[Point2], rects: Mapping[str, Rect]):
-        self.targets = tuple(targets)
-        x = np.array([p.x for p in self.targets], dtype=float)
-        y = np.array([p.y for p in self.targets], dtype=float)
-        bounds = np.array(
-            [(r.x_min, r.x_max, r.y_min, r.y_max) for r in rects.values()], dtype=float
-        )
-        x_min, x_max, y_min, y_max = bounds.reshape(-1, 4, 1).transpose(1, 0, 2)
-        # (rects, targets): the closed-rectangle test of Rect.contains
+    def __init__(self, targets, ids: Sequence[str], bounds):
+        x, y = np.asarray(targets, dtype=float).reshape(-1, 2).T
+        x_min, x_max, y_min, y_max = _bounds(ids, bounds).T[:, :, None]
+        # (rects, targets): closed rectangles, boundary points covered
         inside = (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
         packed = np.packbits(inside, axis=1, bitorder="little").tolist()
+        self._words = max(1, -(-len(x) // 64))
         self._masks = {
-            tid: int.from_bytes(bytes(row), "little") for tid, row in zip(rects, packed)
+            tid: int.from_bytes(bytes(row), "little") for tid, row in zip(ids, packed)
         }
 
     def evaluate(self, members: Iterable[str]) -> int:
@@ -105,7 +118,7 @@ class CoverageCount:
         (1,)*(n-r-1) + (W,)``: ``W = ceil(m / 64)`` ``uint64`` words per
         trajectory, target ``j`` in bit ``j % 64`` of word ``j // 64``.
         """
-        words = max(1, -(-len(self.targets) // 64))
+        words = self._words
         tables = []
         for r, menu in enumerate(menus):
             packed = b"".join(
@@ -144,22 +157,6 @@ def grid_union_counts(tables: Sequence[np.ndarray], ndim: int) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class GaussianTargetBelief:
-    """Axis-aligned Gaussian position belief for one target."""
-
-    target_id: str
-    mean: Point2
-    std_x: float
-    std_y: float
-
-    def __post_init__(self):
-        if not (self.std_x > 0 and math.isfinite(self.std_x)):
-            raise ValueError(f"std_x must be positive, got {self.std_x}")
-        if not (self.std_y > 0 and math.isfinite(self.std_y)):
-            raise ValueError(f"std_y must be positive, got {self.std_y}")
-
-
 class ExpectedDetections:
     """Expected number of targets inside the union of selected rectangles.
 
@@ -177,13 +174,20 @@ class ExpectedDetections:
     are memoized per trajectory set; the memo never changes observable
     values because the function is deterministic for fixed beliefs and
     rectangles.
+
+    ``means`` and ``stds`` are ``(m, 2)``: one belief per row, its mean and
+    standard deviation per axis.  ``bounds`` holds the coverage rectangle of
+    ``ids[g]`` in row ``g``.
     """
 
-    def __init__(self, beliefs: Sequence[GaussianTargetBelief], rects: Mapping[str, Rect]):
-        self.beliefs = tuple(beliefs)
-        edges = np.array(
-            [(r.x_min, r.x_max, r.y_min, r.y_max) for r in rects.values()], dtype=float
-        ).reshape(-1, 4)
+    def __init__(self, means, stds, ids: Sequence[str], bounds):
+        means = np.asarray(means, dtype=float).reshape(-1, 2)
+        stds = np.asarray(stds, dtype=float).reshape(-1, 2)
+        if not (np.isfinite(means).all() and ((0 < stds) & (stds < np.inf)).all()):
+            raise ValueError(
+                "belief means must be finite and standard deviations positive and finite"
+            )
+        edges = _bounds(ids, bounds)
         xs = np.unique(edges[:, :2])
         ys = np.unique(edges[:, 2:])
         # cell (i, j) is [xs[i], xs[i+1]] x [ys[j], ys[j+1]]
@@ -191,12 +195,10 @@ class ExpectedDetections:
         y_spans = np.searchsorted(ys, edges[:, 2:]).tolist()
         self._spans = {
             tid: (slice(*x_span), slice(*y_span))
-            for tid, x_span, y_span in zip(rects, x_spans, y_spans)
+            for tid, x_span, y_span in zip(ids, x_spans, y_spans)
         }
-        moments = np.array(
-            [(b.mean.x, b.mean.y, b.std_x, b.std_y) for b in self.beliefs], dtype=float
-        ).reshape(-1, 4)
-        mu_x, mu_y, sd_x, sd_y = moments.T[:, :, None]
+        mu_x, mu_y = means.T[:, :, None]
+        sd_x, sd_y = stds.T[:, :, None]
         # per-belief CDF differences across each axis' cells: (beliefs, cells)
         dpx = np.diff(normal_cdf((xs - mu_x) / sd_x), axis=1)
         dpy = np.diff(normal_cdf((ys - mu_y) / sd_y), axis=1)

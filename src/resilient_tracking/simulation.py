@@ -5,35 +5,49 @@ speed, reflecting at the arena boundary).  Every round every target is
 measured with isotropic Gaussian noise and each target's belief is updated
 by two independent scalar Kalman filters (one per axis) with an identity
 observation model; the velocity estimate used in the predict step is the
-finite difference of the last two raw measurements (zero until two exist).
+finite difference of the last two raw measurements.
 
-Each round the robots rebuild their four-direction menus from their current
-positions, plan on the expected-detections objective over current beliefs,
-suffer the configured attack (an attacked trajectory contributes no coverage
-this round; the robot still flies it), get scored, advance ``fly_length``
-along their selected direction, and the targets step.
+The loop's state is held in arrays, one row per target or robot, and every
+step acts on all targets at once with the same elementwise arithmetic, in
+the same order, as a per-target loop: :class:`TargetState` holds the truth
+and the beliefs as ``(m, 2)`` arrays, and the robot positions are one
+``(n, 2)`` array.
+
+Each round builds the robots' four-direction menus and coverage bounds from
+their current positions, plans on the expected-detections objective over
+current beliefs, suffers the configured attack (an attacked trajectory
+contributes no coverage this round; the robot still flies it), gets scored,
+advances every robot ``fly_length`` along its selected direction, and steps
+the targets.
 
 Time is normalized: one round is one time unit and all rates are per round.
 Randomness comes from five named child streams of ``rng_seed`` (world
 initialization, target motion, measurements, planner, attacker) so target
 trajectories and measurement noise are identical across planner choices
-under a shared seed.
+under a shared seed.  :class:`SimConfig` refuses a scenario whose
+arithmetic would leave the finite floats or round the belief variance to
+zero within its rounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import ATTACKER_NAMES, get_attacker, score_attack
-from .geometry import Point2, Rect, RobotSpec, UNIT_STEP
-from .objectives import CoverageCount, ExpectedDetections, GaussianTargetBelief
+from .geometry import Rect
+from .objectives import CoverageCount, ExpectedDetections
 from .planners import PLANNER_NAMES, get_planner
-from .worlds import build_instance
+from .worlds import DIRECTION_ORDER, MENU_STEPS, build_instance, robot_id
 
 DEFAULT_ARENA = Rect(0.0, 10.0, 0.0, 10.0)
+
+# No standard normal draw of numpy's ziggurat sampler exceeds this in
+# magnitude: its tail draw r + x (r = 3.6542) needs x**2 < 2 * 53 * log(2).
+NORMAL_DRAW_BOUND = 12.3
 
 
 @dataclass(frozen=True)
@@ -96,115 +110,176 @@ class SimConfig:
             raise ValueError(f"unknown planner {self.planner!r}; expected one of {PLANNER_NAMES}")
         if self.attacker not in ATTACKER_NAMES:
             raise ValueError(f"unknown attacker {self.attacker!r}; expected one of {ATTACKER_NAMES}")
+        problem = _arithmetic_problem(self)
+        if problem is not None:
+            raise ValueError(problem)
+
+
+def _largest(terms: dict[str, float]) -> str:
+    return max(terms, key=lambda k: terms[k] if not math.isnan(terms[k]) else math.inf)
+
+
+def _arithmetic_problem(c: SimConfig) -> str | None:
+    """Why the closed loop's arithmetic would fail within ``c.rounds``, or None.
+
+    The first three checks bound the magnitude of a group of quantities the
+    loop computes by a sum of terms, one per field, and refuse when twice
+    that sum (headroom for the loop's own round-off) is not finite:
+
+    - coverage bounds: robots start in the arena, fly ``fly_length`` per
+      round, and a bound adds half the field of view;
+    - target motion: the velocity gains at most one jitter draw per round,
+      and folding a position back into the arena works within seven arena
+      reaches;
+    - measurements and means: a measurement is a position plus one noise
+      draw, the velocity estimate a difference of two measurements over
+      ``round_duration``, and each round's predict step can move the mean
+      by at most that difference.
+
+    The belief variance never exceeds its predicted peak ``max(
+    initial_variance, r) + process_noise * round_duration`` with ``r =
+    measurement_noise_std**2``.  Where ``r`` is at most half an ulp of that
+    peak, the gain rounds to 1 and the posterior variance to 0; with no
+    process noise the variance decays to about ``r / (rounds + 1)``, which
+    must stay a normal float.  The message names the field of the largest
+    term.
+    """
+    reach = max(abs(c.arena.x_min), abs(c.arena.x_max), abs(c.arena.y_min), abs(c.arena.y_max))
+    rounds = float(c.rounds) if c.rounds < 2**1023 else math.inf
+    dt = c.round_duration
+    spread = max(2.0 * rounds + 4.0, 2.0 / dt)
+    noise = c.measurement_noise_std * NORMAL_DRAW_BOUND
+    for quantity, terms in (
+        (
+            "coverage rectangles",
+            {"arena": reach, "fly_length": rounds * c.fly_length, "fov_side": c.fov_side / 2.0},
+        ),
+        (
+            "target motion",
+            {
+                "arena": 7.0 * reach,
+                "target_speed": c.target_speed * dt,
+                "velocity_jitter_std": rounds * c.velocity_jitter_std * NORMAL_DRAW_BOUND * dt,
+            },
+        ),
+        (
+            "measurements and belief means",
+            {"arena": spread * reach, "measurement_noise_std": spread * noise},
+        ),
+    ):
+        if not math.isfinite(2.0 * sum(terms.values())):
+            return (
+                f"field {_largest(terms)!r}: {quantity} would leave the float range "
+                f"within {c.rounds} rounds"
+            )
+    try:
+        r = c.measurement_noise_std**2
+    except OverflowError:
+        r = math.inf
+    terms = {
+        "initial_variance": c.initial_variance,
+        "measurement_noise_std": r,
+        "process_noise": c.process_noise * dt,
+    }
+    peak = max(c.initial_variance, r) + c.process_noise * dt
+    # the gain's denominator is at most the peak plus r
+    if not math.isfinite(peak + r):
+        return f"field {_largest(terms)!r}: the belief variance would leave the float range"
+    if not r > math.ulp(peak) / 2.0:
+        fields = sorted({_largest(terms), "measurement_noise_std"})
+        return (
+            f"field{'s' * (len(fields) - 1)} {' and '.join(map(repr, fields))}: "
+            f"measurement_noise_std**2 = {r:g} is at most half an ulp of the peak "
+            f"predicted variance {peak:g}, so the Kalman gain rounds to 1 and the "
+            "belief variance to 0"
+        )
+    if r / (rounds + 1.0) < sys.float_info.min:
+        return (
+            f"field 'measurement_noise_std': measurement_noise_std**2 = {r:g} lets the "
+            f"belief variance underflow within {c.rounds} rounds"
+        )
+    return None
 
 
 @dataclass
-class TargetTrack:
-    """Ground truth plus the tracker's belief for one target."""
+class TargetState:
+    """Ground truth plus the tracker's beliefs, one ``(m, 2)`` row per target.
 
-    target_id: str
-    true_position: Point2
-    true_velocity: tuple[float, float]
-    estimate_mean: Point2
-    estimate_var_x: float
-    estimate_var_y: float
-    velocity_estimate: tuple[float, float] = (0.0, 0.0)
-    # (round index, raw measurement); only the last two are kept
-    recent_measurements: list = field(default_factory=list)
-
-    def belief(self) -> GaussianTargetBelief:
-        return GaussianTargetBelief(
-            target_id=self.target_id,
-            mean=self.estimate_mean,
-            std_x=math.sqrt(self.estimate_var_x),
-            std_y=math.sqrt(self.estimate_var_y),
-        )
-
-
-def _reflect(value: float, lo: float, hi: float) -> tuple[float, int]:
-    """Fold a coordinate back into [lo, hi]; returns (position, sign flip).
-
-    Needs ``lo < hi``.  A coordinate more than a period ``2 * (hi - lo)``
-    outside first drops whole periods, which flip the sign an even number
-    of times; folding a huge value directly can cycle forever in floating
-    point.
+    ``position`` and ``velocity`` are the truth; ``mean``, ``variance`` and
+    ``velocity_estimate`` the per-axis beliefs.  ``last_measurement`` was
+    taken in round ``last_round``, which all targets share.
     """
-    flip = 1
+
+    position: np.ndarray
+    velocity: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+    velocity_estimate: np.ndarray
+    last_measurement: np.ndarray
+    last_round: int = 0
+
+
+def _reflect(values, lo, hi):
+    """Fold coordinates back into [lo, hi]; returns (positions, sign flips).
+
+    Needs ``lo < hi`` (arrays that broadcast against ``values``).  A
+    coordinate more than a period ``2 * (hi - lo)`` outside first drops
+    whole periods, which flip the sign an even number of times; folding a
+    huge value directly can cycle forever in floating point.
+    """
     period = 2.0 * (hi - lo)
-    if not lo - period <= value <= hi + period:
-        value = lo + math.fmod(value - lo, period)
+    far = ~((lo - period <= values) & (values <= hi + period))
+    if far.any():
+        values = np.where(far, lo + np.fmod(values - lo, period), values)
+    flip = np.ones_like(values)
+    below, above = values < lo, values > hi
     # small per-round steps need at most a couple of folds
-    while value < lo or value > hi:
-        if value < lo:
-            value = 2 * lo - value
-        else:
-            value = 2 * hi - value
-        flip = -flip
-    return value, flip
+    while below.any() or above.any():
+        values = np.where(below, 2 * lo - values, np.where(above, 2 * hi - values, values))
+        flip = np.where(below | above, -flip, flip)
+        below, above = values < lo, values > hi
+    return values, flip
 
 
-def step_targets(tracks, config: SimConfig, rng: np.random.Generator):
-    """Advance every target one round, reflecting at the arena boundary."""
-    dt = config.round_duration
-    for track in tracks:
-        vx, vy = track.true_velocity
-        if config.velocity_jitter_std > 0:
-            vx += float(rng.normal(0.0, config.velocity_jitter_std))
-            vy += float(rng.normal(0.0, config.velocity_jitter_std))
-        x = track.true_position.x + vx * dt
-        y = track.true_position.y + vy * dt
-        x, fx = _reflect(x, config.arena.x_min, config.arena.x_max)
-        y, fy = _reflect(y, config.arena.y_min, config.arena.y_max)
-        track.true_position = Point2(x, y)
-        track.true_velocity = (vx * fx, vy * fy)
-    return tracks
+def step_targets(state: TargetState, config: SimConfig, rng: np.random.Generator):
+    """Advance every target one round, reflecting at the arena boundary.
+
+    With jitter, each target's velocity draws one normal per axis, target
+    by target.
+    """
+    velocity = state.velocity
+    if config.velocity_jitter_std > 0:
+        velocity = velocity + rng.normal(0.0, config.velocity_jitter_std, size=velocity.shape)
+    arena = config.arena
+    state.position, flip = _reflect(
+        state.position + velocity * config.round_duration,
+        np.array((arena.x_min, arena.y_min)),
+        np.array((arena.x_max, arena.y_max)),
+    )
+    state.velocity = velocity * flip
+    return state
 
 
-def measure(tracks, noise_std: float, rng: np.random.Generator) -> dict[str, Point2]:
+def measure(state: TargetState, noise_std: float, rng: np.random.Generator) -> np.ndarray:
     """Noisy position measurement of every target (all targets, every round)."""
-    out = {}
-    for track in tracks:
-        noise = rng.normal(0.0, 1.0, size=2)
-        out[track.target_id] = Point2(
-            track.true_position.x + noise_std * float(noise[0]),
-            track.true_position.y + noise_std * float(noise[1]),
-        )
-    return out
+    return state.position + noise_std * rng.normal(0.0, 1.0, size=state.position.shape)
 
 
-def _scalar_update(mean, var, velocity, z, dt, q, r):
-    """One predict + update step of a scalar Kalman filter."""
-    mean = mean + velocity * dt
-    var = var + q * dt
-    denom = var + r
-    gain = 1.0 if denom == 0 else var / denom
-    mean = mean + gain * (z - mean)
-    var = (1.0 - gain) * var
-    return mean, var
-
-
-def kalman_update(track: TargetTrack, z: Point2, round_index: int, config: SimConfig):
+def kalman_update(state: TargetState, z: np.ndarray, round_index: int, config: SimConfig):
     """Per-axis Kalman predict/update plus finite-difference velocity refresh."""
     dt = config.round_duration
     q = config.process_noise
     r = config.measurement_noise_std**2
-    mx, vx = _scalar_update(
-        track.estimate_mean.x, track.estimate_var_x, track.velocity_estimate[0], z.x, dt, q, r
-    )
-    my, vy = _scalar_update(
-        track.estimate_mean.y, track.estimate_var_y, track.velocity_estimate[1], z.y, dt, q, r
-    )
-    track.estimate_mean = Point2(mx, my)
-    track.estimate_var_x = vx
-    track.estimate_var_y = vy
-    track.recent_measurements.append((round_index, z))
-    if len(track.recent_measurements) > 2:
-        del track.recent_measurements[0]
-    if len(track.recent_measurements) == 2:
-        (k0, z0), (k1, z1) = track.recent_measurements
-        span = (k1 - k0) * dt
-        track.velocity_estimate = ((z1.x - z0.x) / span, (z1.y - z0.y) / span)
-    return track
+    mean = state.mean + state.velocity_estimate * dt
+    variance = state.variance + q * dt
+    gain = variance / (variance + r)
+    state.mean = mean + gain * (z - mean)
+    state.variance = (1.0 - gain) * variance
+    span = (round_index - state.last_round) * dt
+    state.velocity_estimate = (z - state.last_measurement) / span
+    state.last_measurement = z
+    state.last_round = round_index
+    return state
 
 
 @dataclass(frozen=True)
@@ -228,69 +303,41 @@ class RoundRecord:
     coverage_attacked: int
     oracle_calls: int
 
-    def to_dict(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "selected": list(self.selected),
-            "removed": list(self.removed),
-            "f_full": self.f_full,
-            "f_attacked": self.f_attacked,
-            "attack_rate": self.attack_rate,
-            "coverage_full": self.coverage_full,
-            "coverage_attacked": self.coverage_attacked,
-            "oracle_calls": self.oracle_calls,
-        }
 
-
-def init_tracks(config: SimConfig, rng: np.random.Generator) -> list[TargetTrack]:
+def init_tracks(config: SimConfig, rng: np.random.Generator) -> TargetState:
     """Targets uniform in the arena, random heading, noisy initial estimate.
 
-    The initial estimate counts as the round-0 measurement, so the velocity
-    estimate turns on after the first in-loop measurement.
+    Each target draws its x, its y, its heading and then two measurement
+    noises.  The initial estimate counts as the round-0 measurement, so the
+    velocity estimate turns on after the first in-loop measurement.
     """
-    tracks = []
-    for j in range(config.num_targets):
-        x = float(rng.uniform(config.arena.x_min, config.arena.x_max))
-        y = float(rng.uniform(config.arena.y_min, config.arena.y_max))
-        heading = float(rng.uniform(0.0, 2.0 * math.pi))
-        velocity = (
-            config.target_speed * math.cos(heading),
-            config.target_speed * math.sin(heading),
-        )
-        noise = rng.normal(0.0, 1.0, size=2)
-        first = Point2(
-            x + config.measurement_noise_std * float(noise[0]),
-            y + config.measurement_noise_std * float(noise[1]),
-        )
-        tracks.append(
-            TargetTrack(
-                target_id=f"t{j:03d}",
-                true_position=Point2(x, y),
-                true_velocity=velocity,
-                estimate_mean=first,
-                estimate_var_x=config.initial_variance,
-                estimate_var_y=config.initial_variance,
-                recent_measurements=[(0, first)],
-            )
-        )
-    return tracks
+    arena = config.arena
+    draws = np.empty((config.num_targets, 5))
+    for row in draws:
+        row[0] = rng.uniform(arena.x_min, arena.x_max)
+        row[1] = rng.uniform(arena.y_min, arena.y_max)
+        row[2] = rng.uniform(0.0, 2.0 * math.pi)
+        row[3:] = rng.normal(0.0, 1.0, size=2)
+    position = draws[:, :2]
+    speed = config.target_speed
+    velocity = np.array([(speed * math.cos(h), speed * math.sin(h)) for h in draws[:, 2].tolist()])
+    first = position + config.measurement_noise_std * draws[:, 3:]
+    return TargetState(
+        position=position,
+        velocity=velocity,
+        mean=first,
+        variance=np.full_like(first, config.initial_variance),
+        velocity_estimate=np.zeros_like(first),
+        last_measurement=first,
+    )
 
 
-def init_robots(config: SimConfig, rng: np.random.Generator) -> list[RobotSpec]:
-    robots = []
-    for i in range(config.num_robots):
-        robots.append(
-            RobotSpec(
-                robot_id=f"r{i:02d}",
-                position=Point2(
-                    float(rng.uniform(config.arena.x_min, config.arena.x_max)),
-                    float(rng.uniform(config.arena.y_min, config.arena.y_max)),
-                ),
-                fov_side=config.fov_side,
-                fly_length=config.fly_length,
-            )
-        )
-    return robots
+def init_robots(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """Robot positions uniform in the arena, one x, y pair per robot."""
+    arena = config.arena
+    return rng.uniform(
+        (arena.x_min, arena.y_min), (arena.x_max, arena.y_max), size=(config.num_robots, 2)
+    )
 
 
 def run_rounds(config: SimConfig) -> list[RoundRecord]:
@@ -302,23 +349,27 @@ def run_rounds(config: SimConfig) -> list[RoundRecord]:
     init_rng, motion_rng, measure_rng, planner_rng, attacker_rng = (
         np.random.default_rng(child) for child in root.spawn(5)
     )
-    robots = init_robots(config, init_rng)
-    tracks = init_tracks(config, init_rng)
+    positions = init_robots(config, init_rng)
+    state = init_tracks(config, init_rng)
     plan = get_planner(config.planner)
     attack = get_attacker(config.attacker)
+    names = [robot_id(i) for i in range(config.num_robots)]
 
     records = []
     for round_index in range(1, config.rounds + 1):
-        instance = build_instance(robots, [t.true_position for t in tracks])
-        beliefs = [t.belief() for t in tracks]
-        objective = ExpectedDetections(beliefs, instance.rects)
-        result = plan(instance.matroid, objective, config.alpha, planner_rng)
+        instance = build_instance(positions, state.position, config.fov_side, config.fly_length)
+        matroid = instance.matroid
+        objective = ExpectedDetections(
+            state.mean, np.sqrt(state.variance), instance.ids, instance.bounds
+        )
+        result = plan(matroid, objective, config.alpha, planner_rng)
         attacked = attack(objective, result.selected, config.alpha, attacker_rng)
 
         f_full = float(objective.evaluate(result.selected))
         f_att, rate = score_attack(f_full, attacked.surviving_value)
+        chosen = sorted(map(matroid.ground_index, result.selected))
         truth = CoverageCount(
-            instance.targets, {tid: instance.rects[tid] for tid in result.selected}
+            instance.targets, [instance.ids[g] for g in chosen], instance.bounds[chosen]
         )
         survivors = result.selected - attacked.removed
         records.append(
@@ -335,26 +386,12 @@ def run_rounds(config: SimConfig) -> list[RoundRecord]:
             )
         )
 
-        direction_of = {t.trajectory_id: t.direction for t in instance.trajectories}
-        by_robot = {instance.matroid.robot_of(tid): tid for tid in result.selected}
-        moved = []
-        for robot in robots:
-            dx, dy = UNIT_STEP[direction_of[by_robot[robot.robot_id]]]
-            moved.append(
-                RobotSpec(
-                    robot_id=robot.robot_id,
-                    position=Point2(
-                        robot.position.x + dx * config.fly_length,
-                        robot.position.y + dy * config.fly_length,
-                    ),
-                    fov_side=robot.fov_side,
-                    fly_length=robot.fly_length,
-                )
-            )
-        robots = moved
+        # every menu is full, so a trajectory's menu position is its
+        # ground index modulo the menu length
+        flown = {matroid.robot_of(instance.ids[g]): g % len(DIRECTION_ORDER) for g in chosen}
+        positions = positions + MENU_STEPS[[flown[name] for name in names]] * config.fly_length
 
-        step_targets(tracks, config, motion_rng)
-        measurements = measure(tracks, config.measurement_noise_std, measure_rng)
-        for track in tracks:
-            kalman_update(track, measurements[track.target_id], round_index, config)
+        step_targets(state, config, motion_rng)
+        z = measure(state, config.measurement_noise_std, measure_rng)
+        kalman_update(state, z, round_index, config)
     return records

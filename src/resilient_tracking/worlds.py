@@ -1,12 +1,30 @@
-"""Instance builders: four-direction menus, coverage maps, random worlds."""
+"""World builders: four-direction menus, coverage bounds, random worlds.
+
+A world is held in arrays.  Robot positions and targets are ``(k, 2)``
+arrays of (x, y) rows, and every candidate trajectory's coverage rectangle
+is one row ``(x_min, x_max, y_min, y_max)`` of a ``(T, 4)`` array in
+canonical ground order (robots by id, then menu order).  Robot ``i`` has id
+``r{i:02d}`` and its trajectory flying direction ``d`` has id
+``r{i:02d}:{d}``; ids appear only where planners and results name
+trajectories.
+
+Coverage geometry: a robot carries a square field of view of side
+``fov_side`` centered on its position.  Flying ``fly_length`` along one of
+the four axis directions sweeps that square into a closed axis-aligned
+rectangle, ``fly_length + fov_side`` long along the travel axis and
+``fov_side`` wide across it.  The starting square is the trailing end and
+the final field of view the leading end.  Inputs are validated once at the
+boundary (``spec_from_dict``, ``SimConfig``), not here.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Direction, Point2, Rect, RobotSpec, Trajectory, coverage_rect
+from .geometry import Direction, Rect, UNIT_STEP
 from .matroid import PartitionMatroid
 
 # Menu order; also the trajectory index order used for tie-breaking.
@@ -17,67 +35,80 @@ DIRECTION_ORDER = (
     Direction.RIGHT,
 )
 
+# Unit step of each direction, one row per menu position.
+MENU_STEPS = np.array([UNIT_STEP[d] for d in DIRECTION_ORDER])
 
-def trajectory_menu(
-    robot: RobotSpec, directions: tuple[Direction, ...] = DIRECTION_ORDER
-) -> tuple[Trajectory, ...]:
-    """The robot's candidate trajectories, one per direction, in menu order."""
-    return tuple(
-        Trajectory(
-            trajectory_id=f"{robot.robot_id}:{d.value}",
-            robot_id=robot.robot_id,
-            direction=d,
-        )
-        for d in directions
-    )
+
+def robot_id(index: int) -> str:
+    return f"r{index:02d}"
 
 
 @dataclass(frozen=True)
 class WorldInstance:
-    """One planning problem: robots, menus, coverage and targets."""
+    """One planning problem.
 
-    robots: tuple[RobotSpec, ...]
-    trajectories: tuple[Trajectory, ...]
-    rects: dict
+    ``ids`` is the matroid's ground set, and row ``g`` of ``bounds`` is the
+    coverage rectangle of ``ids[g]``.  ``targets`` is ``(m, 2)``.
+    """
+
+    ids: tuple[str, ...]
+    bounds: np.ndarray
     matroid: PartitionMatroid
-    targets: tuple[Point2, ...]
+    targets: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(num_robots: int, menus):
+    """The matroid, each trajectory's robot and its direction's unit step.
+
+    Everything here depends on the menus only, never on positions, so a
+    closed loop builds it once and each round only moves the bounds.  The
+    cached results are shared by every world with these menus: the arrays
+    are read-only, and nothing changes a matroid after construction.
+    """
+    names = [robot_id(i) for i in range(num_robots)]
+    blocks = {}
+    robots: list[int] = []
+    directions: list[int] = []
+    for i in sorted(range(num_robots), key=names.__getitem__):
+        menu = DIRECTION_ORDER if menus is None else menus[i]
+        blocks[names[i]] = [f"{names[i]}:{d.value}" for d in menu]
+        robots += [i] * len(menu)
+        directions += [DIRECTION_ORDER.index(d) for d in menu]
+    rows = np.array(robots, dtype=np.intp)
+    steps = MENU_STEPS[directions]
+    rows.flags.writeable = steps.flags.writeable = False
+    return PartitionMatroid(blocks), rows, steps
 
 
 def build_instance(
-    robots,
+    positions,
     targets,
-    directions_by_robot: dict[str, tuple[Direction, ...]] | None = None,
+    fov_side: float,
+    fly_length: float,
+    menus=None,
 ) -> WorldInstance:
-    """Assemble menus, coverage rectangles and the matroid for given robots."""
-    robots = tuple(robots)
-    by_robot = {r.robot_id: r for r in robots}
-    if len(by_robot) != len(robots):
-        raise ValueError("robot ids must be unique")
-    trajectories: list[Trajectory] = []
-    rects: dict[str, Rect] = {}
-    blocks: dict[str, list[str]] = {}
-    for robot in robots:
-        directions = DIRECTION_ORDER
-        if directions_by_robot is not None:
-            directions = directions_by_robot[robot.robot_id]
-        menu = trajectory_menu(robot, directions)
-        trajectories.extend(menu)
-        blocks[robot.robot_id] = [t.trajectory_id for t in menu]
-        for t in menu:
-            rects[t.trajectory_id] = coverage_rect(robot, t.direction)
+    """Menus, coverage bounds and the matroid for robots at ``positions``.
+
+    ``menus[i]``, when given, lists robot ``i``'s directions in menu order;
+    by default every robot gets all four.  Each bound is computed as
+    ``position - half + min(0, step)`` and ``position + half + max(0,
+    step)`` per axis, with ``step`` the direction's unit step times
+    ``fly_length``.
+    """
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    key = None if menus is None else tuple(map(tuple, menus))
+    matroid, rows, steps = _layout(len(positions), key)
+    at = positions[rows]
+    step = steps * fly_length
+    half = fov_side / 2.0
+    low = at - half + np.minimum(0.0, step)
+    high = at + half + np.maximum(0.0, step)
     return WorldInstance(
-        robots=robots,
-        trajectories=tuple(trajectories),
-        rects=rects,
-        matroid=PartitionMatroid(blocks),
-        targets=tuple(Point2(p.x, p.y) for p in targets),
-    )
-
-
-def sample_point(rng: np.random.Generator, arena: Rect) -> Point2:
-    return Point2(
-        float(rng.uniform(arena.x_min, arena.x_max)),
-        float(rng.uniform(arena.y_min, arena.y_max)),
+        ids=matroid.ground_set,
+        bounds=np.stack((low, high), axis=-1).reshape(-1, 4),
+        matroid=matroid,
+        targets=np.asarray(targets, dtype=float).reshape(-1, 2),
     )
 
 
@@ -93,28 +124,26 @@ def sample_instance(
     """Random world: robots and targets uniform in the arena.
 
     ``menu_sizes`` holds the allowed per-robot menu sizes (1 to 4); each
-    robot draws a size and keeps that many directions in menu order.
+    robot draws a size and keeps that many directions in menu order.  Each
+    robot draws its x, its y, its size and then (below four) its directions;
+    the targets follow as x, y pairs.
     """
     if any(size < 1 or size > len(DIRECTION_ORDER) for size in menu_sizes):
         raise ValueError(f"menu sizes must be within 1..4, got {menu_sizes}")
-    robots = []
-    directions_by_robot = {}
+    positions = np.empty((num_robots, 2))
+    menus = []
     for i in range(num_robots):
-        robot_id = f"r{i:02d}"
-        robots.append(
-            RobotSpec(
-                robot_id=robot_id,
-                position=sample_point(rng, arena),
-                fov_side=fov_side,
-                fly_length=fly_length,
-            )
+        positions[i] = (
+            rng.uniform(arena.x_min, arena.x_max),
+            rng.uniform(arena.y_min, arena.y_max),
         )
         size = menu_sizes[int(rng.integers(len(menu_sizes)))]
         if size == len(DIRECTION_ORDER):
-            directions_by_robot[robot_id] = DIRECTION_ORDER
+            menus.append(DIRECTION_ORDER)
         else:
             keep = sorted(rng.choice(len(DIRECTION_ORDER), size=size, replace=False))
-            directions_by_robot[robot_id] = tuple(DIRECTION_ORDER[int(i)] for i in keep)
-    targets = [sample_point(rng, arena) for _ in range(num_targets)]
-    return build_instance(robots, targets, directions_by_robot)
-
+            menus.append(tuple(DIRECTION_ORDER[int(k)] for k in keep))
+    targets = rng.uniform(
+        (arena.x_min, arena.y_min), (arena.x_max, arena.y_max), size=(num_targets, 2)
+    )
+    return build_instance(positions, targets, fov_side, fly_length, menus)

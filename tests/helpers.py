@@ -1,12 +1,79 @@
 """Shared fixtures for the test suite: tiny controlled worlds and objectives."""
 
+import numpy as np
 from hypothesis import strategies as st
 
-from resilient_tracking.geometry import Point2, Rect, RobotSpec
+from resilient_tracking.geometry import Rect
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.worlds import build_instance
+from resilient_tracking.objectives import CoverageCount, ExpectedDetections
 
 ARENA = Rect(0.0, 10.0, 0.0, 10.0)
+
+
+def rect_table(rects):
+    """The ids and ``(T, 4)`` bounds of a ``{trajectory id: Rect}`` mapping.
+
+    Every test that states rectangles as ``Rect`` objects reaches the
+    array-built objectives through here.
+    """
+    bounds = [(r.x_min, r.x_max, r.y_min, r.y_max) for r in rects.values()]
+    return list(rects), np.array(bounds, dtype=float).reshape(-1, 4)
+
+
+def coverage(targets, rects):
+    """``CoverageCount`` of ``(x, y)`` targets over ``{id: Rect}``."""
+    return CoverageCount(np.array(targets, dtype=float).reshape(-1, 2), *rect_table(rects))
+
+
+def expected(beliefs, rects):
+    """``ExpectedDetections`` of ``(x, y, std_x, std_y)`` beliefs over ``{id: Rect}``."""
+    moments = np.array(beliefs, dtype=float).reshape(-1, 4)
+    return ExpectedDetections(moments[:, :2], moments[:, 2:], *rect_table(rects))
+
+
+def rects_of(instance):
+    """A world's coverage rectangles as ``{trajectory id: Rect}``."""
+    return {tid: Rect(*row) for tid, row in zip(instance.ids, instance.bounds.tolist())}
+
+
+def contains(rect, point) -> bool:
+    """Whether ``(x, y)`` lies in the closed rectangle (boundary included)."""
+    x, y = point
+    return rect.x_min <= x <= rect.x_max and rect.y_min <= y <= rect.y_max
+
+
+def area(rect) -> float:
+    return (rect.x_max - rect.x_min) * (rect.y_max - rect.y_min)
+
+
+def intersection(a, b):
+    """Closed intersection of two rectangles, or None when empty.
+
+    Shared edges and corners are nonempty (possibly zero-area)
+    intersections because the rectangles are closed.
+    """
+    x_lo = max(a.x_min, b.x_min)
+    x_hi = min(a.x_max, b.x_max)
+    y_lo = max(a.y_min, b.y_min)
+    y_hi = min(a.y_max, b.y_max)
+    if x_lo > x_hi or y_lo > y_hi:
+        return None
+    return Rect(x_lo, x_hi, y_lo, y_hi)
+
+
+def record_dict(record) -> dict:
+    """A ``RoundRecord`` as JSON-ready plain data."""
+    return {
+        "round_index": record.round_index,
+        "selected": list(record.selected),
+        "removed": list(record.removed),
+        "f_full": record.f_full,
+        "f_attacked": record.f_attacked,
+        "attack_rate": record.attack_rate,
+        "coverage_full": record.coverage_full,
+        "coverage_attacked": record.coverage_attacked,
+        "oracle_calls": record.oracle_calls,
+    }
 
 
 class SetCover:
@@ -59,15 +126,6 @@ def boxes(draw):
     x0, x1 = sorted((draw(lattice), draw(lattice)))
     y0, y1 = sorted((draw(lattice), draw(lattice)))
     return Rect(x0, x1, y0, y1)
-
-
-def grid_world(num_robots, targets, fov=3.0, fly=7.0, spacing=2.0):
-    """Robots on a horizontal line at the given spacing, explicit targets."""
-    robots = [
-        RobotSpec(f"r{i:02d}", Point2(i * spacing, 5.0), fov, fly)
-        for i in range(num_robots)
-    ]
-    return build_instance(robots, [Point2(x, y) for x, y in targets])
 
 
 def bait_trace_instance():

@@ -3,12 +3,23 @@
 Everything here prefers the most literal possible enumeration over speed and
 shares no code paths with the package under test beyond the objective
 callables it is handed.  Blocks are plain {robot: [trajectory, ...]} dicts.
+The literal closed loop at the end is the one exception: it keeps its own
+per-object state and geometry but plans, attacks and scores with the
+package's planners, attackers and objectives.
 """
 
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from resilient_tracking.adversary import get_attacker, score_attack
+from resilient_tracking.geometry import UNIT_STEP, Direction
+from resilient_tracking.matroid import PartitionMatroid
+from resilient_tracking.objectives import CoverageCount, ExpectedDetections
+from resilient_tracking.planners import get_planner
+from resilient_tracking.simulation import RoundRecord
 
 
 def all_bases(blocks):
@@ -108,11 +119,11 @@ def inclusion_exclusion_union_mass(beliefs, rects):
     Literal inclusion-exclusion: every nonempty subset of ``rects``
     contributes the Gaussian mass of its (closed) intersection with sign
     (-1)^(|subset| + 1); subsets whose intersection is empty contribute
-    nothing.  ``beliefs`` need ``mean.x``, ``mean.y``, ``std_x``, ``std_y``.
+    nothing.  ``beliefs`` are ``(mean_x, mean_y, std_x, std_y)`` tuples.
     """
     boxes = [(r.x_min, r.x_max, r.y_min, r.y_max) for r in rects]
     total = 0.0
-    for b in beliefs:
+    for mean_x, mean_y, std_x, std_y in beliefs:
         for size in range(1, len(boxes) + 1):
             sign = 1.0 if size % 2 else -1.0
             for combo in itertools.combinations(boxes, size):
@@ -122,11 +133,11 @@ def inclusion_exclusion_union_mass(beliefs, rects):
                 y_hi = min(box[3] for box in combo)
                 if x_lo > x_hi or y_lo > y_hi:
                     continue
-                px = _normal_cdf((x_hi - b.mean.x) / b.std_x) - _normal_cdf(
-                    (x_lo - b.mean.x) / b.std_x
+                px = _normal_cdf((x_hi - mean_x) / std_x) - _normal_cdf(
+                    (x_lo - mean_x) / std_x
                 )
-                py = _normal_cdf((y_hi - b.mean.y) / b.std_y) - _normal_cdf(
-                    (y_lo - b.mean.y) / b.std_y
+                py = _normal_cdf((y_hi - mean_y) / std_y) - _normal_cdf(
+                    (y_lo - mean_y) / std_y
                 )
                 total += sign * px * py
     return total
@@ -161,3 +172,207 @@ def riccati_posteriors(p0, q, r, steps):
 def riccati_fixed_point(q, r):
     """Positive root of p**2 + q*p - q*r = 0 (steady-state posterior)."""
     return (-q + math.sqrt(q * q + 4.0 * q * r)) / 2.0
+
+
+# ---- the closed loop, one target and one robot at a time ------------------
+#
+# The per-object loop the array simulation replaced, kept literally: scalar
+# Kalman filters and reflections, tuples for points, one coverage rectangle
+# per (robot, direction), draws in the same order.  Planning, attacks and
+# the objectives are the package's; everything they are fed is built here.
+
+MENU = (Direction.FORWARD, Direction.BACKWARD, Direction.LEFT, Direction.RIGHT)
+
+
+@dataclass
+class TargetTrack:
+    """Ground truth plus the tracker's belief for one target."""
+
+    target_id: str
+    true_position: tuple
+    true_velocity: tuple
+    estimate_mean: tuple
+    estimate_var_x: float
+    estimate_var_y: float
+    velocity_estimate: tuple = (0.0, 0.0)
+    # (round index, raw measurement); only the last two are kept
+    recent_measurements: list = field(default_factory=list)
+
+
+def reflect(value, lo, hi):
+    """Fold a coordinate back into [lo, hi]; returns (position, sign flip)."""
+    flip = 1
+    period = 2.0 * (hi - lo)
+    if not lo - period <= value <= hi + period:
+        value = lo + math.fmod(value - lo, period)
+    while value < lo or value > hi:
+        if value < lo:
+            value = 2 * lo - value
+        else:
+            value = 2 * hi - value
+        flip = -flip
+    return value, flip
+
+
+def step_targets(tracks, config, rng):
+    dt = config.round_duration
+    for track in tracks:
+        vx, vy = track.true_velocity
+        if config.velocity_jitter_std > 0:
+            vx += float(rng.normal(0.0, config.velocity_jitter_std))
+            vy += float(rng.normal(0.0, config.velocity_jitter_std))
+        x = track.true_position[0] + vx * dt
+        y = track.true_position[1] + vy * dt
+        x, fx = reflect(x, config.arena.x_min, config.arena.x_max)
+        y, fy = reflect(y, config.arena.y_min, config.arena.y_max)
+        track.true_position = (x, y)
+        track.true_velocity = (vx * fx, vy * fy)
+
+
+def measure(tracks, noise_std, rng):
+    out = {}
+    for track in tracks:
+        noise = rng.normal(0.0, 1.0, size=2)
+        out[track.target_id] = (
+            track.true_position[0] + noise_std * float(noise[0]),
+            track.true_position[1] + noise_std * float(noise[1]),
+        )
+    return out
+
+
+def _scalar_update(mean, var, velocity, z, dt, q, r):
+    mean = mean + velocity * dt
+    var = var + q * dt
+    denom = var + r
+    gain = 1.0 if denom == 0 else var / denom
+    mean = mean + gain * (z - mean)
+    var = (1.0 - gain) * var
+    return mean, var
+
+
+def kalman_update(track, z, round_index, config):
+    dt = config.round_duration
+    q = config.process_noise
+    r = config.measurement_noise_std**2
+    mx, vx = _scalar_update(
+        track.estimate_mean[0], track.estimate_var_x, track.velocity_estimate[0], z[0], dt, q, r
+    )
+    my, vy = _scalar_update(
+        track.estimate_mean[1], track.estimate_var_y, track.velocity_estimate[1], z[1], dt, q, r
+    )
+    track.estimate_mean = (mx, my)
+    track.estimate_var_x = vx
+    track.estimate_var_y = vy
+    track.recent_measurements.append((round_index, z))
+    if len(track.recent_measurements) > 2:
+        del track.recent_measurements[0]
+    if len(track.recent_measurements) == 2:
+        (k0, z0), (k1, z1) = track.recent_measurements
+        span = (k1 - k0) * dt
+        track.velocity_estimate = ((z1[0] - z0[0]) / span, (z1[1] - z0[1]) / span)
+
+
+def init_tracks(config, rng):
+    tracks = []
+    for j in range(config.num_targets):
+        x = float(rng.uniform(config.arena.x_min, config.arena.x_max))
+        y = float(rng.uniform(config.arena.y_min, config.arena.y_max))
+        heading = float(rng.uniform(0.0, 2.0 * math.pi))
+        velocity = (
+            config.target_speed * math.cos(heading),
+            config.target_speed * math.sin(heading),
+        )
+        noise = rng.normal(0.0, 1.0, size=2)
+        first = (
+            x + config.measurement_noise_std * float(noise[0]),
+            y + config.measurement_noise_std * float(noise[1]),
+        )
+        tracks.append(
+            TargetTrack(
+                target_id=f"t{j:03d}",
+                true_position=(x, y),
+                true_velocity=velocity,
+                estimate_mean=first,
+                estimate_var_x=config.initial_variance,
+                estimate_var_y=config.initial_variance,
+                recent_measurements=[(0, first)],
+            )
+        )
+    return tracks
+
+
+def coverage_rect(x, y, fov_side, fly_length, direction):
+    """(x_min, x_max, y_min, y_max) swept flying ``direction`` from (x, y)."""
+    half = fov_side / 2.0
+    dx, dy = UNIT_STEP[direction]
+    sx = dx * fly_length
+    sy = dy * fly_length
+    return (
+        x - half + min(0.0, sx),
+        x + half + max(0.0, sx),
+        y - half + min(0.0, sy),
+        y + half + max(0.0, sy),
+    )
+
+
+def run_rounds_literal(config):
+    """The closed loop with per-object state; one ``RoundRecord`` per round."""
+    root = np.random.SeedSequence(config.rng_seed)
+    init_rng, motion_rng, measure_rng, planner_rng, attacker_rng = (
+        np.random.default_rng(child) for child in root.spawn(5)
+    )
+    robots = {}
+    for i in range(config.num_robots):
+        robots[f"r{i:02d}"] = (
+            float(init_rng.uniform(config.arena.x_min, config.arena.x_max)),
+            float(init_rng.uniform(config.arena.y_min, config.arena.y_max)),
+        )
+    tracks = init_tracks(config, init_rng)
+    plan = get_planner(config.planner)
+    attack = get_attacker(config.attacker)
+    records = []
+    for round_index in range(1, config.rounds + 1):
+        rects, blocks, direction_of = {}, {}, {}
+        for rid, (x, y) in robots.items():
+            blocks[rid] = []
+            for d in MENU:
+                tid = f"{rid}:{d.value}"
+                blocks[rid].append(tid)
+                direction_of[tid] = d
+                rects[tid] = coverage_rect(x, y, config.fov_side, config.fly_length, d)
+        matroid = PartitionMatroid(blocks)
+        means = [t.estimate_mean for t in tracks]
+        stds = [(math.sqrt(t.estimate_var_x), math.sqrt(t.estimate_var_y)) for t in tracks]
+        objective = ExpectedDetections(means, stds, list(rects), list(rects.values()))
+        result = plan(matroid, objective, config.alpha, planner_rng)
+        attacked = attack(objective, result.selected, config.alpha, attacker_rng)
+        f_full = float(objective.evaluate(result.selected))
+        f_att, rate = score_attack(f_full, attacked.surviving_value)
+        truth = CoverageCount(
+            [t.true_position for t in tracks],
+            list(result.selected),
+            [rects[tid] for tid in result.selected],
+        )
+        records.append(
+            RoundRecord(
+                round_index=round_index,
+                selected=tuple(sorted(result.selected)),
+                removed=tuple(sorted(attacked.removed)),
+                f_full=f_full,
+                f_attacked=f_att,
+                attack_rate=rate,
+                coverage_full=int(truth.evaluate(result.selected)),
+                coverage_attacked=int(truth.evaluate(result.selected - attacked.removed)),
+                oracle_calls=result.oracle_calls,
+            )
+        )
+        for tid in result.selected:
+            rid = matroid.robot_of(tid)
+            dx, dy = UNIT_STEP[direction_of[tid]]
+            x, y = robots[rid]
+            robots[rid] = (x + dx * config.fly_length, y + dy * config.fly_length)
+        step_targets(tracks, config, motion_rng)
+        measurements = measure(tracks, config.measurement_noise_std, measure_rng)
+        for track in tracks:
+            kalman_update(track, measurements[track.target_id], round_index, config)
+    return records

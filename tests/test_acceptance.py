@@ -26,8 +26,8 @@ import oracles
 from resilient_tracking.analysis import constrained_curvature, h_bound
 from resilient_tracking.checks import run_property_suite
 from resilient_tracking.experiments import run_suite, spec_from_dict, summarize_rows
-from resilient_tracking.geometry import Point2, Rect, RobotSpec
-from resilient_tracking.objectives import CoverageCount, ExpectedDetections, GaussianTargetBelief
+from resilient_tracking.geometry import Rect
+from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.planners import plan_greedy, plan_resilient
 from resilient_tracking.simulation import SimConfig, run_rounds
 from resilient_tracking.worlds import build_instance, sample_instance
@@ -54,7 +54,7 @@ def test_criterion_01_resilience_bound_holds_on_random_instances():
             rng, num_robots, int(rng.integers(1, 16)), 3.0, 7.0,
             helpers.ARENA, menu_sizes=(2, 3),
         )
-        cov = CoverageCount(inst.targets, inst.rects)
+        cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
         alpha = int(rng.integers(0, num_robots))
 
         selected = plan_resilient(inst.matroid, cov, alpha).selected
@@ -84,7 +84,7 @@ def test_criterion_02_alpha_zero_reduces_to_greedy():
             rng, int(rng.integers(2, 6)), int(rng.integers(1, 16)), 3.0, 7.0,
             helpers.ARENA, menu_sizes=(2, 3, 4),
         )
-        cov = CoverageCount(inst.targets, inst.rects)
+        cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
         if plan_resilient(inst.matroid, cov, 0).selected != plan_greedy(inst.matroid, cov).selected:
             mismatches += 1
     ok = mismatches == 0
@@ -178,18 +178,15 @@ def test_criterion_06_expected_detections_match_monte_carlo():
     worst = 0.0
     misses = 0
     for _ in range(50):
-        belief = GaussianTargetBelief(
-            "t0",
-            Point2(float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 4.0))),
+        belief = (
+            float(rng.uniform(0.0, 4.0)),
+            float(rng.uniform(0.0, 4.0)),
             float(rng.uniform(0.4, 1.5)),
             float(rng.uniform(0.4, 1.5)),
         )
         chosen = [keys[int(i)] for i in rng.choice(len(keys), size=int(rng.integers(1, 4)), replace=False)]
-        exact = ExpectedDetections([belief], pool).evaluate(chosen)
-        p_hat, _ = oracles.mc_union_mass(
-            rng, belief.mean.x, belief.mean.y, belief.std_x, belief.std_y,
-            [pool[k] for k in chosen], 100_000,
-        )
+        exact = helpers.expected([belief], pool).evaluate(chosen)
+        p_hat, _ = oracles.mc_union_mass(rng, *belief, [pool[k] for k in chosen], 100_000)
         # binomial standard error at the exact value; the empirical one
         # collapses to zero when every sample lands on the same side
         se = math.sqrt(max(exact * (1.0 - exact), 0.0) / 100_000)
@@ -216,7 +213,7 @@ def test_criterion_07_planner_call_budget(scale_rows):
     # independent audit: a counting wrapper must agree with the reported tally
     rng = np.random.default_rng(MASTER_SEED + 3)
     inst = sample_instance(rng, 6, 30, 3.0, 7.0, helpers.ARENA)
-    counter = helpers.CountingOracle(CoverageCount(inst.targets, inst.rects))
+    counter = helpers.CountingOracle(CoverageCount(inst.targets, inst.ids, inst.bounds))
     result = plan_resilient(inst.matroid, counter, 3)
     audit_ok = result.oracle_calls == counter.eval_count and result.oracle_calls <= budget
     ok = not over and audit_ok
@@ -231,15 +228,15 @@ def test_criterion_07_planner_call_budget(scale_rows):
 def test_criterion_08_curvature_endpoints_exact():
     # additive world: each robot has a private target at its own position,
     # no menus overlap, so removing an element always costs its full value
-    far_robots = [RobotSpec(f"r{i:02d}", Point2(100.0 * i, 0.0), 3.0, 3.0) for i in range(3)]
-    far = build_instance(far_robots, [Point2(100.0 * i, 0.0) for i in range(3)])
-    nu_additive = constrained_curvature(far.matroid, CoverageCount(far.targets, far.rects)).value
+    far_robots = [(100.0 * i, 0.0) for i in range(3)]
+    far = build_instance(far_robots, far_robots, 3.0, 3.0)
+    nu_additive = constrained_curvature(far.matroid, CoverageCount(far.targets, far.ids, far.bounds)).value
 
     # duplicated world: two robots share position and menus, so either one
     # is fully redundant given the other
-    twins = [RobotSpec("r00", Point2(5.0, 5.0), 3.0, 3.0), RobotSpec("r01", Point2(5.0, 5.0), 3.0, 3.0)]
-    dup = build_instance(twins, [Point2(5.0, 5.0)])
-    nu_redundant = constrained_curvature(dup.matroid, CoverageCount(dup.targets, dup.rects)).value
+    twins = [(5.0, 5.0), (5.0, 5.0)]
+    dup = build_instance(twins, [(5.0, 5.0)], 3.0, 3.0)
+    nu_redundant = constrained_curvature(dup.matroid, CoverageCount(dup.targets, dup.ids, dup.bounds)).value
 
     ok = nu_additive == 0.0 and nu_redundant == 1.0
     line = verdict(
@@ -295,8 +292,8 @@ def test_criterion_10_closed_loop_resilience_and_determinism():
         rates[planner] = mean(r.attack_rate for r in records)
         if planner == "resilient":
             rerun = run_rounds(config)
-            deterministic = json.dumps([r.to_dict() for r in records]) == json.dumps(
-                [r.to_dict() for r in rerun]
+            deterministic = json.dumps([helpers.record_dict(r) for r in records]) == json.dumps(
+                [helpers.record_dict(r) for r in rerun]
             )
     ok = rates["resilient"] <= rates["greedy"] and deterministic
     line = verdict(

@@ -50,7 +50,7 @@ def test_restricted_matches_full_range_on_monotone_objectives():
     rng = np.random.default_rng(3)
     for _ in range(20):
         inst = sample_instance(rng, 4, 10, 3.0, 7.0, helpers.ARENA)
-        cov = CoverageCount(inst.targets, inst.rects)
+        cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
         members = next(iter(inst.matroid.enumerate_bases()))
         alpha = int(rng.integers(0, 5))
         fast = attack_optimal(cov, members, alpha)
@@ -74,7 +74,7 @@ def test_attack_ordering_optimal_weakest():
     rng = np.random.default_rng(7)
     for trial in range(25):
         inst = sample_instance(rng, 4, 12, 3.0, 7.0, helpers.ARENA)
-        cov = CoverageCount(inst.targets, inst.rects)
+        cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
         members = next(iter(inst.matroid.enumerate_bases()))
         alpha = int(rng.integers(1, 4))
         opt = attack_optimal(cov, members, alpha)

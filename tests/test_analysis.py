@@ -13,7 +13,6 @@ from resilient_tracking.analysis import (
     h_bound,
 )
 from resilient_tracking.errors import DegenerateObjective
-from resilient_tracking.geometry import Point2, RobotSpec
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.worlds import build_instance, sample_instance
@@ -21,33 +20,27 @@ from resilient_tracking.worlds import build_instance, sample_instance
 
 def far_apart_world():
     # one target at each robot center, robots 100 apart: coverage is additive
-    robots = [RobotSpec(f"r{i:02d}", Point2(100.0 * i, 0.0), 3.0, 3.0) for i in range(3)]
-    targets = [Point2(100.0 * i, 0.0) for i in range(3)]
-    return build_instance(robots, targets)
+    positions = [(100.0 * i, 0.0) for i in range(3)]
+    return build_instance(positions, positions, 3.0, 3.0)
 
 
 def duplicated_world():
     # two robots flying the same menus over the same targets
-    robots = [
-        RobotSpec("r00", Point2(5.0, 5.0), 3.0, 3.0),
-        RobotSpec("r01", Point2(5.0, 5.0), 3.0, 3.0),
-    ]
-    targets = [Point2(5.0, 5.0), Point2(5.5, 5.0)]
-    return build_instance(robots, targets)
+    return build_instance([(5.0, 5.0), (5.0, 5.0)], [(5.0, 5.0), (5.5, 5.0)], 3.0, 3.0)
 
 
 def test_curvature_zero_for_additive_coverage():
     inst = far_apart_world()
-    report = constrained_curvature(inst.matroid, CoverageCount(inst.targets, inst.rects))
+    report = constrained_curvature(inst.matroid, CoverageCount(inst.targets, inst.ids, inst.bounds))
     assert report.value == 0.0
 
 
 def test_curvature_one_for_duplicated_robots():
     inst = duplicated_world()
-    report = constrained_curvature(inst.matroid, CoverageCount(inst.targets, inst.rects))
+    report = constrained_curvature(inst.matroid, CoverageCount(inst.targets, inst.ids, inst.bounds))
     assert report.value == 1.0
     # the witness element contributes nothing on top of its twin
-    f = CoverageCount(inst.targets, inst.rects).evaluate
+    f = CoverageCount(inst.targets, inst.ids, inst.bounds).evaluate
     s = report.witness_set
     e = report.witness_element
     assert f(s) - f(s - {e}) == 0
@@ -57,7 +50,7 @@ def test_curvature_matches_bruteforce_oracle():
     rng = np.random.default_rng(20260815)
     for _ in range(15):
         inst = sample_instance(rng, 3, 10, 3.0, 5.0, helpers.ARENA, menu_sizes=(2, 3))
-        cov = CoverageCount(inst.targets, inst.rects)
+        cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
         want = oracles.curvature_bruteforce(inst.matroid.blocks, cov.evaluate)
         if want is None:
             with pytest.raises(DegenerateObjective):
@@ -112,7 +105,7 @@ def test_bound_holds_on_random_instances():
     rng = np.random.default_rng(101)
     for _ in range(25):
         inst = sample_instance(rng, int(rng.integers(2, 5)), 10, 3.0, 7.0, helpers.ARENA, menu_sizes=(2,))
-        cov = CoverageCount(inst.targets, inst.rects)
+        cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
         alpha = int(rng.integers(0, inst.matroid.num_robots))
         report = check_performance_bound(inst.matroid, cov, alpha)
         assert report.satisfied
@@ -126,7 +119,7 @@ def test_bound_holds_on_random_instances():
 def test_bound_report_cross_checked_against_oracles():
     rng = np.random.default_rng(31)
     inst = sample_instance(rng, 3, 8, 3.0, 7.0, helpers.ARENA, menu_sizes=(2,))
-    cov = CoverageCount(inst.targets, inst.rects)
+    cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
     report = check_performance_bound(inst.matroid, cov, 1)
     want_opt, _ = oracles.maxmin_bruteforce(inst.matroid.blocks, cov.evaluate, 1)
     want_nu = oracles.curvature_bruteforce(inst.matroid.blocks, cov.evaluate)
@@ -138,9 +131,8 @@ def test_bound_report_cross_checked_against_oracles():
 
 def test_bound_degenerate_when_optimum_is_zero():
     # no targets: every value is zero
-    robots = [RobotSpec("r00", Point2(1, 1), 3.0, 3.0), RobotSpec("r01", Point2(9, 9), 3.0, 3.0)]
-    inst = build_instance(robots, [])
-    report = check_performance_bound(inst.matroid, CoverageCount(inst.targets, inst.rects), 1)
+    inst = build_instance([(1, 1), (9, 9)], [], 3.0, 3.0)
+    report = check_performance_bound(inst.matroid, CoverageCount(inst.targets, inst.ids, inst.bounds), 1)
     assert report.degenerate
     assert report.satisfied
     assert report.guarantee == 0.0
@@ -149,6 +141,6 @@ def test_bound_degenerate_when_optimum_is_zero():
 
 def test_bound_degenerate_when_alpha_equals_robots():
     inst = far_apart_world()
-    report = check_performance_bound(inst.matroid, CoverageCount(inst.targets, inst.rects), inst.matroid.num_robots)
+    report = check_performance_bound(inst.matroid, CoverageCount(inst.targets, inst.ids, inst.bounds), inst.matroid.num_robots)
     assert report.degenerate
     assert report.satisfied

@@ -19,9 +19,9 @@ import helpers
 import oracles
 from resilient_tracking.analysis import constrained_curvature
 from resilient_tracking.errors import DegenerateObjective, EnumerationCapExceeded
-from resilient_tracking.geometry import Point2, Rect
+from resilient_tracking.geometry import Rect
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import CoverageCount, grid_union_counts
+from resilient_tracking.objectives import grid_union_counts
 from resilient_tracking.planners import plan_bruteforce_maxmin
 
 PROPERTY_SETTINGS = settings(
@@ -47,8 +47,8 @@ def random_coverage(seed, menu_sizes, num_targets, spread=10.0):
             x, y = rng.uniform(0.0, 8.0, size=2)
             w, h = rng.uniform(0.5, 4.0, size=2)
             rects[tid] = Rect(x, x + w, y, y + h)
-    targets = [Point2(*rng.uniform(0.0, spread, size=2)) for _ in range(num_targets)]
-    return PartitionMatroid(blocks), CoverageCount(targets, rects)
+    targets = [tuple(rng.uniform(0.0, spread, size=2)) for _ in range(num_targets)]
+    return PartitionMatroid(blocks), helpers.coverage(targets, rects)
 
 
 instances = st.tuples(
@@ -130,8 +130,8 @@ def test_batched_maxmin_edge_alphas_and_single_item_menus(alpha):
 
 def test_batched_curvature_on_all_zero_coverage_is_degenerate():
     matroid = PartitionMatroid({"r0": ["a", "b"], "r1": ["c", "d"]})
-    far = [Point2(500.0, 500.0)] * 20
-    cov = CoverageCount(far, {tid: Rect(0.0, 1.0, 0.0, 1.0) for tid in matroid.ground_set})
+    far = [(500.0, 500.0)] * 20
+    cov = helpers.coverage(far, {tid: Rect(0.0, 1.0, 0.0, 1.0) for tid in matroid.ground_set})
     assert plan_bruteforce_maxmin(matroid, cov, 1).maxmin_value == 0.0
     with pytest.raises(DegenerateObjective):
         constrained_curvature(matroid, cov)

@@ -1,11 +1,16 @@
 """End-to-end command line checks (in-process, via main())."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from resilient_tracking.cli import main
 from resilient_tracking.experiments import read_csv
+
+GOLDEN_MULTI_ROUND = json.loads(
+    (Path(__file__).parent / "data" / "golden_multi_round.json").read_text()
+)
 
 
 def write_spec(tmp_path, **overrides):
@@ -83,6 +88,17 @@ def test_bad_spec_exits_2_and_names_field(tmp_path, capsys):
         ({"protocol": "multi-round", "arena": [0, 0, 0, 10], "rounds": 2}, "arena"),
         # a noiseless sensor drove the belief variance to 0 after round 1
         ({"protocol": "multi-round", "measurement_noise_std": 0, "rounds": 3}, "measurement_noise_std"),
+        # the golden multi-round spec with one field changed: these ran into
+        # non-finite bounds, a math domain error in the target fold, a
+        # non-finite measurement, or a Kalman gain of exactly 1
+        ({**GOLDEN_MULTI_ROUND, "fly_length": 1e308}, "fly_length"),
+        ({**GOLDEN_MULTI_ROUND, "velocity_jitter_std": 1e308}, "velocity_jitter_std"),
+        ({**GOLDEN_MULTI_ROUND, "measurement_noise_std": 1e308}, "measurement_noise_std"),
+        ({**GOLDEN_MULTI_ROUND, "initial_variance": 1e17}, "initial_variance"),
+        ({**GOLDEN_MULTI_ROUND, "process_noise": 1e308}, "process_noise"),
+        ({**GOLDEN_MULTI_ROUND, "measurement_noise_std": 1e-8}, "measurement_noise_std"),
+        # a one-step world whose rectangles overflowed
+        ({"fov_side": 1e308, "fly_length": 1e308}, "fly_length"),
     ],
 )
 def test_non_finite_or_flat_spec_exits_2_without_traceback(tmp_path, capsys, overrides, field):

@@ -1,6 +1,7 @@
 """Experiment specs, suite execution, CSV round trips, summaries."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ from resilient_tracking.experiments import (
     write_csv,
 )
 from resilient_tracking.simulation import SimConfig
+
+GOLDEN_MULTI_ROUND = json.loads(
+    (Path(__file__).parent / "data" / "golden_multi_round.json").read_text()
+)
 
 
 def base_spec(**overrides):
@@ -76,10 +81,33 @@ def test_spec_errors_name_the_field():
         ({"measurement_noise_std": -3}, "measurement_noise_std"),
         ({"num_robots": 8, "alphas": [2], "planners": ["brute-force"]}, "planners"),
         ({"num_robots": 23, "alphas": [10]}, "attackers"),
+        # past the closed loop's float range or its Kalman gain limit
+        ({**GOLDEN_MULTI_ROUND, "fly_length": 1e308}, "fly_length"),
+        ({**GOLDEN_MULTI_ROUND, "velocity_jitter_std": 1e308}, "velocity_jitter_std"),
+        ({**GOLDEN_MULTI_ROUND, "measurement_noise_std": 1e308}, "measurement_noise_std"),
+        ({**GOLDEN_MULTI_ROUND, "initial_variance": 1e17}, "initial_variance"),
+        ({**GOLDEN_MULTI_ROUND, "process_noise": 1e308}, "process_noise"),
+        ({**GOLDEN_MULTI_ROUND, "measurement_noise_std": 1e-8}, "measurement_noise_std"),
+        ({"arena": [-1e308, 1e308, 0, 10]}, "arena"),
+        ({"fov_side": 1e308, "fly_length": 1e308}, "fly_length"),
     ]
     for overrides, field in cases:
         with pytest.raises(SpecError, match=field):
             spec_from_dict(base_spec(**overrides))
+
+
+def test_spec_just_inside_the_arithmetic_limits_runs():
+    # measurement_noise_std**2 = 1e-14 still moves the peak predicted
+    # variance 1.01; a one-step world may fly far as long as it stays finite
+    for overrides in (
+        {**GOLDEN_MULTI_ROUND, "measurement_noise_std": 1e-7},
+        {**GOLDEN_MULTI_ROUND, "initial_variance": 1e13},
+        {"fov_side": 1e300, "fly_length": 1e307},
+    ):
+        spec = spec_from_dict(base_spec(**overrides))
+        rows = run_suite(spec)
+        assert len(rows) == len(spec.planners) * len(spec.attackers) * len(spec.alphas) * spec.trials * spec.simulation.get("rounds", 1)
+        assert all(np.isfinite(row.f_full) for row in rows)
 
 
 def test_spec_refuses_enumerations_past_the_cap_at_load():

@@ -3,33 +3,37 @@
 import numpy as np
 import pytest
 
-from resilient_tracking.geometry import (
-    Direction,
-    Point2,
-    Rect,
-    RobotSpec,
-    coverage_rect,
-)
+import helpers
+from resilient_tracking.geometry import Direction, Rect
+from resilient_tracking.simulation import SimConfig
+from resilient_tracking.worlds import build_instance
+
+
+def coverage_rect(x, y, fov_side, fly_length, direction):
+    """The one rectangle ``build_instance`` gives a one-direction menu."""
+    inst = build_instance([(x, y)], [], fov_side, fly_length, [(direction,)])
+    return Rect(*inst.bounds[0].tolist())
 
 
 def test_forward_rect_matches_worked_example():
-    robot = RobotSpec("r00", Point2(5.0, 5.0), fov_side=3.0, fly_length=7.0)
-    rect = coverage_rect(robot, Direction.FORWARD)
+    rect = coverage_rect(5.0, 5.0, 3.0, 7.0, Direction.FORWARD)
     assert rect == Rect(3.5, 6.5, 3.5, 13.5)
 
 
 def test_left_rect_matches_worked_example():
-    robot = RobotSpec("r00", Point2(5.0, 5.0), fov_side=3.0, fly_length=7.0)
-    rect = coverage_rect(robot, Direction.LEFT)
+    rect = coverage_rect(5.0, 5.0, 3.0, 7.0, Direction.LEFT)
     assert rect == Rect(-3.5, 6.5, 3.5, 6.5)
 
 
 def test_boundary_point_counts_as_covered():
     rect = Rect(0.0, 1.0, 0.0, 1.0)
-    assert rect.contains(Point2(1.0, 1.0))
-    assert rect.contains(Point2(0.0, 0.5))
-    assert not rect.contains(Point2(1.0 + 1e-12, 0.5))
-    assert rect.contains(Point2(0.5, 0.5))
+    assert helpers.contains(rect, (1.0, 1.0))
+    assert helpers.contains(rect, (0.0, 0.5))
+    assert not helpers.contains(rect, (1.0 + 1e-12, 0.5))
+    assert helpers.contains(rect, (0.5, 0.5))
+    # the objectives count the same closed rectangle
+    cov = helpers.coverage([(1.0, 1.0), (0.0, 0.5), (1.0 + 1e-12, 0.5), (0.5, 0.5)], {"a": rect})
+    assert cov.evaluate({"a"}) == 3
 
 
 @pytest.mark.parametrize("direction", list(Direction))
@@ -39,8 +43,7 @@ def test_rect_dimensions_and_fov_containment(direction):
         x, y = rng.uniform(-20, 20, size=2)
         fov = float(rng.uniform(0.1, 5.0))
         fly = float(rng.uniform(0.0, 10.0))
-        robot = RobotSpec("r00", Point2(float(x), float(y)), fov, fly)
-        rect = coverage_rect(robot, direction)
+        rect = coverage_rect(float(x), float(y), fov, fly, direction)
         width = rect.x_max - rect.x_min
         height = rect.y_max - rect.y_min
         if direction in (Direction.FORWARD, Direction.BACKWARD):
@@ -49,11 +52,11 @@ def test_rect_dimensions_and_fov_containment(direction):
         else:
             assert height == pytest.approx(fov)
             assert width == pytest.approx(fov + fly)
-        assert rect.area == pytest.approx(fov * (fov + fly))
+        assert helpers.area(rect) == pytest.approx(fov * (fov + fly))
         # the starting field of view is the trailing end of the sweep
         half = fov / 2
         fov_square = Rect(x - half, x + half, y - half, y + half)
-        inter = rect.intersection(fov_square)
+        inter = helpers.intersection(rect, fov_square)
         assert inter == fov_square
 
 
@@ -61,34 +64,32 @@ def test_forward_backward_are_mirror_images():
     rng = np.random.default_rng(7)
     for _ in range(50):
         x, y = (float(v) for v in rng.uniform(-5, 5, size=2))
-        robot = RobotSpec("r00", Point2(x, y), 2.0, 3.0)
-        fwd = coverage_rect(robot, Direction.FORWARD)
-        bwd = coverage_rect(robot, Direction.BACKWARD)
+        fwd = coverage_rect(x, y, 2.0, 3.0, Direction.FORWARD)
+        bwd = coverage_rect(x, y, 2.0, 3.0, Direction.BACKWARD)
         # reflect forward through the horizontal line through the robot
         assert (bwd.x_min, bwd.x_max) == (fwd.x_min, fwd.x_max)
         assert bwd.y_min == pytest.approx(2 * y - fwd.y_max, abs=1e-12)
         assert bwd.y_max == pytest.approx(2 * y - fwd.y_min, abs=1e-12)
-        left = coverage_rect(robot, Direction.LEFT)
-        right = coverage_rect(robot, Direction.RIGHT)
+        left = coverage_rect(x, y, 2.0, 3.0, Direction.LEFT)
+        right = coverage_rect(x, y, 2.0, 3.0, Direction.RIGHT)
         assert (right.y_min, right.y_max) == (left.y_min, left.y_max)
         assert right.x_min == pytest.approx(2 * x - left.x_max, abs=1e-12)
         assert right.x_max == pytest.approx(2 * x - left.x_min, abs=1e-12)
 
 
 def test_zero_fly_length_gives_the_fov_square():
-    robot = RobotSpec("r00", Point2(1.0, 2.0), fov_side=4.0, fly_length=0.0)
     for direction in Direction:
-        assert coverage_rect(robot, direction) == Rect(-1.0, 3.0, 0.0, 4.0)
+        assert coverage_rect(1.0, 2.0, 4.0, 0.0, direction) == Rect(-1.0, 3.0, 0.0, 4.0)
 
 
 def test_intersection_of_disjoint_rects_is_none():
-    assert Rect(0, 1, 0, 1).intersection(Rect(2, 3, 0, 1)) is None
+    assert helpers.intersection(Rect(0, 1, 0, 1), Rect(2, 3, 0, 1)) is None
 
 
 def test_intersection_shared_edge_is_degenerate_not_none():
-    inter = Rect(0, 1, 0, 1).intersection(Rect(1, 2, 0, 1))
+    inter = helpers.intersection(Rect(0, 1, 0, 1), Rect(1, 2, 0, 1))
     assert inter == Rect(1, 1, 0, 1)
-    assert inter.area == 0.0
+    assert helpers.area(inter) == 0.0
 
 
 def test_intersection_commutes_and_shrinks():
@@ -100,22 +101,23 @@ def test_intersection_commutes_and_shrinks():
         b_sz = rng.uniform(0, 4, size=2)
         a = Rect(a_lo[0], a_lo[0] + a_sz[0], a_lo[1], a_lo[1] + a_sz[1])
         b = Rect(b_lo[0], b_lo[0] + b_sz[0], b_lo[1], b_lo[1] + b_sz[1])
-        ab = a.intersection(b)
-        ba = b.intersection(a)
+        ab = helpers.intersection(a, b)
+        ba = helpers.intersection(b, a)
         assert ab == ba
         if ab is not None:
-            assert ab.area <= min(a.area, b.area) + 1e-12
-            assert a.intersection(a) == a
+            assert helpers.area(ab) <= min(helpers.area(a), helpers.area(b)) + 1e-12
+            assert helpers.intersection(a, a) == a
 
 
 def test_invalid_geometry_rejected():
     with pytest.raises(ValueError):
         Rect(1.0, 0.0, 0.0, 1.0)
+    # coordinates and footprints are validated once, at the boundary
     with pytest.raises(ValueError):
-        Point2(float("nan"), 0.0)
+        Rect(float("nan"), 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        Point2(float("inf"), 0.0)
+        Rect(0.0, float("inf"), 0.0, 1.0)
     with pytest.raises(ValueError):
-        RobotSpec("r00", Point2(0, 0), fov_side=0.0, fly_length=1.0)
+        SimConfig(fov_side=0.0, fly_length=1.0)
     with pytest.raises(ValueError):
-        RobotSpec("r00", Point2(0, 0), fov_side=1.0, fly_length=-0.5)
+        SimConfig(fov_side=1.0, fly_length=-0.5)

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 import helpers
 import oracles
 from resilient_tracking.errors import MissingCoverageRect
-from resilient_tracking.geometry import Point2, Rect
+from resilient_tracking.geometry import Rect
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import (
     CoverageCount,
-    ExpectedDetections,
-    GaussianTargetBelief,
     check_monotone,
     check_submodular,
     normal_cdf,
@@ -50,8 +48,8 @@ def simple_rects():
 
 
 def test_coverage_count_basics():
-    targets = [Point2(0.5, 0.5), Point2(1.5, 1.5), Point2(2.5, 0.5), Point2(5.5, 5.5)]
-    cov = CoverageCount(targets, simple_rects())
+    targets = [(0.5, 0.5), (1.5, 1.5), (2.5, 0.5), (5.5, 5.5)]
+    cov = helpers.coverage(targets, simple_rects())
     assert cov.evaluate(frozenset()) == 0
     assert cov.evaluate({"a"}) == 2
     assert cov.evaluate({"b"}) == 2
@@ -61,17 +59,17 @@ def test_coverage_count_basics():
 
 
 def test_coverage_count_boundary_is_inclusive():
-    cov = CoverageCount([Point2(2.0, 2.0)], simple_rects())
+    cov = helpers.coverage([(2.0, 2.0)], simple_rects())
     assert cov.evaluate({"a"}) == 1
 
 
 def literal_masks(targets, rects):
-    """One Rect.contains call per (rectangle, target) pair."""
+    """One closed-rectangle test per (rectangle, target) pair."""
     masks = {}
     for tid, rect in rects.items():
         masks[tid] = 0
         for j, p in enumerate(targets):
-            if rect.contains(p):
+            if helpers.contains(rect, p):
                 masks[tid] |= 1 << j
     return masks
 
@@ -85,23 +83,23 @@ def test_coverage_masks_match_the_literal_contains_loop():
         lo = 0.5 * rng.integers(0, 12, size=2)
         size = 0.5 * rng.integers(0, 6, size=2)  # zero-width rectangles too
         rects[f"r{k}"] = Rect(lo[0], lo[0] + size[0], lo[1], lo[1] + size[1])
-    targets = [Point2(*(0.5 * rng.integers(-1, 14, size=2))) for _ in range(300)]
-    cov = CoverageCount(targets, rects)
+    targets = [tuple(0.5 * rng.integers(-1, 14, size=2)) for _ in range(300)]
+    cov = helpers.coverage(targets, rects)
     assert cov._masks == literal_masks(targets, rects)
     assert any(0 < mask for mask in cov._masks.values())
 
 
 def test_coverage_masks_with_no_targets_or_no_rects():
-    cov = CoverageCount([], simple_rects())
+    cov = helpers.coverage([], simple_rects())
     assert cov._masks == {"a": 0, "b": 0, "c": 0}
     assert cov.evaluate({"a", "b", "c"}) == 0
-    assert CoverageCount([Point2(1.0, 1.0)], {})._masks == {}
+    assert helpers.coverage([(1.0, 1.0)], {})._masks == {}
 
 
 def test_coverage_value_bounded_by_target_count():
     rng = np.random.default_rng(12)
     inst = sample_instance(rng, 4, 12, 3.0, 7.0, helpers.ARENA)
-    cov = CoverageCount(inst.targets, inst.rects)
+    cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
     for _ in range(100):
         size = int(rng.integers(0, len(inst.matroid.ground_set) + 1))
         members = rng.choice(inst.matroid.ground_set, size=size, replace=False)
@@ -110,17 +108,16 @@ def test_coverage_value_bounded_by_target_count():
 
 
 def test_missing_rect_raises():
-    cov = CoverageCount([Point2(0, 0)], simple_rects())
+    cov = helpers.coverage([(0, 0)], simple_rects())
     with pytest.raises(MissingCoverageRect):
         cov.evaluate({"zzz"})
-    beliefs = [GaussianTargetBelief("t0", Point2(0, 0), 1.0, 1.0)]
-    exp = ExpectedDetections(beliefs, simple_rects())
+    exp = helpers.expected([(0, 0, 1.0, 1.0)], simple_rects())
     with pytest.raises(MissingCoverageRect):
         exp.evaluate({"zzz"})
 
 
 def test_counting_oracle_counts_every_call():
-    cov = CoverageCount([Point2(0.5, 0.5)], simple_rects())
+    cov = helpers.coverage([(0.5, 0.5)], simple_rects())
     oracle = helpers.CountingOracle(cov)
     assert oracle.eval_count == 0
     oracle.evaluate({"a"})
@@ -131,11 +128,8 @@ def test_counting_oracle_counts_every_call():
 
 def test_expected_detections_empty_and_order_invariance():
     rng = np.random.default_rng(42)
-    beliefs = [
-        GaussianTargetBelief(f"t{j}", Point2(float(rng.uniform(0, 3)), float(rng.uniform(0, 3))), 0.8, 1.2)
-        for j in range(5)
-    ]
-    exp = ExpectedDetections(beliefs, simple_rects())
+    beliefs = [(float(rng.uniform(0, 3)), float(rng.uniform(0, 3)), 0.8, 1.2) for j in range(5)]
+    exp = helpers.expected(beliefs, simple_rects())
     assert exp.evaluate(frozenset()) == 0.0
     assert exp.evaluate(["a", "b", "c"]) == exp.evaluate(["c", "a", "b"])
     assert exp.evaluate(["a", "a", "b"]) == exp.evaluate(["a", "b"])
@@ -143,15 +137,13 @@ def test_expected_detections_empty_and_order_invariance():
 
 def test_expected_detections_centered_single_rect():
     # wide rect around a tight belief captures nearly all mass
-    beliefs = [GaussianTargetBelief("t0", Point2(1.0, 1.0), 0.1, 0.1)]
-    exp = ExpectedDetections(beliefs, {"a": Rect(0.0, 2.0, 0.0, 2.0)})
+    exp = helpers.expected([(1.0, 1.0, 0.1, 0.1)], {"a": Rect(0.0, 2.0, 0.0, 2.0)})
     value = exp.evaluate({"a"})
     assert 0.999999 < value <= 1.0
 
 
 def test_expected_detections_union_less_than_sum_when_overlapping():
-    beliefs = [GaussianTargetBelief("t0", Point2(1.5, 1.0), 1.0, 1.0)]
-    exp = ExpectedDetections(beliefs, simple_rects())
+    exp = helpers.expected([(1.5, 1.0, 1.0, 1.0)], simple_rects())
     union = exp.evaluate({"a", "b"})
     separate = exp.evaluate({"a"}) + exp.evaluate({"b"})
     assert union < separate - 1e-6
@@ -162,34 +154,26 @@ def test_expected_detections_matches_monte_carlo():
     rng = np.random.default_rng(99)
     rects = simple_rects()
     for case in range(20):
-        beliefs = [
-            GaussianTargetBelief(
-                "t0",
-                Point2(float(rng.uniform(0, 4)), float(rng.uniform(0, 4))),
-                float(rng.uniform(0.4, 1.5)),
-                float(rng.uniform(0.4, 1.5)),
-            )
-        ]
-        keys = ["a", "b", "c"][: int(rng.integers(1, 4))]
-        exact = ExpectedDetections(beliefs, rects).evaluate(keys)
-        b = beliefs[0]
-        p_hat, se = oracles.mc_union_mass(
-            rng, b.mean.x, b.mean.y, b.std_x, b.std_y, [rects[k] for k in keys], 20000
+        belief = (
+            float(rng.uniform(0, 4)),
+            float(rng.uniform(0, 4)),
+            float(rng.uniform(0.4, 1.5)),
+            float(rng.uniform(0.4, 1.5)),
         )
+        keys = ["a", "b", "c"][: int(rng.integers(1, 4))]
+        exact = helpers.expected([belief], rects).evaluate(keys)
+        p_hat, se = oracles.mc_union_mass(rng, *belief, [rects[k] for k in keys], 20000)
         assert abs(exact - p_hat) <= 5 * max(se, 1e-4)
 
 
 def test_expected_detections_approaches_count_as_std_shrinks():
     rects = simple_rects()
-    inside = [Point2(0.5, 0.5), Point2(5.5, 5.5)]
-    outside = [Point2(4.0, 4.0), Point2(-2.0, -2.0)]
-    beliefs = [
-        GaussianTargetBelief(f"t{j}", p, 1e-6, 1e-6)
-        for j, p in enumerate(inside + outside)
-    ]
-    exp = ExpectedDetections(beliefs, rects)
+    inside = [(0.5, 0.5), (5.5, 5.5)]
+    outside = [(4.0, 4.0), (-2.0, -2.0)]
+    beliefs = [(x, y, 1e-6, 1e-6) for x, y in inside + outside]
+    exp = helpers.expected(beliefs, rects)
     targets = inside + outside
-    count = CoverageCount(targets, rects)
+    count = helpers.coverage(targets, rects)
     for members in ({"a"}, {"c"}, {"a", "b", "c"}):
         assert exp.evaluate(members) == pytest.approx(count.evaluate(members), abs=1e-6)
 
@@ -207,8 +191,7 @@ def test_closed_loop_runs_past_the_old_set_size_cap():
 
 
 beliefs_strategy = st.lists(
-    st.builds(
-        lambda x, y, sx, sy: GaussianTargetBelief("t", Point2(x, y), sx, sy),
+    st.tuples(
         st.floats(-1.0, 5.0),
         st.floats(-1.0, 5.0),
         st.floats(0.05, 3.0),
@@ -228,7 +211,7 @@ beliefs_strategy = st.lists(
 def test_grid_union_matches_inclusion_exclusion(rect_list, beliefs, data):
     rects = {f"k{i}": r for i, r in enumerate(rect_list)}
     members = data.draw(st.sets(st.sampled_from(sorted(rects))))
-    got = ExpectedDetections(beliefs, rects).evaluate(members)
+    got = helpers.expected(beliefs, rects).evaluate(members)
     want = oracles.inclusion_exclusion_union_mass(beliefs, [rects[k] for k in members])
     assert abs(got - want) <= 1e-12
 
@@ -246,12 +229,9 @@ def test_grid_union_matches_inclusion_exclusion(rect_list, beliefs, data):
     ids=["nested", "shared-side", "shared-corner", "zero-width", "disjoint", "duplicate"],
 )
 def test_grid_union_on_degenerate_layouts(layout):
-    beliefs = [
-        GaussianTargetBelief("t0", Point2(1.5, 1.0), 0.7, 1.3),
-        GaussianTargetBelief("t1", Point2(3.0, 3.5), 0.4, 0.4),
-    ]
+    beliefs = [(1.5, 1.0, 0.7, 1.3), (3.0, 3.5, 0.4, 0.4)]
     rects = dict(zip("ab", layout))
-    exp = ExpectedDetections(beliefs, rects)
+    exp = helpers.expected(beliefs, rects)
     assert exp.evaluate(frozenset()) == 0.0
     for members in ({"a"}, {"b"}, {"a", "b"}):
         want = oracles.inclusion_exclusion_union_mass(beliefs, [rects[k] for k in members])
@@ -265,15 +245,16 @@ def test_grid_union_ignores_set_and_menu_order():
     rng = np.random.default_rng(17)
     inst = sample_instance(rng, 5, 20, 3.0, 7.0, helpers.ARENA)
     beliefs = [
-        GaussianTargetBelief(f"t{j}", p, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
-        for j, p in enumerate(inst.targets)
+        (x, y, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
+        for x, y in inst.targets.tolist()
     ]
-    reversed_rects = dict(reversed(list(inst.rects.items())))
+    rects = helpers.rects_of(inst)
+    reversed_rects = dict(reversed(list(rects.items())))
     for _ in range(30):
         size = int(rng.integers(0, len(inst.matroid.ground_set) + 1))
         members = list(rng.choice(inst.matroid.ground_set, size=size, replace=False))
-        forward = ExpectedDetections(beliefs, inst.rects).evaluate(members)
-        backward = ExpectedDetections(beliefs, reversed_rects).evaluate(members[::-1])
+        forward = helpers.expected(beliefs, rects).evaluate(members)
+        backward = helpers.expected(beliefs, reversed_rects).evaluate(members[::-1])
         assert forward == backward
 
 
@@ -284,7 +265,7 @@ def property_world(seed=20260815):
 
 def test_coverage_is_monotone_and_submodular():
     inst = property_world()
-    cov = CoverageCount(inst.targets, inst.rects)
+    cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
     assert check_monotone(cov, inst.matroid, 300, rng_seed=1) == []
     assert check_submodular(cov, inst.matroid, 300, rng_seed=2) == []
 
@@ -293,10 +274,10 @@ def test_expected_detections_is_monotone_and_submodular():
     rng = np.random.default_rng(8)
     inst = sample_instance(rng, 2, 8, 3.0, 7.0, helpers.ARENA)
     beliefs = [
-        GaussianTargetBelief(f"t{j}", p, float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.3, 1.5)))
-        for j, p in enumerate(inst.targets)
+        (x, y, float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.3, 1.5)))
+        for x, y in inst.targets.tolist()
     ]
-    exp = ExpectedDetections(beliefs, inst.rects)
+    exp = helpers.expected(beliefs, helpers.rects_of(inst))
     assert check_monotone(exp, inst.matroid, 300, rng_seed=3) == []
     assert check_submodular(exp, inst.matroid, 300, rng_seed=4) == []
 
@@ -323,6 +304,11 @@ def test_violation_records_carry_the_witness():
 
 def test_belief_validation():
     with pytest.raises(ValueError):
-        GaussianTargetBelief("t0", Point2(0, 0), 0.0, 1.0)
+        helpers.expected([(0, 0, 0.0, 1.0)], simple_rects())
     with pytest.raises(ValueError):
-        GaussianTargetBelief("t0", Point2(0, 0), 1.0, -1.0)
+        helpers.expected([(0, 0, 1.0, -1.0)], simple_rects())
+    # one check covers every row: a bad belief after good ones, a
+    # non-finite spread, a non-finite mean
+    for bad in ((0, 0, 1.0, float("inf")), (0, 0, float("nan"), 1.0), (float("nan"), 0, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            helpers.expected([(1, 1, 1.0, 1.0), bad], simple_rects())

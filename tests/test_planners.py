@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
-from resilient_tracking.geometry import Point2
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import CoverageCount, ExpectedDetections, GaussianTargetBelief
+from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.planners import (
     PLANNER_NAMES,
     get_planner,
@@ -33,7 +32,7 @@ def test_bait_size_never_exceeds_alpha():
     rng = np.random.default_rng(7)
     for _ in range(30):
         inst = sample_instance(rng, int(rng.integers(2, 6)), 12, 3.0, 7.0, helpers.ARENA)
-        cov = CoverageCount(inst.targets, inst.rects)
+        cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
         alpha = int(rng.integers(0, inst.matroid.num_robots + 1))
         result = plan_resilient(inst.matroid, cov, alpha)
         assert len(result.trace.bait) <= alpha
@@ -47,7 +46,7 @@ def test_alpha_zero_matches_plain_greedy():
         inst = sample_instance(
             rng, int(rng.integers(2, 5)), int(rng.integers(5, 20)), 3.0, 7.0, helpers.ARENA
         )
-        cov = CoverageCount(inst.targets, inst.rects)
+        cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
         a = plan_resilient(inst.matroid, cov, 0)
         b = plan_greedy(inst.matroid, cov)
         assert a.selected == b.selected
@@ -57,7 +56,7 @@ def test_alpha_zero_matches_plain_greedy():
 def test_resilient_is_deterministic():
     rng = np.random.default_rng(13)
     inst = sample_instance(rng, 4, 15, 3.0, 7.0, helpers.ARENA)
-    cov = CoverageCount(inst.targets, inst.rects)
+    cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
     first = plan_resilient(inst.matroid, cov, 2)
     for _ in range(5):
         again = plan_resilient(inst.matroid, cov, 2)
@@ -77,7 +76,7 @@ def test_ties_break_by_canonical_ground_order():
 def test_oracle_call_budget_and_audit():
     rng = np.random.default_rng(17)
     inst = sample_instance(rng, 6, 30, 3.0, 7.0, helpers.ARENA)
-    cov = CoverageCount(inst.targets, inst.rects)
+    cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
     counting = helpers.CountingOracle(cov)
     before = counting.eval_count
     result = plan_resilient(inst.matroid, counting, 3)
@@ -94,7 +93,7 @@ def test_oracle_call_budget_and_audit():
 
     # the generic per-basis max-min loop (any objective but CoverageCount)
     small = sample_instance(rng, 4, 12, 3.0, 7.0, helpers.ARENA)
-    counting = helpers.CountingOracle(CoverageCount(small.targets, small.rects))
+    counting = helpers.CountingOracle(CoverageCount(small.targets, small.ids, small.bounds))
     result = plan_bruteforce_maxmin(small.matroid, counting, 2)
     assert result.oracle_calls == counting.eval_count == 4**4 * 6
 
@@ -103,11 +102,11 @@ def test_oracle_calls_follow_the_closed_form_on_full_menus():
     # the fill evaluates only open robots' trajectories: 4k + 4(k-1) + ... + 4
     rng = np.random.default_rng(17)
     inst = sample_instance(rng, 6, 30, 3.0, 7.0, helpers.ARENA)
-    beliefs = [GaussianTargetBelief(f"t{j}", p, 1.0, 1.0) for j, p in enumerate(inst.targets)]
+    beliefs = [(x, y, 1.0, 1.0) for x, y in inst.targets.tolist()]
     n = inst.matroid.num_robots
     for objective in (
-        CoverageCount(inst.targets, inst.rects),
-        ExpectedDetections(beliefs, inst.rects),
+        CoverageCount(inst.targets, inst.ids, inst.bounds),
+        helpers.expected(beliefs, helpers.rects_of(inst)),
     ):
         assert plan_greedy(inst.matroid, objective).oracle_calls == 4 * n * (n + 1) // 2 == 84
         calls = [plan_resilient(inst.matroid, objective, alpha).oracle_calls for alpha in range(n + 1)]
@@ -132,7 +131,7 @@ def near_tie_layouts(draw):
             rects[tid] = draw(st.sampled_from(pool))
     far = draw(st.sampled_from([0.0, 0.0, 0.0, 1000.0]))
     points = draw(st.lists(st.tuples(helpers.lattice, helpers.lattice), max_size=8))
-    targets = [Point2(x + far, y + far) for x, y in points]
+    targets = [(x + far, y + far) for x, y in points]
     return PartitionMatroid(blocks), targets, rects
 
 
@@ -143,7 +142,7 @@ def sampled_worlds(draw):
     inst = sample_instance(
         rng, draw(st.integers(1, 4)), draw(st.integers(0, 12)), 3.0, 7.0, helpers.ARENA
     )
-    return inst.matroid, inst.targets, inst.rects
+    return inst.matroid, inst.targets.tolist(), helpers.rects_of(inst)
 
 
 @st.composite
@@ -151,10 +150,10 @@ def planning_instances(draw):
     """A matroid and one of the two objectives over a near-tie or sampled world."""
     matroid, targets, rects = draw(st.one_of(near_tie_layouts(), sampled_worlds()))
     if draw(st.booleans()):
-        return matroid, CoverageCount(targets, rects)
+        return matroid, helpers.coverage(targets, rects)
     std = draw(st.sampled_from([0.25, 1.0, 2.5]))
-    beliefs = [GaussianTargetBelief(f"t{j}", p, std, std) for j, p in enumerate(targets)]
-    return matroid, ExpectedDetections(beliefs, rects)
+    beliefs = [(x, y, std, std) for x, y in targets]
+    return matroid, helpers.expected(beliefs, rects)
 
 
 @settings(
@@ -193,7 +192,7 @@ def test_greedy_half_approximation_over_bases():
     rng = np.random.default_rng(23)
     for _ in range(25):
         inst = sample_instance(rng, 3, 12, 3.0, 7.0, helpers.ARENA, menu_sizes=(2, 3))
-        cov = CoverageCount(inst.targets, inst.rects)
+        cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
         result = plan_greedy(inst.matroid, cov)
         got = cov.evaluate(result.selected)
         best = max(cov.evaluate(b) for b in inst.matroid.enumerate_bases())
@@ -204,7 +203,7 @@ def test_bruteforce_matches_enumeration_oracle():
     rng = np.random.default_rng(29)
     for _ in range(15):
         inst = sample_instance(rng, 3, 8, 3.0, 7.0, helpers.ARENA, menu_sizes=(2,))
-        cov = CoverageCount(inst.targets, inst.rects)
+        cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
         alpha = int(rng.integers(0, 3))
         got = plan_bruteforce_maxmin(inst.matroid, cov, alpha)
         want_value, want_basis = oracles.maxmin_bruteforce(inst.matroid.blocks, cov.evaluate, alpha)
@@ -216,7 +215,7 @@ def test_bruteforce_matches_enumeration_oracle():
 def test_bruteforce_alpha_zero_is_best_basis():
     rng = np.random.default_rng(31)
     inst = sample_instance(rng, 3, 10, 3.0, 7.0, helpers.ARENA, menu_sizes=(2,))
-    cov = CoverageCount(inst.targets, inst.rects)
+    cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
     got = plan_bruteforce_maxmin(inst.matroid, cov, 0)
     best = max(cov.evaluate(b) for b in inst.matroid.enumerate_bases())
     assert got.maxmin_value == pytest.approx(best)
@@ -246,7 +245,7 @@ def test_planner_registry():
     assert PLANNER_NAMES == ("resilient", "greedy", "random", "brute-force")
     rng = np.random.default_rng(41)
     inst = sample_instance(rng, 2, 6, 3.0, 7.0, helpers.ARENA)
-    cov = CoverageCount(inst.targets, inst.rects)
+    cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
     planner_rng = np.random.default_rng(0)
     for name in PLANNER_NAMES:
         result = get_planner(name)(inst.matroid, cov, 1, planner_rng)

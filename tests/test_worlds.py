@@ -1,68 +1,121 @@
-"""Instance assembly: menus, id scheme, random world sampling."""
+"""Instance assembly: menus, id scheme, coverage bounds, random world sampling."""
 
 import numpy as np
 import pytest
 
 import helpers
-from resilient_tracking.geometry import Direction, Point2, RobotSpec, coverage_rect
+import oracles
+from resilient_tracking.geometry import Direction
 from resilient_tracking.objectives import CoverageCount
-from resilient_tracking.worlds import (
-    DIRECTION_ORDER,
-    build_instance,
-    sample_instance,
-    trajectory_menu,
-)
+from resilient_tracking.worlds import DIRECTION_ORDER, build_instance, sample_instance
 
 
 def test_menu_ids_and_order():
-    robot = RobotSpec("r07", Point2(2.0, 3.0), 3.0, 7.0)
-    menu = trajectory_menu(robot)
-    assert [t.trajectory_id for t in menu] == [
+    inst = build_instance(np.zeros((8, 2)) + (2.0, 3.0), [], 3.0, 7.0)
+    assert inst.matroid.blocks["r07"] == (
         "r07:forward", "r07:backward", "r07:left", "r07:right",
-    ]
-    assert all(t.robot_id == "r07" for t in menu)
-    assert tuple(t.direction for t in menu) == DIRECTION_ORDER
+    )
+    assert inst.ids == inst.matroid.ground_set
+    assert inst.ids[28:] == inst.matroid.blocks["r07"]
 
 
 def test_build_instance_wires_rects_and_matroid():
-    robots = [RobotSpec("r00", Point2(1, 1), 3.0, 7.0), RobotSpec("r01", Point2(8, 8), 3.0, 7.0)]
-    inst = build_instance(robots, [Point2(1, 1)])
+    positions = [(1.0, 1.0), (8.0, 8.0)]
+    inst = build_instance(positions, [(1.0, 1.0)], 3.0, 7.0)
     assert inst.matroid.robots == ("r00", "r01")
-    assert len(inst.trajectories) == 8
-    for t in inst.trajectories:
-        robot = robots[0] if t.robot_id == "r00" else robots[1]
-        assert inst.rects[t.trajectory_id] == coverage_rect(robot, t.direction)
-    assert CoverageCount(inst.targets, inst.rects).evaluate({"r00:forward"}) == 1
+    assert inst.bounds.shape == (8, 4)
+    for g, tid in enumerate(inst.ids):
+        robot, direction = tid.split(":")
+        x, y = positions[int(robot[1:])]
+        want = oracles.coverage_rect(x, y, 3.0, 7.0, Direction(direction))
+        assert tuple(inst.bounds[g]) == want
+    cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
+    assert cov.evaluate({"r00:forward"}) == 1
 
 
-def test_build_instance_rejects_duplicate_ids():
-    robots = [RobotSpec("r00", Point2(1, 1), 3.0, 7.0), RobotSpec("r00", Point2(8, 8), 3.0, 7.0)]
-    with pytest.raises(ValueError):
-        build_instance(robots, [])
+def test_bounds_match_the_literal_rectangle_bit_for_bit():
+    rng = np.random.default_rng(20260815)
+    for _ in range(50):
+        n = int(rng.integers(1, 7))
+        positions = rng.uniform(-20, 20, size=(n, 2))
+        fov, fly = float(rng.uniform(0.1, 5.0)), float(rng.choice([0.0, rng.uniform(0, 10)]))
+        inst = build_instance(positions, [], fov, fly)
+        want = [
+            oracles.coverage_rect(x, y, fov, fly, d)
+            for x, y in positions.tolist()
+            for d in DIRECTION_ORDER
+        ]
+        assert inst.bounds.tolist() == [list(row) for row in want]
 
 
 def test_build_instance_with_partial_menus():
-    robots = [RobotSpec("r00", Point2(5, 5), 3.0, 7.0)]
-    inst = build_instance(robots, [], {"r00": (Direction.LEFT, Direction.RIGHT)})
+    inst = build_instance([(5.0, 5.0)], [], 3.0, 7.0, [(Direction.LEFT, Direction.RIGHT)])
     assert inst.matroid.ground_set == ("r00:left", "r00:right")
+    assert inst.bounds.tolist() == [
+        list(oracles.coverage_rect(5.0, 5.0, 3.0, 7.0, d)) for d in (Direction.LEFT, Direction.RIGHT)
+    ]
+
+
+def test_ground_order_past_a_hundred_robots():
+    # ids sort as strings, so r100 falls between r10 and r11; every row of
+    # the bounds still belongs to the id in the same position
+    positions = np.arange(202, dtype=float).reshape(101, 2)
+    inst = build_instance(positions, [], 1.0, 0.0)
+    assert inst.ids[40:48] == inst.matroid.blocks["r10"] + inst.matroid.blocks["r100"]
+    for g, tid in enumerate(inst.ids):
+        x, y = positions[int(tid[1 : tid.index(":")])]
+        assert tuple(inst.bounds[g]) == (x - 0.5, x + 0.5, y - 0.5, y + 0.5)
 
 
 def test_sample_instance_respects_menu_sizes_and_arena():
     rng = np.random.default_rng(0)
     inst = sample_instance(rng, 5, 20, 3.0, 7.0, helpers.ARENA, menu_sizes=(2, 3))
-    assert len(inst.robots) == 5
-    for robot in inst.robots:
-        assert helpers.ARENA.contains(robot.position)
-        assert len(inst.matroid.blocks[robot.robot_id]) in (2, 3)
+    assert inst.matroid.num_robots == 5
+    rects = helpers.rects_of(inst)
+    for robot, menu in inst.matroid.blocks.items():
+        assert len(menu) in (2, 3)
+        # any two directions' rectangles meet in the starting field of view,
+        # whose center is the robot's position
+        square = rects[menu[0]]
+        for tid in menu[1:]:
+            square = helpers.intersection(square, rects[tid])
+        center = ((square.x_min + square.x_max) / 2, (square.y_min + square.y_max) / 2)
+        assert square.x_max - square.x_min == pytest.approx(3.0)
+        assert square.y_max - square.y_min == pytest.approx(3.0)
+        assert helpers.contains(helpers.ARENA, center)
+    assert inst.targets.shape == (20, 2)
     for target in inst.targets:
-        assert helpers.ARENA.contains(target)
+        assert helpers.contains(helpers.ARENA, target)
     with pytest.raises(ValueError):
         sample_instance(rng, 2, 2, 3.0, 7.0, helpers.ARENA, menu_sizes=(0,))
+
+
+def test_sample_instance_draws_in_the_literal_order():
+    # robot by robot: x, y, menu size and, below four, its directions; then
+    # the targets' x, y pairs
+    for seed in range(20):
+        inst = sample_instance(np.random.default_rng(seed), 4, 7, 3.0, 7.0, helpers.ARENA, (2, 4))
+        rng = np.random.default_rng(seed)
+        want_rects = {}
+        for i in range(4):
+            x = float(rng.uniform(0.0, 10.0))
+            y = float(rng.uniform(0.0, 10.0))
+            size = (2, 4)[int(rng.integers(2))]
+            keep = range(4) if size == 4 else sorted(rng.choice(4, size=size, replace=False))
+            for k in keep:
+                d = DIRECTION_ORDER[int(k)]
+                want_rects[f"r{i:02d}:{d.value}"] = oracles.coverage_rect(x, y, 3.0, 7.0, d)
+        want_targets = [
+            (float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 10.0))) for _ in range(7)
+        ]
+        assert inst.ids == tuple(want_rects)
+        assert [tuple(row) for row in inst.bounds.tolist()] == list(want_rects.values())
+        assert [tuple(t) for t in inst.targets.tolist()] == want_targets
 
 
 def test_sample_instance_is_seed_deterministic():
     a = sample_instance(np.random.default_rng(5), 3, 6, 3.0, 7.0, helpers.ARENA)
     b = sample_instance(np.random.default_rng(5), 3, 6, 3.0, 7.0, helpers.ARENA)
     assert a.matroid.ground_set == b.matroid.ground_set
-    assert a.targets == b.targets
-    assert all(a.rects[k] == b.rects[k] for k in a.rects)
+    assert np.array_equal(a.targets, b.targets)
+    assert np.array_equal(a.bounds, b.bounds)
