@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .checks import run_bound_suite, run_property_suite
-from .errors import TrackingError
+from .errors import SpecError, TrackingError
 from .experiments import (
     load_spec,
     objective_name,
@@ -48,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     spec = load_spec(args.spec)
     if args.seed is not None:
-        from dataclasses import replace
-
+        if args.seed < 0:
+            raise SpecError(f"field 'master_seed': must be at least 0, got {args.seed}")
         spec = replace(spec, master_seed=args.seed)
     out = args.out or spec.output
     if not out:
@@ -68,6 +69,8 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.seed < 0:
+        raise TrackingError(f"--seed must be at least 0, got {args.seed}")
     if args.suite == "bounds":
         reports = run_bound_suite(num_instances=args.instances, rng_seed=args.seed)
         bad = [r for r in reports if not r.satisfied]

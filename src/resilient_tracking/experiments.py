@@ -7,16 +7,18 @@ uniform in the arena, full four-direction menus), plan once per planner on
 ground-truth coverage, apply each attacker, one row per (planner, attacker).
 
 multi-round: per (m, alpha, trial) run the closed-loop simulation once per
-(planner, attacker) under a shared per-trial seed, so every planner sees the
-same target motion and the same measurement noise; one row per round.
+planner under a shared per-trial seed, so every planner sees the same target
+motion and the same measurement noise.  Each round plans once and applies
+every attacker to that plan (attacks never steer the robots); one row per
+(planner, attacker, round), in that order.
 
 Seeding
 -------
 The per-trial seed is the first 64 bits of SeedSequence([master_seed, trial]),
 recorded in the ``seed`` column; adding trials never changes earlier trials'
-streams.  Within a trial, consumers draw from disjoint child streams keyed by
-fixed role codes: SeedSequence([trial_seed, 0]) samples the world,
-([trial_seed, 1, planner_code]) feeds the planner and
+streams.  Within a one-step trial, consumers draw from disjoint child
+streams keyed by fixed role codes: SeedSequence([trial_seed, 0]) samples the
+world, ([trial_seed, 1, planner_code]) feeds the planner and
 ([trial_seed, 2, planner_code, attacker_code]) feeds the attacker, with codes
 taken from the canonical registry order, not the spec's list order.
 
@@ -28,11 +30,11 @@ attack_rate,oracle_calls,wall_time_micros,seed``; one trailing comment line
 file (a crashed run leaves no marker, and readers refuse a file without it
 or whose ``rows`` disagrees with the rows present).  ``wall_time_micros``
 is informational only and excluded from golden comparisons; for multi-round
-rows it is the whole run's wall time split evenly over rounds.  Recorded
-``f_attacked`` and ``attack_rate`` come from ``adversary.score_attack``,
-which snaps f_attacked to min(f_attacked, f_full): monotonicity makes the
-inequality exact in real arithmetic and the snap only absorbs ~1e-16
-round-off in the expected-detections sums.
+rows it is the planner's whole run, every attacker's attacks included, split
+evenly over its rounds.  Recorded ``f_attacked`` and ``attack_rate`` come from
+``adversary.score_attack``, which snaps f_attacked to min(f_attacked,
+f_full): monotonicity makes the inequality exact in real arithmetic and the
+snap only absorbs ~1e-16 round-off in the expected-detections sums.
 """
 
 from __future__ import annotations
@@ -134,9 +136,14 @@ def _fail(field: str, problem: str):
     raise SpecError(f"field {field!r}: {problem}")
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_int(data, field, minimum=None, maximum=None) -> int:
     value = data.get(field)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         _fail(field, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(field, f"must be at least {minimum}, got {value}")
@@ -147,7 +154,7 @@ def _require_int(data, field, minimum=None, maximum=None) -> int:
 
 def _require_number(data, field, minimum=None, strict=False) -> float:
     value = data.get(field)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not (isinstance(value, float) or _is_int(value)):
         _fail(field, f"expected a number, got {value!r}")
     if not math.isfinite(value):
         _fail(field, f"must be finite, got {value}")
@@ -160,16 +167,14 @@ def _require_number(data, field, minimum=None, strict=False) -> float:
 
 
 def _normalize_targets(value) -> tuple[int, ...]:
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         values = [value]
-    elif isinstance(value, list) and value and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
+    elif isinstance(value, list) and value and all(map(_is_int, value)):
         values = list(value)
     elif (
         isinstance(value, dict)
         and set(value) == {"start", "stop"}
-        and all(isinstance(v, int) for v in value.values())
+        and all(map(_is_int, value.values()))
         and value["start"] <= value["stop"]
     ):
         values = list(range(value["start"], value["stop"] + 1))
@@ -219,7 +224,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     if (
         not isinstance(arena_raw, list)
         or len(arena_raw) != 4
-        or not all(isinstance(v, (int, float)) for v in arena_raw)
+        or not all(isinstance(v, float) or _is_int(v) for v in arena_raw)
     ):
         _fail("arena", f"expected [x_min, x_max, y_min, y_max], got {arena_raw!r}")
     try:
@@ -235,7 +240,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     if (
         not isinstance(alphas_raw, list)
         or not alphas_raw
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in alphas_raw)
+        or not all(map(_is_int, alphas_raw))
     ):
         _fail("alphas", f"expected a non-empty list of integers, got {alphas_raw!r}")
     for a in alphas_raw:
@@ -386,23 +391,23 @@ def _multi_round_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
     trial_seed = derive_trial_seed(spec.master_seed, trial)
     rows = []
     for planner in spec.planners:
+        config = SimConfig(
+            num_robots=spec.num_robots,
+            num_targets=m,
+            alpha=alpha,
+            fov_side=spec.fov_side,
+            fly_length=spec.fly_length,
+            arena=spec.arena,
+            planner=planner,
+            attackers=spec.attackers,
+            rng_seed=trial_seed,
+            **spec.simulation,
+        )
+        t0 = time.perf_counter_ns()
+        records = run_rounds(config)
+        per_round_micros = (time.perf_counter_ns() - t0) // 1000 // config.rounds
         for attacker in spec.attackers:
-            config = SimConfig(
-                num_robots=spec.num_robots,
-                num_targets=m,
-                alpha=alpha,
-                fov_side=spec.fov_side,
-                fly_length=spec.fly_length,
-                arena=spec.arena,
-                planner=planner,
-                attacker=attacker,
-                rng_seed=trial_seed,
-                **spec.simulation,
-            )
-            t0 = time.perf_counter_ns()
-            records = run_rounds(config)
-            per_round_micros = (time.perf_counter_ns() - t0) // 1000 // config.rounds
-            for record in records:
+            for record in records[attacker]:
                 rows.append(
                     RecordRow(
                         trial=trial,
@@ -415,7 +420,7 @@ def _multi_round_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
                         f_attacked=record.f_attacked,
                         attack_rate=record.attack_rate,
                         oracle_calls=record.oracle_calls,
-                        wall_time_micros=int(per_round_micros),
+                        wall_time_micros=per_round_micros,
                         seed=trial_seed,
                     )
                 )

@@ -14,19 +14,20 @@ and the beliefs as ``(m, 2)`` arrays, and the robot positions are one
 ``(n, 2)`` array.
 
 Each round builds the robots' four-direction menus and coverage bounds from
-their current positions, plans on the expected-detections objective over
-current beliefs, suffers the configured attack (an attacked trajectory
-contributes no coverage this round; the robot still flies it), gets scored,
-advances every robot ``fly_length`` along its selected direction, and steps
-the targets.
+their current positions, plans once on the expected-detections objective
+over current beliefs, and scores every configured attacker against that plan
+(an attacked trajectory contributes no coverage this round; the robot still
+flies it), advances every robot ``fly_length`` along its selected direction,
+and steps the targets.
 
 Time is normalized: one round is one time unit and all rates are per round.
 Randomness comes from five named child streams of ``rng_seed`` (world
 initialization, target motion, measurements, planner, attacker) so target
 trajectories and measurement noise are identical across planner choices
-under a shared seed.  :class:`SimConfig` refuses a scenario whose
-arithmetic would leave the finite floats or round the belief variance to
-zero within its rounds.
+under a shared seed; each attacker draws from its own copy of the attacker
+stream, as it would in a run of its own.  :class:`SimConfig` refuses a
+scenario whose arithmetic would leave the finite floats or round the belief
+variance to zero within its rounds.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ import numpy as np
 
 from .adversary import ATTACKER_NAMES, get_attacker, score_attack
 from .geometry import Rect
-from .objectives import CoverageCount, ExpectedDetections
+from .objectives import ExpectedDetections
 from .planners import PLANNER_NAMES, get_planner
-from .worlds import DIRECTION_ORDER, MENU_STEPS, build_instance, robot_id
+from .worlds import DIRECTION_ORDER, MENU_STEPS, build_instance
 
 DEFAULT_ARENA = Rect(0.0, 10.0, 0.0, 10.0)
 
@@ -67,14 +68,13 @@ class SimConfig:
     fly_length: float = 3.0
     arena: Rect = DEFAULT_ARENA
     rounds: int = 50
-    round_duration: float = 1.0
     measurement_noise_std: float = 0.1
     process_noise: float = 0.01
     initial_variance: float = 1.0
     target_speed: float = 0.3
     velocity_jitter_std: float = 0.0
     planner: str = "resilient"
-    attacker: str = "optimal"
+    attackers: tuple[str, ...] = ("optimal",)
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -92,8 +92,6 @@ class SimConfig:
             raise ValueError("fov_side must be positive and fly_length nonnegative")
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
-        if self.round_duration <= 0:
-            raise ValueError(f"round_duration must be positive, got {self.round_duration}")
         if not self.measurement_noise_std > 0:
             # a noiseless update drives the belief variance to 0, which no
             # Gaussian belief can carry into the next round's plan
@@ -108,8 +106,10 @@ class SimConfig:
             raise ValueError("target speed and jitter must be nonnegative")
         if self.planner not in PLANNER_NAMES:
             raise ValueError(f"unknown planner {self.planner!r}; expected one of {PLANNER_NAMES}")
-        if self.attacker not in ATTACKER_NAMES:
-            raise ValueError(f"unknown attacker {self.attacker!r}; expected one of {ATTACKER_NAMES}")
+        if not self.attackers or not set(self.attackers) <= set(ATTACKER_NAMES):
+            raise ValueError(
+                f"attackers must be a non-empty tuple of {ATTACKER_NAMES}, got {self.attackers}"
+            )
         problem = _arithmetic_problem(self)
         if problem is not None:
             raise ValueError(problem)
@@ -132,22 +132,21 @@ def _arithmetic_problem(c: SimConfig) -> str | None:
       and folding a position back into the arena works within seven arena
       reaches;
     - measurements and means: a measurement is a position plus one noise
-      draw, the velocity estimate a difference of two measurements over
-      ``round_duration``, and each round's predict step can move the mean
-      by at most that difference.
+      draw, the velocity estimate a difference of two measurements one
+      round apart, and each round's predict step can move the mean by at
+      most that difference.
 
-    The belief variance never exceeds its predicted peak ``max(
-    initial_variance, r) + process_noise * round_duration`` with ``r =
-    measurement_noise_std**2``.  Where ``r`` is at most half an ulp of that
-    peak, the gain rounds to 1 and the posterior variance to 0; with no
+    The belief variance never exceeds its predicted peak
+    ``max(initial_variance, r) + process_noise`` with
+    ``r = measurement_noise_std**2``.  Where ``r`` is at most half an ulp of
+    that peak, the gain rounds to 1 and the posterior variance to 0; with no
     process noise the variance decays to about ``r / (rounds + 1)``, which
     must stay a normal float.  The message names the field of the largest
     term.
     """
     reach = max(abs(c.arena.x_min), abs(c.arena.x_max), abs(c.arena.y_min), abs(c.arena.y_max))
     rounds = float(c.rounds) if c.rounds < 2**1023 else math.inf
-    dt = c.round_duration
-    spread = max(2.0 * rounds + 4.0, 2.0 / dt)
+    spread = 2.0 * rounds + 4.0
     noise = c.measurement_noise_std * NORMAL_DRAW_BOUND
     for quantity, terms in (
         (
@@ -158,8 +157,8 @@ def _arithmetic_problem(c: SimConfig) -> str | None:
             "target motion",
             {
                 "arena": 7.0 * reach,
-                "target_speed": c.target_speed * dt,
-                "velocity_jitter_std": rounds * c.velocity_jitter_std * NORMAL_DRAW_BOUND * dt,
+                "target_speed": c.target_speed,
+                "velocity_jitter_std": rounds * c.velocity_jitter_std * NORMAL_DRAW_BOUND,
             },
         ),
         (
@@ -179,9 +178,9 @@ def _arithmetic_problem(c: SimConfig) -> str | None:
     terms = {
         "initial_variance": c.initial_variance,
         "measurement_noise_std": r,
-        "process_noise": c.process_noise * dt,
+        "process_noise": c.process_noise,
     }
-    peak = max(c.initial_variance, r) + c.process_noise * dt
+    peak = max(c.initial_variance, r) + c.process_noise
     # the gain's denominator is at most the peak plus r
     if not math.isfinite(peak + r):
         return f"field {_largest(terms)!r}: the belief variance would leave the float range"
@@ -252,7 +251,7 @@ def step_targets(state: TargetState, config: SimConfig, rng: np.random.Generator
         velocity = velocity + rng.normal(0.0, config.velocity_jitter_std, size=velocity.shape)
     arena = config.arena
     state.position, flip = _reflect(
-        state.position + velocity * config.round_duration,
+        state.position + velocity,
         np.array((arena.x_min, arena.y_min)),
         np.array((arena.x_max, arena.y_max)),
     )
@@ -267,16 +266,13 @@ def measure(state: TargetState, noise_std: float, rng: np.random.Generator) -> n
 
 def kalman_update(state: TargetState, z: np.ndarray, round_index: int, config: SimConfig):
     """Per-axis Kalman predict/update plus finite-difference velocity refresh."""
-    dt = config.round_duration
-    q = config.process_noise
     r = config.measurement_noise_std**2
-    mean = state.mean + state.velocity_estimate * dt
-    variance = state.variance + q * dt
+    mean = state.mean + state.velocity_estimate
+    variance = state.variance + config.process_noise
     gain = variance / (variance + r)
     state.mean = mean + gain * (z - mean)
     state.variance = (1.0 - gain) * variance
-    span = (round_index - state.last_round) * dt
-    state.velocity_estimate = (z - state.last_measurement) / span
+    state.velocity_estimate = (z - state.last_measurement) / (round_index - state.last_round)
     state.last_measurement = z
     state.last_round = round_index
     return state
@@ -284,13 +280,11 @@ def kalman_update(state: TargetState, z: np.ndarray, round_index: int, config: S
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Scores for one planning round.
+    """Scores for one planning round under one attacker.
 
     ``f_full``/``f_attacked`` are expected detections on beliefs (the
-    planning objective); ``coverage_full``/``coverage_attacked`` count
-    ground-truth targets inside the same selections.  ``attack_rate`` is
-    the relative loss under the configured attacker (0 when nothing was
-    removed or the full value is zero).
+    planning objective).  ``attack_rate`` is the relative loss under the
+    attacker (0 when nothing was removed or the full value is zero).
     """
 
     round_index: int
@@ -299,8 +293,6 @@ class RoundRecord:
     f_full: float
     f_attacked: float
     attack_rate: float
-    coverage_full: int
-    coverage_attacked: int
     oracle_calls: int
 
 
@@ -340,22 +332,23 @@ def init_robots(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def run_rounds(config: SimConfig) -> list[RoundRecord]:
-    """Run the closed loop and return one record per round.
+def run_rounds(config: SimConfig) -> dict[str, list[RoundRecord]]:
+    """Run the closed loop; one record per round for each attacker, by name.
 
     Fixed ``rng_seed`` gives a byte-identical record stream across runs.
     """
     root = np.random.SeedSequence(config.rng_seed)
-    init_rng, motion_rng, measure_rng, planner_rng, attacker_rng = (
-        np.random.default_rng(child) for child in root.spawn(5)
-    )
+    *streams, attacker_stream = root.spawn(5)
+    init_rng, motion_rng, measure_rng, planner_rng = map(np.random.default_rng, streams)
     positions = init_robots(config, init_rng)
     state = init_tracks(config, init_rng)
     plan = get_planner(config.planner)
-    attack = get_attacker(config.attacker)
-    names = [robot_id(i) for i in range(config.num_robots)]
+    attacks = {
+        name: (get_attacker(name), np.random.default_rng(attacker_stream))
+        for name in config.attackers
+    }
 
-    records = []
+    records = {name: [] for name in attacks}
     for round_index in range(1, config.rounds + 1):
         instance = build_instance(positions, state.position, config.fov_side, config.fly_length)
         matroid = instance.matroid
@@ -363,33 +356,28 @@ def run_rounds(config: SimConfig) -> list[RoundRecord]:
             state.mean, np.sqrt(state.variance), instance.ids, instance.bounds
         )
         result = plan(matroid, objective, config.alpha, planner_rng)
-        attacked = attack(objective, result.selected, config.alpha, attacker_rng)
-
         f_full = float(objective.evaluate(result.selected))
-        f_att, rate = score_attack(f_full, attacked.surviving_value)
-        chosen = sorted(map(matroid.ground_index, result.selected))
-        truth = CoverageCount(
-            instance.targets, [instance.ids[g] for g in chosen], instance.bounds[chosen]
-        )
-        survivors = result.selected - attacked.removed
-        records.append(
-            RoundRecord(
-                round_index=round_index,
-                selected=tuple(sorted(result.selected)),
-                removed=tuple(sorted(attacked.removed)),
-                f_full=f_full,
-                f_attacked=f_att,
-                attack_rate=rate,
-                coverage_full=int(truth.evaluate(result.selected)),
-                coverage_attacked=int(truth.evaluate(survivors)),
-                oracle_calls=result.oracle_calls,
+        selected = tuple(sorted(result.selected))
+        for name, (attack, attacker_rng) in attacks.items():
+            attacked = attack(objective, result.selected, config.alpha, attacker_rng)
+            f_att, rate = score_attack(f_full, attacked.surviving_value)
+            records[name].append(
+                RoundRecord(
+                    round_index=round_index,
+                    selected=selected,
+                    removed=tuple(sorted(attacked.removed)),
+                    f_full=f_full,
+                    f_attacked=f_att,
+                    attack_rate=rate,
+                    oracle_calls=result.oracle_calls,
+                )
             )
-        )
 
-        # every menu is full, so a trajectory's menu position is its
+        # every menu is full, so the sorted ground indices of a basis take
+        # the robots in order, and a trajectory's menu position is its
         # ground index modulo the menu length
-        flown = {matroid.robot_of(instance.ids[g]): g % len(DIRECTION_ORDER) for g in chosen}
-        positions = positions + MENU_STEPS[[flown[name] for name in names]] * config.fly_length
+        chosen = np.sort([matroid.ground_index(tid) for tid in result.selected])
+        positions = positions + MENU_STEPS[chosen % len(DIRECTION_ORDER)] * config.fly_length
 
         step_targets(state, config, motion_rng)
         z = measure(state, config.measurement_noise_std, measure_rng)

@@ -70,8 +70,6 @@ def record_dict(record) -> dict:
         "f_full": record.f_full,
         "f_attacked": record.f_attacked,
         "attack_rate": record.attack_rate,
-        "coverage_full": record.coverage_full,
-        "coverage_attacked": record.coverage_attacked,
         "oracle_calls": record.oracle_calls,
     }
 

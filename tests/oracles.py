@@ -17,7 +17,7 @@ import numpy as np
 from resilient_tracking.adversary import get_attacker, score_attack
 from resilient_tracking.geometry import UNIT_STEP, Direction
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import CoverageCount, ExpectedDetections
+from resilient_tracking.objectives import ExpectedDetections
 from resilient_tracking.planners import get_planner
 from resilient_tracking.simulation import RoundRecord
 
@@ -215,7 +215,7 @@ def reflect(value, lo, hi):
 
 
 def step_targets(tracks, config, rng):
-    dt = config.round_duration
+    dt = 1.0  # one round is one time unit
     for track in tracks:
         vx, vy = track.true_velocity
         if config.velocity_jitter_std > 0:
@@ -251,7 +251,7 @@ def _scalar_update(mean, var, velocity, z, dt, q, r):
 
 
 def kalman_update(track, z, round_index, config):
-    dt = config.round_duration
+    dt = 1.0
     q = config.process_noise
     r = config.measurement_noise_std**2
     mx, vx = _scalar_update(
@@ -315,8 +315,9 @@ def coverage_rect(x, y, fov_side, fly_length, direction):
     )
 
 
-def run_rounds_literal(config):
-    """The closed loop with per-object state; one ``RoundRecord`` per round."""
+def run_rounds_literal(config, attacker):
+    """The closed loop under one attacker with per-object state; one
+    ``RoundRecord`` per round.  ``config.attackers`` is not read."""
     root = np.random.SeedSequence(config.rng_seed)
     init_rng, motion_rng, measure_rng, planner_rng, attacker_rng = (
         np.random.default_rng(child) for child in root.spawn(5)
@@ -329,7 +330,7 @@ def run_rounds_literal(config):
         )
     tracks = init_tracks(config, init_rng)
     plan = get_planner(config.planner)
-    attack = get_attacker(config.attacker)
+    attack = get_attacker(attacker)
     records = []
     for round_index in range(1, config.rounds + 1):
         rects, blocks, direction_of = {}, {}, {}
@@ -348,11 +349,6 @@ def run_rounds_literal(config):
         attacked = attack(objective, result.selected, config.alpha, attacker_rng)
         f_full = float(objective.evaluate(result.selected))
         f_att, rate = score_attack(f_full, attacked.surviving_value)
-        truth = CoverageCount(
-            [t.true_position for t in tracks],
-            list(result.selected),
-            [rects[tid] for tid in result.selected],
-        )
         records.append(
             RoundRecord(
                 round_index=round_index,
@@ -361,8 +357,6 @@ def run_rounds_literal(config):
                 f_full=f_full,
                 f_attacked=f_att,
                 attack_rate=rate,
-                coverage_full=int(truth.evaluate(result.selected)),
-                coverage_attacked=int(truth.evaluate(result.selected - attacked.removed)),
                 oracle_calls=result.oracle_calls,
             )
         )

@@ -286,12 +286,12 @@ def test_criterion_10_closed_loop_resilience_and_determinism():
     for planner in ("resilient", "greedy"):
         config = SimConfig(
             num_robots=4, num_targets=30, alpha=2, rounds=50,
-            planner=planner, attacker="optimal", rng_seed=MASTER_SEED,
+            planner=planner, attackers=("optimal",), rng_seed=MASTER_SEED,
         )
-        records = run_rounds(config)
+        records = run_rounds(config)["optimal"]
         rates[planner] = mean(r.attack_rate for r in records)
         if planner == "resilient":
-            rerun = run_rounds(config)
+            rerun = run_rounds(config)["optimal"]
             deterministic = json.dumps([helpers.record_dict(r) for r in records]) == json.dumps(
                 [helpers.record_dict(r) for r in rerun]
             )

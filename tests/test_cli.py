@@ -57,6 +57,23 @@ def test_run_seed_override_changes_rows(tmp_path):
     assert [r.seed for r in read_csv(out_a)] != [r.seed for r in read_csv(out_b)]
 
 
+def test_negative_seed_override_exits_2_naming_master_seed(tmp_path, capsys):
+    # the spec field refuses -1; the override must not get past that check
+    spec = write_spec(tmp_path)
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--spec", str(spec), "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "master_seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["bounds", "properties"])
+def test_check_refuses_a_negative_seed(capsys, suite):
+    assert main(["check", "--suite", suite, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err
+
+
 def test_run_uses_output_from_spec(tmp_path, capsys):
     out = tmp_path / "from_spec.csv"
     spec = write_spec(tmp_path, output=str(out))

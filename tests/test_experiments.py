@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from resilient_tracking import experiments
+from resilient_tracking import experiments, simulation
 from resilient_tracking.errors import CsvFormatError, SpecError
 from resilient_tracking.experiments import (
     CSV_COLUMNS,
@@ -56,9 +56,11 @@ def test_spec_errors_name_the_field():
         ({"num_robots": "three"}, "num_robots"),
         ({"fov_side": 0}, "fov_side"),
         ({"arena": [0, 10, 0]}, "arena"),
+        ({"arena": [False, True, 0, 10]}, "arena"),
         ({"arena": [10, 0, 0, 10]}, "arena"),
         ({"num_targets": []}, "num_targets"),
         ({"num_targets": {"start": 5, "stop": 2}}, "num_targets"),
+        ({"num_targets": {"start": True, "stop": 2}}, "num_targets"),
         ({"alphas": [4]}, "alphas"),
         ({"alphas": []}, "alphas"),
         ({"trials": 0}, "trials"),
@@ -211,6 +213,28 @@ def test_multi_round_suite_row_count():
     assert sorted({r.round for r in rows}) == [1, 2, 3, 4, 5]
 
 
+def test_multi_round_suite_runs_the_loop_once_per_planner(monkeypatch):
+    starts = []
+    init_robots = simulation.init_robots
+    monkeypatch.setattr(
+        simulation, "init_robots", lambda *args: starts.append(args) or init_robots(*args)
+    )
+    planners, attackers = ["resilient", "greedy", "random"], ["optimal", "greedy", "none"]
+    spec = spec_from_dict(
+        base_spec(
+            protocol="multi-round",
+            trials=2,
+            rounds=2,
+            planners=planners,
+            attackers=attackers,
+        )
+    )
+    rows = run_suite(spec)
+    cells = len(spec.num_targets) * len(spec.alphas) * spec.trials
+    assert len(starts) == len(planners) * cells
+    assert len(rows) == len(planners) * len(attackers) * 2 * cells
+
+
 SIMULATION_FIELDS = (
     "rounds",
     "measurement_noise_std",
@@ -223,13 +247,17 @@ SIMULATION_FIELDS = (
 
 def test_multi_round_spec_without_sim_fields_gets_sim_config_defaults(monkeypatch):
     configs = []
-    monkeypatch.setattr(experiments, "run_rounds", lambda config: configs.append(config) or [])
+    monkeypatch.setattr(
+        experiments,
+        "run_rounds",
+        lambda config: configs.append(config) or {name: [] for name in config.attackers},
+    )
     run_suite(spec_from_dict(base_spec(protocol="multi-round", trials=1)))
     given = dict(zip(SIMULATION_FIELDS, (3, 0.2, 0.05, 2.0, 0.5, 0.1)))
     run_suite(spec_from_dict(base_spec(protocol="multi-round", trials=1, **given)))
 
     defaults = SimConfig()
-    assert len(configs) == 4  # two planners x one attacker, per spec
+    assert len(configs) == 4  # one run per planner, two planners per spec
     for name in SIMULATION_FIELDS:
         assert getattr(configs[0], name) == getattr(defaults, name)
         assert getattr(configs[-1], name) == given[name]

@@ -1,8 +1,10 @@
-"""Golden CSVs: two fixed specs must reproduce their stored results.
+"""Golden CSVs: fixed specs must reproduce their stored results.
 
-Together the two specs run every planner against every attacker, once on
-the one-step protocol (coverage count) and once on the multi-round closed
-loop (expected detections).  Every column must match the stored file
+Together the first two specs run every planner against every attacker, once
+on the one-step protocol (coverage count) and once on the multi-round closed
+loop (expected detections).  The third lists one attacker twice in a
+multi-round spec: its rows repeat in spec order, as they did when every
+(planner, attacker) pair ran its own loop.  Every column must match the stored file
 exactly except ``wall_time_micros``, which is informational.  To regenerate
 a file after an intended change (and record that change in CHANGES.md)::
 
@@ -20,7 +22,9 @@ from resilient_tracking.experiments import load_spec, read_csv, run_suite
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["golden_one_step", "golden_multi_round"])
+@pytest.mark.parametrize(
+    "name", ["golden_one_step", "golden_multi_round", "golden_repeated_attacker"]
+)
 def test_spec_reproduces_its_golden_csv(name):
     spec = load_spec(DATA / f"{name}.json")
     expected = read_csv(DATA / f"{name}.csv")

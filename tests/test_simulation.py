@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,7 +92,7 @@ def test_array_reflect_matches_the_scalar_fold():
 
 def test_huge_target_speed_run_completes():
     records = run_rounds(SimConfig(num_targets=5, rounds=2, target_speed=1e300, rng_seed=3))
-    assert len(records) == 2
+    assert len(records["optimal"]) == 2
 
 
 def test_step_targets_stays_in_arena_and_keeps_speed():
@@ -153,9 +154,9 @@ def test_kalman_zero_noise_locks_onto_constant_velocity_target():
     # r=0 makes the gain one, so the mean rides the exact measurements and
     # the finite-difference velocity becomes exact after two of them.
     # SimConfig refuses r=0 for the closed loop, so the filter gets the
-    # three fields it reads directly; the process noise keeps the predicted
+    # two fields it reads directly; the process noise keeps the predicted
     # variance positive, since a gain of 0/0 is undefined.
-    config = SimpleNamespace(round_duration=1.0, process_noise=0.01, measurement_noise_std=0.0)
+    config = SimpleNamespace(process_noise=0.01, measurement_noise_std=0.0)
     state = make_state((1.0, 1.0, 0.2, 0.1))
     rng = np.random.default_rng(6)
     motion = SimConfig(target_speed=0.2, rng_seed=0)
@@ -176,7 +177,7 @@ def test_kalman_zero_noise_locks_onto_constant_velocity_target():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     planner=st.sampled_from(PLANNER_NAMES),
-    attacker=st.sampled_from(ATTACKER_NAMES),
+    attackers=st.lists(st.sampled_from(ATTACKER_NAMES), min_size=1, unique=True),
     num_robots=st.integers(1, 5),
     num_targets=st.integers(1, 40),
     alpha_share=st.floats(0.0, 1.0),
@@ -186,7 +187,7 @@ def test_kalman_zero_noise_locks_onto_constant_velocity_target():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_array_loop_matches_the_literal_per_target_loop(
-    planner, attacker, num_robots, num_targets, alpha_share, jitter, speed, rounds, seed
+    planner, attackers, num_robots, num_targets, alpha_share, jitter, speed, rounds, seed
 ):
     # speeds of 27 and 65 cross the 10-wide arena several times per round
     if planner == "brute-force":
@@ -199,15 +200,21 @@ def test_array_loop_matches_the_literal_per_target_loop(
         target_speed=speed,
         velocity_jitter_std=jitter,
         planner=planner,
-        attacker=attacker,
+        attackers=tuple(attackers),
         rng_seed=seed,
     )
-    assert run_rounds(config) == oracles.run_rounds_literal(config)
+    # every attacker scored inside one run gets the records of a run with
+    # that attacker alone
+    records = run_rounds(config)
+    assert list(records) == attackers
+    for attacker in attackers:
+        alone = run_rounds(replace(config, attackers=(attacker,)))
+        assert records[attacker] == alone[attacker] == oracles.run_rounds_literal(config, attacker)
 
 
 def test_run_rounds_shape_and_invariants():
     config = SimConfig(num_robots=3, num_targets=8, alpha=1, rounds=12, rng_seed=21)
-    records = run_rounds(config)
+    records = run_rounds(config)["optimal"]
     assert [r.round_index for r in records] == list(range(1, 13))
     n = 4 * config.num_robots
     for r in records:
@@ -216,13 +223,12 @@ def test_run_rounds_shape_and_invariants():
         assert len(r.removed) == min(config.alpha, config.num_robots)
         assert 0.0 <= r.f_attacked <= r.f_full + 1e-12
         assert 0.0 <= r.attack_rate <= 1.0
-        assert 0 <= r.coverage_attacked <= r.coverage_full <= config.num_targets
         assert r.oracle_calls <= 2 * n * n + n
 
 
 def test_run_rounds_alpha_zero_never_loses_value():
     config = SimConfig(num_robots=3, num_targets=10, alpha=0, rounds=8, rng_seed=9)
-    for r in run_rounds(config):
+    for r in run_rounds(config)["optimal"]:
         assert r.removed == ()
         assert r.f_attacked == r.f_full
         assert r.attack_rate == 0.0
@@ -230,25 +236,24 @@ def test_run_rounds_alpha_zero_never_loses_value():
 
 def test_run_rounds_byte_determinism():
     config = SimConfig(num_robots=3, num_targets=6, alpha=1, rounds=10, rng_seed=1234)
-    a = json.dumps([helpers.record_dict(r) for r in run_rounds(config)], sort_keys=True)
-    b = json.dumps([helpers.record_dict(r) for r in run_rounds(config)], sort_keys=True)
-    assert a == b
-    c = json.dumps(
-        [
-            helpers.record_dict(r)
-            for r in run_rounds(SimConfig(num_robots=3, num_targets=6, alpha=1, rounds=10, rng_seed=1235))
-        ],
-        sort_keys=True,
-    )
-    assert a != c
+
+    def dump(config):
+        records = run_rounds(config)["optimal"]
+        return json.dumps([helpers.record_dict(r) for r in records], sort_keys=True)
+
+    assert dump(config) == dump(config)
+    assert dump(config) != dump(replace(config, rng_seed=1235))
 
 
 def test_attack_does_not_steer_the_robots():
     # camera-off semantics: removal changes scoring, never the flight plan,
-    # so the per-round selections match a no-attack run of the same world
-    base = dict(num_robots=3, num_targets=8, alpha=2, rounds=10, rng_seed=77)
-    attacked = run_rounds(SimConfig(attacker="optimal", **base))
-    unattacked = run_rounds(SimConfig(attacker="none", **base))
+    # so one run scores the attacked and the unattacked robots on the same
+    # per-round selections
+    config = SimConfig(
+        num_robots=3, num_targets=8, alpha=2, rounds=10, attackers=("optimal", "none"), rng_seed=77
+    )
+    records = run_rounds(config)
+    attacked, unattacked = records["optimal"], records["none"]
     assert [r.selected for r in attacked] == [r.selected for r in unattacked]
     assert [r.f_full for r in attacked] == pytest.approx([r.f_full for r in unattacked])
     for r in unattacked:
@@ -258,8 +263,8 @@ def test_attack_does_not_steer_the_robots():
 
 def test_world_streams_are_planner_independent():
     base = dict(num_robots=3, num_targets=8, alpha=1, rounds=6, rng_seed=55)
-    greedy = run_rounds(SimConfig(planner="greedy", **base))
-    random = run_rounds(SimConfig(planner="random", **base))
+    greedy = run_rounds(SimConfig(planner="greedy", **base))["optimal"]
+    random = run_rounds(SimConfig(planner="random", **base))["optimal"]
     # same worlds, different plans: greedy plans with the same menus can
     # never score below random ones on the planning objective
     assert all(g.f_full >= r.f_full - 1e-9 for g, r in zip(greedy, random))
@@ -280,8 +285,10 @@ def test_sim_config_validation():
         SimConfig(initial_variance=0.0)
     with pytest.raises(ValueError):
         SimConfig(planner="telepathy")
-    with pytest.raises(ValueError):
-        SimConfig(attacker="emp")
+    with pytest.raises(ValueError, match="emp"):
+        SimConfig(attackers=("optimal", "emp"))
+    with pytest.raises(ValueError, match="attackers"):
+        SimConfig(attackers=())
     for flat in (Rect(0.0, 0.0, 0.0, 10.0), Rect(0.0, 10.0, 3.0, 3.0)):
         with pytest.raises(ValueError, match="arena"):
             SimConfig(arena=flat)
@@ -320,6 +327,6 @@ def test_runs_just_inside_the_arithmetic_limits():
     # 1.01, so the gain stays below 1 and the belief variance positive
     for overrides in ({"measurement_noise_std": 1e-7}, {"fly_length": 1e300, "rounds": 3}):
         config = SimConfig(num_robots=3, num_targets=8, **{"rounds": 5, **overrides})
-        records = run_rounds(config)
+        records = run_rounds(config)["optimal"]
         assert len(records) == config.rounds
         assert all(math.isfinite(r.f_full) for r in records)
