@@ -7,8 +7,9 @@ import sys
 from dataclasses import replace
 
 from .checks import run_bound_suite, run_property_suite
-from .errors import SpecError, TrackingError
+from .errors import TrackingError
 from .experiments import (
+    _require_int,
     load_spec,
     objective_name,
     render_summary,
@@ -49,9 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     spec = load_spec(args.spec)
     if args.seed is not None:
-        if args.seed < 0:
-            raise SpecError(f"field 'master_seed': must be at least 0, got {args.seed}")
-        spec = replace(spec, master_seed=args.seed)
+        seed = _require_int({"master_seed": args.seed}, "master_seed", minimum=0)
+        spec = replace(spec, master_seed=seed)
     out = args.out or spec.output
     if not out:
         print("error: no output path (pass --out or set 'output' in the spec)", file=sys.stderr)

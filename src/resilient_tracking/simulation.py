@@ -42,7 +42,7 @@ from .adversary import ATTACKER_NAMES, get_attacker, score_attack
 from .geometry import Rect
 from .objectives import ExpectedDetections
 from .planners import PLANNER_NAMES, get_planner
-from .worlds import DIRECTION_ORDER, MENU_STEPS, build_instance
+from .worlds import DIRECTION_ORDER, MENU_STEPS, build_instance, robot_id
 
 DEFAULT_ARENA = Rect(0.0, 10.0, 0.0, 10.0)
 
@@ -347,6 +347,7 @@ def run_rounds(config: SimConfig) -> dict[str, list[RoundRecord]]:
         name: (get_attacker(name), np.random.default_rng(attacker_stream))
         for name in config.attackers
     }
+    names = [robot_id(i) for i in range(config.num_robots)]
 
     records = {name: [] for name in attacks}
     for round_index in range(1, config.rounds + 1):
@@ -373,11 +374,12 @@ def run_rounds(config: SimConfig) -> dict[str, list[RoundRecord]]:
                 )
             )
 
-        # every menu is full, so the sorted ground indices of a basis take
-        # the robots in order, and a trajectory's menu position is its
-        # ground index modulo the menu length
-        chosen = np.sort([matroid.ground_index(tid) for tid in result.selected])
-        positions = positions + MENU_STEPS[chosen % len(DIRECTION_ORDER)] * config.fly_length
+        # every menu is full, so a trajectory's menu position is its
+        # ground index modulo the menu length; the ground set is ordered by
+        # robot id, not by row (r100 sorts before r11), so map back by name
+        chosen = map(matroid.ground_index, result.selected)
+        flown = {matroid.robot_of(instance.ids[g]): g % len(DIRECTION_ORDER) for g in chosen}
+        positions = positions + MENU_STEPS[[flown[name] for name in names]] * config.fly_length
 
         step_targets(state, config, motion_rng)
         z = measure(state, config.measurement_noise_std, measure_rng)

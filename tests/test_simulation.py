@@ -212,6 +212,21 @@ def test_array_loop_matches_the_literal_per_target_loop(
         assert records[attacker] == alone[attacker] == oracles.run_rounds_literal(config, attacker)
 
 
+def test_array_loop_moves_the_right_robots_past_a_hundred():
+    # the ground set orders robots by id, so r100 sorts between r10 and r11;
+    # each robot must still fly its own trajectory
+    config = SimConfig(
+        num_robots=101,
+        num_targets=6,
+        alpha=0,
+        rounds=3,
+        planner="random",
+        attackers=("none",),
+        rng_seed=8,
+    )
+    assert run_rounds(config)["none"] == oracles.run_rounds_literal(config, "none")
+
+
 def test_run_rounds_shape_and_invariants():
     config = SimConfig(num_robots=3, num_targets=8, alpha=1, rounds=12, rng_seed=21)
     records = run_rounds(config)["optimal"]
