@@ -14,7 +14,6 @@ redundant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .adversary import attack_optimal
 from .errors import DegenerateObjective
 from .matroid import PartitionMatroid
-from .objectives import CoverageCount, grid_union_counts
+from .objectives import basis_grid
 from .planners import plan_bruteforce_maxmin, plan_resilient
 
 BOUND_SLACK = 1e-9
@@ -46,12 +45,12 @@ class CurvatureReport:
 def constrained_curvature(matroid: PartitionMatroid, objective) -> CurvatureReport:
     """Curvature nu = 1 - min over bases S, s in S of (f(S)-f(S-s)) / f(s).
 
-    Enumerates every basis (subject to the enumeration cap).  Raises
-    :class:`DegenerateObjective` when no nonzero singleton exists.
-
-    On a :class:`CoverageCount` every basis is scored at once on packed
-    bitmasks, which only picks the witness; the reported value is evaluated
-    on the witness through the objective, as in the loop.
+    Scores every basis at once on the basis grid (subject to the
+    enumeration cap).  The witness is the first basis in enumeration order
+    and, within it, the first robot in ground order that attains the
+    minimum ratio; the reported value is evaluated on the witness through
+    the objective.  Raises :class:`DegenerateObjective` when no nonzero
+    singleton exists.
     """
     evaluate = objective.evaluate
     singleton = {tid: evaluate(frozenset({tid})) for tid in matroid.ground_set}
@@ -61,13 +60,8 @@ def constrained_curvature(matroid: PartitionMatroid, objective) -> CurvatureRepo
     if len(skipped) == len(matroid.ground_set):
         raise DegenerateObjective("every singleton value is zero")
 
-    if isinstance(objective, CoverageCount):
-        matroid.require_enumerable()
-        witness_set, witness_element = _coverage_curvature_witness(
-            matroid, objective, singleton
-        )
-    else:
-        witness_set, witness_element = _curvature_witness(matroid, evaluate, singleton)
+    matroid.require_enumerable()
+    witness_set, witness_element = _grid_witness(matroid, objective, singleton)
     loss = evaluate(witness_set) - evaluate(witness_set - {witness_element})
     return CurvatureReport(
         value=1.0 - loss / singleton[witness_element],
@@ -77,47 +71,29 @@ def constrained_curvature(matroid: PartitionMatroid, objective) -> CurvatureRepo
     )
 
 
-def _curvature_witness(matroid, f, singleton):
-    """First (basis, element) with the smallest ratio, in enumeration order."""
-    best_ratio = math.inf
-    witness = None
-    for basis in matroid.enumerate_bases():
-        full = f(basis)
-        for tid in matroid.sorted_members(basis):
-            if singleton[tid] == 0:
-                continue
-            ratio = (full - f(basis - {tid})) / singleton[tid]
-            if ratio < best_ratio:
-                best_ratio = ratio
-                witness = (basis, tid)
-    return witness
+def _grid_witness(matroid, objective, singleton):
+    """First (basis, element) with the smallest ratio, scored on the grid.
 
-
-def _coverage_curvature_witness(matroid, objective: CoverageCount, singleton):
-    """:func:`_curvature_witness` over every basis, scored all at once.
-
-    The full union and the ``n`` leave-one-out unions are counted over the
-    basis grid, and the ratios are divided from the same integers as the
-    loop's.  A strict running minimum over robots keeps each basis's first
-    minimal member, and the first ``argmin`` over the grid (C order is
-    enumeration order) keeps the first minimal basis.
+    The full union minus each leave-one-out union is divided by the
+    singletons; a strict running minimum over robots keeps each basis's
+    first minimal member, and the first ``argmin`` over the grid (C order
+    is enumeration order) keeps the first minimal basis.
     """
     menus = [matroid.blocks[robot] for robot in matroid.robots]
-    tables = objective.menu_tables(menus)
+    union = basis_grid(objective, menus)
     n = len(menus)
-    full = grid_union_counts(tables, n)
+    full = union(range(n))
     best = np.full(full.shape, np.inf)
     best_robot = np.zeros(full.shape, dtype=np.intp)
     for r, menu in enumerate(menus):
-        loss = full - grid_union_counts(tables[:r] + tables[r + 1 :], n)
+        loss = full - union([s for s in range(n) if s != r])
         # a zero singleton is skipped: its NaN ratio never compares lower
         single = np.array([singleton[tid] or np.nan for tid in menu], dtype=float)
-        ratio = loss / single.reshape(tables[r].shape[:-1])
+        ratio = loss / single.reshape([-1 if s == r else 1 for s in range(n)])
         lower = ratio < best
         best = np.where(lower, ratio, best)
         best_robot = np.where(lower, r, best_robot)
-    flat = int(np.argmin(best))
-    index = np.unravel_index(flat, best.shape)
+    index = np.unravel_index(int(np.argmin(best)), best.shape)
     robot = int(best_robot[index])
     basis = frozenset(menu[i] for menu, i in zip(menus, index))
     return basis, menus[robot][index[robot]]

@@ -69,8 +69,13 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.seed < 0:
-        raise TrackingError(f"--seed must be at least 0, got {args.seed}")
+    for flag, value, minimum in (
+        ("--seed", args.seed, 0),
+        ("--instances", args.instances, 1),
+        ("--trials", args.trials, 1),
+    ):
+        if value < minimum:
+            raise TrackingError(f"{flag} must be at least {minimum}, got {value}")
     if args.suite == "bounds":
         reports = run_bound_suite(num_instances=args.instances, rng_seed=args.seed)
         bad = [r for r in reports if not r.satisfied]

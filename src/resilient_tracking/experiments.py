@@ -45,10 +45,12 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from statistics import mean, pstdev
+from typing import get_type_hints
 
 import numpy as np
 
@@ -62,25 +64,11 @@ from .simulation import SimConfig, run_rounds
 from .worlds import DIRECTION_ORDER, sample_instance
 
 CSV_SCHEMA_VERSION = 1
-CSV_COLUMNS = (
-    "trial",
-    "round",
-    "planner",
-    "attacker",
-    "m",
-    "alpha",
-    "f_full",
-    "f_attacked",
-    "attack_rate",
-    "oracle_calls",
-    "wall_time_micros",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
 class RecordRow:
-    """One scored (planner, attacker) outcome."""
+    """One scored (planner, attacker) outcome; the fields are the CSV columns."""
 
     trial: int
     round: int
@@ -95,21 +83,10 @@ class RecordRow:
     wall_time_micros: int
     seed: int
 
-    def as_csv_fields(self) -> tuple:
-        return (
-            self.trial,
-            self.round,
-            self.planner,
-            self.attacker,
-            self.m,
-            self.alpha,
-            self.f_full,
-            self.f_attacked,
-            self.attack_rate,
-            self.oracle_calls,
-            self.wall_time_micros,
-            self.seed,
-        )
+
+CSV_COLUMNS = tuple(column.name for column in fields(RecordRow))
+_csv_values = attrgetter(*CSV_COLUMNS)
+_COLUMN_TYPES = tuple(get_type_hints(RecordRow)[name] for name in CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -465,7 +442,7 @@ def write_csv(rows, path, objective: str = "coverage_count") -> None:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for row in rows:
-                fh.write(",".join(str(v) for v in row.as_csv_fields()) + "\n")
+                fh.write(",".join(str(v) for v in _csv_values(row)) + "\n")
             fh.write(
                 f"# status=complete schema={CSV_SCHEMA_VERSION} "
                 f"objective={objective} rows={len(rows)}\n"
@@ -509,22 +486,7 @@ def read_csv(path) -> list[RecordRow]:
                 f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}"
             )
         try:
-            rows.append(
-                RecordRow(
-                    trial=int(parts[0]),
-                    round=int(parts[1]),
-                    planner=parts[2],
-                    attacker=parts[3],
-                    m=int(parts[4]),
-                    alpha=int(parts[5]),
-                    f_full=float(parts[6]),
-                    f_attacked=float(parts[7]),
-                    attack_rate=float(parts[8]),
-                    oracle_calls=int(parts[9]),
-                    wall_time_micros=int(parts[10]),
-                    seed=int(parts[11]),
-                )
-            )
+            rows.append(RecordRow(*(parse(part) for parse, part in zip(_COLUMN_TYPES, parts))))
         except ValueError as exc:
             raise CsvFormatError(f"line {lineno}: {exc}") from None
     if marker is None:

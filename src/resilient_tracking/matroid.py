@@ -73,10 +73,6 @@ class PartitionMatroid:
         except KeyError:
             raise ValueError(f"unknown trajectory id {trajectory_id!r}") from None
 
-    def sorted_members(self, members: Iterable[str]) -> list[str]:
-        """Members sorted by canonical ground order."""
-        return sorted(members, key=self.ground_index)
-
     def is_independent(self, members: Iterable[str]) -> bool:
         """True when ``members`` uses at most one trajectory per robot."""
         seen = set()

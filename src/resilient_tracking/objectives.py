@@ -33,14 +33,17 @@ go unseen by both.
 hunt for violations of the two properties over the whole power set of the
 ground set; they return the violations found (empty list = clean run).
 
-``CoverageCount.menu_tables`` and ``grid_union_counts`` lay the coverage
-masks out on the grid of all bases, one axis per robot menu, so the exact
-enumerations in the planners and the analysis can score every basis at once
-instead of calling ``evaluate`` per basis.
+``basis_grid`` lays an objective out on the grid of all bases, one axis
+per robot menu, so the exact max-min and the exact curvature score every
+basis at once.  It is the one place that depends on the objective: a
+:class:`CoverageCount` ORs and counts its packed masks there
+(``menu_tables`` and ``grid_union_counts``), and any other objective is
+evaluated once per combination of the listed robots' menus.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -155,6 +158,35 @@ def grid_union_counts(tables: Sequence[np.ndarray], ndim: int) -> np.ndarray:
             union = union | table[..., w]
         counts = counts + np.bitwise_count(union)
     return counts
+
+
+def basis_grid(objective, menus: Sequence[Sequence[str]]):
+    """``union(robots)``: the objective on the union of the listed robots' picks.
+
+    ``menus`` are the robot menus in robot order, so a point of the grid
+    (one axis per menu) is one basis and C order over the grid is
+    ``PartitionMatroid.enumerate_bases`` order.  ``union`` takes robot
+    indices in increasing order and returns the objective's value for every
+    combination of their menus, broadcast over the grid: the listed robots'
+    axes have their menu sizes, every other axis size 1.  No robots gives
+    ``f(empty)`` at every point.
+    """
+    ndim = len(menus)
+    if isinstance(objective, CoverageCount):
+        tables = objective.menu_tables(menus)
+        return lambda robots: grid_union_counts([tables[r] for r in robots], ndim)
+
+    def union(robots):
+        shape = [1] * ndim
+        for r in robots:
+            shape[r] = len(menus[r])
+        values = [
+            objective.evaluate(frozenset(combo))
+            for combo in itertools.product(*(menus[r] for r in robots))
+        ]
+        return np.array(values, dtype=float).reshape(shape)
+
+    return union
 
 
 class ExpectedDetections:

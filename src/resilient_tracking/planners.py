@@ -22,7 +22,7 @@ import numpy as np
 from .adversary import attack_optimal
 from .errors import EnumerationCapExceeded
 from .matroid import ENUMERATION_CAP, PartitionMatroid
-from .objectives import CoverageCount, grid_union_counts
+from .objectives import basis_grid
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class PlanResult:
     left open by the bait, the fill makes ``m * k(k+1)/2`` evaluations, so
     the greedy planner makes ``m * n(n+1)/2`` and the resilient planner
     ``m * n`` more for its singletons.  For the exhaustive planner it is the
-    per-basis loop's count on either path.  ``maxmin_value`` is filled by
+    logical count ``bases * C(n, min(alpha, n))`` of a per-basis optimal
+    attack, not the grid evaluations it makes.  ``maxmin_value`` is filled by
     the exhaustive planner (the worst-case surviving value of the returned
     basis) and None otherwise.
     """
@@ -146,40 +147,19 @@ def plan_random(matroid: PartitionMatroid, rng_seed) -> PlanResult:
     return PlanResult(selected=selected, trace=None, oracle_calls=0)
 
 
-def _coverage_maxmin_basis(matroid: PartitionMatroid, objective: CoverageCount, k: int):
-    """The basis the per-basis max-min loop keeps, scored all at once.
-
-    For every set of ``k`` removed robots the survivors' menu tables are
-    OR-ed over the basis grid and counted; a running minimum over the sets
-    gives every basis's worst case.  The grid's C order is enumeration
-    order, so the first ``argmax`` is the loop's first strict maximizer.
-    """
-    menus = [matroid.blocks[robot] for robot in matroid.robots]
-    tables = objective.menu_tables(menus)
-    n = len(menus)
-    worst = None
-    for removed in itertools.combinations(range(n), k):
-        survivors = [table for r, table in enumerate(tables) if r not in removed]
-        counts = grid_union_counts(survivors, n)
-        worst = counts if worst is None else np.minimum(worst, counts)
-    grid = np.broadcast_to(worst, tuple(len(menu) for menu in menus))
-    index = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    return frozenset(menu[i] for menu, i in zip(menus, index))
-
-
 def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> PlanResult:
     """Exhaustive max-min reference: best basis under worst-case removal.
 
-    Enumerates every basis, scores each by its optimally attacked value and
-    keeps the lexicographically first maximizer.  The product of basis count
-    and attack subsets per basis must stay within ``ENUMERATION_CAP``.
+    Scores every basis by its optimally attacked value and keeps the first
+    maximizer in enumeration order.  The product of basis count and attack
+    subsets per basis must stay within ``ENUMERATION_CAP``.
 
-    ``oracle_calls`` is ``bases * C(n, min(alpha, n))``, exactly the
-    evaluations of the per-basis loop (one optimal attack per basis).  A
-    :class:`CoverageCount` is scored on packed bitmasks in one batched pass
-    instead; ``maxmin_value`` still comes from ``evaluate`` via the optimal
-    attack on the chosen basis, and ``oracle_calls`` is the same logical
-    count.
+    Every basis is scored at once on the basis grid (:func:`basis_grid`):
+    for every set of ``min(alpha, n)`` removed robots the survivors' union
+    values are taken over the grid, and a running minimum over the sets
+    gives every basis's worst case.  The grid's C order is enumeration
+    order, so the first ``argmax`` is the first maximizer.  ``maxmin_value``
+    comes from the optimal attack on the chosen basis.
     """
     _check_alpha(matroid, alpha)
     n = matroid.num_robots
@@ -189,21 +169,20 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
             f"max-min enumeration needs {work} attacked evaluations, "
             f"cap is {ENUMERATION_CAP}"
         )
-    if isinstance(objective, CoverageCount):
-        best_set = _coverage_maxmin_basis(matroid, objective, min(alpha, n))
-        best_value = attack_optimal(objective, best_set, alpha).surviving_value
-    else:
-        best_set = None
-        best_value = -math.inf
-        for basis in matroid.enumerate_bases():
-            worst = attack_optimal(objective, basis, alpha)
-            if worst.surviving_value > best_value:
-                best_set, best_value = basis, worst.surviving_value
+    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    union = basis_grid(objective, menus)
+    worst = None
+    for removed in itertools.combinations(range(n), min(alpha, n)):
+        values = union([r for r in range(n) if r not in removed])
+        worst = values if worst is None else np.minimum(worst, values)
+    grid = np.broadcast_to(worst, tuple(len(menu) for menu in menus))
+    index = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    best_set = frozenset(menu[i] for menu, i in zip(menus, index))
     return PlanResult(
         selected=best_set,
         trace=None,
         oracle_calls=work,
-        maxmin_value=float(best_value),
+        maxmin_value=attack_optimal(objective, best_set, alpha).surviving_value,
     )
 
 

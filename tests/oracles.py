@@ -88,25 +88,36 @@ def resilient_literal(blocks, f, alpha):
     return tuple(bait), tuple(fill)
 
 
+def curvature_witness_bruteforce(blocks, f):
+    """First (basis, member) with the smallest (f(S) - f(S - s)) / f({s}).
+
+    Bases in ``all_bases`` order, members of each basis in robot order, and
+    a later pair wins only with a strictly smaller ratio.  Members whose
+    singleton value is zero are skipped.  Returns ``(ratio, basis,
+    member)``, or None when nothing is usable (the degenerate case).
+    """
+    witness = None
+    for basis in all_bases(blocks):
+        full = f(basis)
+        for robot in sorted(blocks):
+            (member,) = basis.intersection(blocks[robot])
+            single = f(frozenset([member]))
+            if single == 0:
+                continue
+            ratio = (full - f(basis - {member})) / single
+            if witness is None or ratio < witness[0]:
+                witness = (ratio, basis, member)
+    return witness
+
+
 def curvature_bruteforce(blocks, f):
     """1 - min over bases S and members s of (f(S) - f(S - s)) / f({s}).
 
     Members whose singleton value is zero are skipped.  Returns None when
     nothing is usable (the degenerate case).
     """
-    best_ratio = math.inf
-    for basis in all_bases(blocks):
-        full = f(basis)
-        for member in basis:
-            single = f(frozenset([member]))
-            if single == 0:
-                continue
-            ratio = (full - f(basis - {member})) / single
-            if ratio < best_ratio:
-                best_ratio = ratio
-    if best_ratio is math.inf:
-        return None
-    return 1.0 - best_ratio
+    witness = curvature_witness_bruteforce(blocks, f)
+    return None if witness is None else 1.0 - witness[0]
 
 
 def _normal_cdf(z):

@@ -1,14 +1,17 @@
-"""Batched exact max-min and curvature on coverage versus the per-basis loops.
+"""Exact max-min and curvature on the basis grid versus the literal loops.
 
-``plan_bruteforce_maxmin`` and exact ``constrained_curvature`` score every
-basis at once when handed a ``CoverageCount``.  Wrapping the same objective
-in ``helpers.CountingOracle`` (or ``helpers.SetFunction``) forces the generic
-per-basis loop, and ``oracles.py`` holds the literal nested enumerations; all
-three must agree on the selection, the witness, the value and the call
-count, which for the loop is also the number of evaluations it made.
+``plan_bruteforce_maxmin`` and ``constrained_curvature`` score every basis
+at once on ``objectives.basis_grid``.  A ``CoverageCount`` is scored there
+on packed bitmasks; wrapping its ``evaluate`` in ``helpers.SetFunction``
+makes the grid call ``evaluate`` once per menu combination instead, the
+path every other objective takes.  ``oracles.py`` holds the literal nested
+enumerations.  All must agree on the selection, the witness and the value,
+and ``oracle_calls`` is the logical count ``bases * C(n, min(alpha, n))``
+of a per-basis optimal attack.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -67,13 +70,14 @@ def test_batched_maxmin_matches_loop_and_oracle(instance, data):
     alpha = data.draw(st.integers(0, matroid.num_robots))
 
     batched = plan_bruteforce_maxmin(matroid, cov, alpha)
-    counting = helpers.CountingOracle(cov)
-    loop = plan_bruteforce_maxmin(matroid, counting, alpha)
+    generic = plan_bruteforce_maxmin(matroid, helpers.SetFunction(cov.evaluate), alpha)
     want_value, want_basis = oracles.maxmin_bruteforce(matroid.blocks, cov.evaluate, alpha)
 
-    assert batched.selected == loop.selected == want_basis
-    assert batched.maxmin_value == loop.maxmin_value == want_value
-    assert batched.oracle_calls == loop.oracle_calls == counting.eval_count
+    assert batched.selected == generic.selected == want_basis
+    assert batched.maxmin_value == generic.maxmin_value == want_value
+    n = matroid.num_robots
+    logical = math.prod(menu_sizes) * math.comb(n, min(alpha, n))
+    assert batched.oracle_calls == generic.oracle_calls == logical
 
 
 @PROPERTY_SETTINGS
@@ -90,9 +94,61 @@ def test_batched_curvature_matches_loop_and_oracle(instance):
         return
 
     batched = constrained_curvature(matroid, cov)
-    loop = constrained_curvature(matroid, helpers.SetFunction(cov.evaluate))
-    assert batched == loop
-    assert batched.value == pytest.approx(want, abs=1e-12)
+    generic = constrained_curvature(matroid, helpers.SetFunction(cov.evaluate))
+    ratio, basis, member = oracles.curvature_witness_bruteforce(matroid.blocks, cov.evaluate)
+    assert batched == generic
+    assert (batched.witness_set, batched.witness_element) == (basis, member)
+    assert batched.value == want == 1.0 - ratio
+
+
+@st.composite
+def near_tie_beliefs(draw):
+    """A matroid and ``ExpectedDetections`` with exact value ties common.
+
+    Rectangles come from a small pool of lattice boxes and beliefs sit on
+    the same lattice with one shared deviation, so duplicate rectangles and
+    equal unions are frequent.  One trajectory gets a zero-width rectangle,
+    which covers no grid cell and has singleton value exactly 0; ``far``
+    moves every belief out of reach.
+    """
+    pool = draw(st.lists(helpers.boxes(), min_size=1, max_size=4))
+    menu_sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    blocks, rects = {}, {}
+    for r, size in enumerate(menu_sizes):
+        blocks[f"r{r}"] = [f"r{r}:{k}" for k in range(size)]
+        for tid in blocks[f"r{r}"]:
+            rects[tid] = draw(st.sampled_from(pool))
+    zero = draw(st.sampled_from(sorted(rects)))
+    x, y0, y1 = draw(helpers.lattice), draw(helpers.lattice), draw(helpers.lattice)
+    rects[zero] = Rect(x, x, min(y0, y1), max(y0, y1))
+    far = draw(st.sampled_from([0.0, 0.0, 0.0, 1000.0]))
+    std = draw(st.sampled_from([0.25, 1.0, 2.5]))
+    points = draw(st.lists(st.tuples(helpers.lattice, helpers.lattice), max_size=6))
+    beliefs = [(x + far, y + far, std, std) for x, y in points]
+    return PartitionMatroid(blocks), helpers.expected(beliefs, rects), zero
+
+
+@PROPERTY_SETTINGS
+@given(instance=near_tie_beliefs(), data=st.data())
+def test_exact_enumerations_on_expected_detections_match_the_oracles(instance, data):
+    matroid, objective, zero = instance
+    assert objective.evaluate({zero}) == 0.0
+    alpha = data.draw(st.integers(0, matroid.num_robots))
+    got = plan_bruteforce_maxmin(matroid, objective, alpha)
+    want_value, want_basis = oracles.maxmin_bruteforce(matroid.blocks, objective.evaluate, alpha)
+    assert got.selected == want_basis
+    assert got.maxmin_value == want_value
+
+    witness = oracles.curvature_witness_bruteforce(matroid.blocks, objective.evaluate)
+    if witness is None:
+        with pytest.raises(DegenerateObjective):
+            constrained_curvature(matroid, objective)
+        return
+    ratio, basis, member = witness
+    report = constrained_curvature(matroid, objective)
+    assert (report.witness_set, report.witness_element) == (basis, member)
+    assert report.value == 1.0 - ratio
+    assert zero in report.skipped_zero_elements
 
 
 def test_menu_tables_pack_more_than_64_targets():
@@ -115,14 +171,13 @@ def test_batched_maxmin_edge_alphas_and_single_item_menus(alpha):
     # alpha 3 removes every robot: all bases tie at 0 and the first one wins
     matroid, cov = random_coverage(11, [1, 4, 1], num_targets=90)
     batched = plan_bruteforce_maxmin(matroid, cov, alpha)
-    counting = helpers.CountingOracle(cov)
-    loop = plan_bruteforce_maxmin(matroid, counting, alpha)
+    generic = plan_bruteforce_maxmin(matroid, helpers.SetFunction(cov.evaluate), alpha)
     assert (batched.selected, batched.maxmin_value, batched.oracle_calls) == (
-        loop.selected,
-        loop.maxmin_value,
-        counting.eval_count,
+        generic.selected,
+        generic.maxmin_value,
+        4 * math.comb(3, alpha),
     )
-    assert loop.oracle_calls == counting.eval_count
+    assert generic.oracle_calls == batched.oracle_calls
     if alpha == matroid.num_robots:
         assert batched.maxmin_value == 0.0
         assert batched.selected == next(matroid.enumerate_bases())

@@ -74,6 +74,23 @@ def test_check_refuses_a_negative_seed(capsys, suite):
     assert err.startswith("error:") and "--seed" in err
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("bounds", "--instances", "0"),
+        ("bounds", "--instances", "-3"),
+        ("properties", "--trials", "0"),
+        ("properties", "--trials", "-1"),
+    ],
+)
+def test_check_refuses_zero_work(capsys, suite, flag, value):
+    # a suite that checks nothing must not report success
+    assert main(["check", "--suite", suite, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and flag in captured.err
+    assert captured.out == ""
+
+
 def test_run_uses_output_from_spec(tmp_path, capsys):
     out = tmp_path / "from_spec.csv"
     spec = write_spec(tmp_path, output=str(out))

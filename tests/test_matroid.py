@@ -47,7 +47,7 @@ def test_enumeration_is_lexicographic_and_exhaustive():
     # robots sort to (r0, r1) regardless of construction order
     assert m.robots == ("r0", "r1")
     assert m.ground_set == ("x0", "x1", "x2", "y0", "y1")
-    got = [tuple(m.sorted_members(b)) for b in m.enumerate_bases()]
+    got = [tuple(sorted(b, key=m.ground_index)) for b in m.enumerate_bases()]
     want = [
         (x, y) for x in ("x0", "x1", "x2") for y in ("y0", "y1")
     ]
@@ -85,7 +85,7 @@ def test_enumeration_cap():
 def test_ground_index_tracks_canonical_order():
     m = two_by_two()
     assert [m.ground_index(t) for t in m.ground_set] == [0, 1, 2, 3]
-    assert m.sorted_members(["b1", "a0", "a1"]) == ["a0", "a1", "b1"]
+    assert sorted(["b1", "a0", "a1"], key=m.ground_index) == ["a0", "a1", "b1"]
     assert m.robot_of("b1") == "r1"
 
 

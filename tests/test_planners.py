@@ -91,11 +91,12 @@ def test_oracle_call_budget_and_audit():
     assert result.oracle_calls == counting.eval_count - before
     assert result.oracle_calls <= 2 * n * n + n
 
-    # the generic per-basis max-min loop (any objective but CoverageCount)
+    # brute force reports the logical count of one optimal attack per basis
     small = sample_instance(rng, 4, 12, 3.0, 7.0, helpers.ARENA)
-    counting = helpers.CountingOracle(CoverageCount(small.targets, small.ids, small.bounds))
-    result = plan_bruteforce_maxmin(small.matroid, counting, 2)
-    assert result.oracle_calls == counting.eval_count == 4**4 * 6
+    cov = CoverageCount(small.targets, small.ids, small.bounds)
+    for objective in (cov, helpers.SetFunction(cov.evaluate)):
+        result = plan_bruteforce_maxmin(small.matroid, objective, 2)
+        assert result.oracle_calls == 4**4 * 6
 
 
 def test_oracle_calls_follow_the_closed_form_on_full_menus():
