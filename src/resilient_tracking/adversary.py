@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded
-from .matroid import ENUMERATION_CAP
+from .matroid import require_enumerable
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,7 @@ def attack_optimal(objective, members, alpha: int) -> AttackResult:
     selected = frozenset(members)
     ordered = sorted(selected)
     k = min(alpha, len(ordered))
-    total = math.comb(len(ordered), k)
-    if total > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"{total} removal sets exceed the enumeration cap of {ENUMERATION_CAP}"
-        )
+    require_enumerable("the removal sets", choose=(len(ordered), k))
     best_removed = None
     best_value = math.inf
     for combo in itertools.combinations(ordered, k):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adversary import attack_optimal
 from .errors import DegenerateObjective
-from .matroid import PartitionMatroid
+from .matroid import PartitionMatroid, require_enumerable
 from .objectives import basis_grid
 from .planners import plan_bruteforce_maxmin, plan_resilient
 
@@ -52,6 +52,7 @@ def constrained_curvature(matroid: PartitionMatroid, objective) -> CurvatureRepo
     the objective.  Raises :class:`DegenerateObjective` when no nonzero
     singleton exists.
     """
+    require_enumerable("the bases", map(len, matroid.blocks.values()))
     evaluate = objective.evaluate
     singleton = {tid: evaluate(frozenset({tid})) for tid in matroid.ground_set}
     skipped = tuple(
@@ -60,7 +61,6 @@ def constrained_curvature(matroid: PartitionMatroid, objective) -> CurvatureRepo
     if len(skipped) == len(matroid.ground_set):
         raise DegenerateObjective("every singleton value is zero")
 
-    matroid.require_enumerable()
     witness_set, witness_element = _grid_witness(matroid, objective, singleton)
     loss = evaluate(witness_set) - evaluate(witness_set - {witness_element})
     return CurvatureReport(
@@ -149,24 +149,13 @@ def check_performance_bound(matroid: PartitionMatroid, objective, alpha: int) ->
     reference = plan_bruteforce_maxmin(matroid, objective, alpha)
     optimal_value = reference.maxmin_value
 
-    if optimal_value == 0 or alpha == n:
-        return BoundReport(
-            num_robots=n,
-            alpha=alpha,
-            selected=plan.selected,
-            worst_removed=worst.removed,
-            surviving_value=worst.surviving_value,
-            optimal_value=optimal_value,
-            curvature=None,
-            cardinality_factor=None,
-            guarantee=0.0,
-            satisfied=worst.surviving_value >= -BOUND_SLACK,
-            degenerate=True,
-        )
-
-    curvature = constrained_curvature(matroid, objective)
-    factor = h_bound(n, alpha)
-    guarantee = 0.5 * max(1.0 - curvature.value, factor) * optimal_value
+    degenerate = optimal_value == 0 or alpha == n
+    curvature = factor = None
+    guarantee = 0.0
+    if not degenerate:
+        curvature = constrained_curvature(matroid, objective).value
+        factor = h_bound(n, alpha)
+        guarantee = 0.5 * max(1.0 - curvature, factor) * optimal_value
     return BoundReport(
         num_robots=n,
         alpha=alpha,
@@ -174,9 +163,9 @@ def check_performance_bound(matroid: PartitionMatroid, objective, alpha: int) ->
         worst_removed=worst.removed,
         surviving_value=worst.surviving_value,
         optimal_value=optimal_value,
-        curvature=curvature.value,
+        curvature=curvature,
         cardinality_factor=factor,
         guarantee=guarantee,
         satisfied=worst.surviving_value >= guarantee - BOUND_SLACK,
-        degenerate=False,
+        degenerate=degenerate,
     )

@@ -11,7 +11,6 @@ everywhere in the package.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EnumerationCapExceeded
@@ -19,6 +18,33 @@ from .errors import EnumerationCapExceeded
 # Most bases, removal sets or attacked evaluations any exact enumeration
 # may visit.
 ENUMERATION_CAP = 10**6
+
+
+def require_enumerable(
+    what: str, sizes: Iterable[int] = (), choose: tuple[int, int] = (0, 0)
+) -> int:
+    """The count ``prod(sizes) * C(n, k)`` of ``what``, for ``choose = (n, k)``.
+
+    Raises :class:`EnumerationCapExceeded` once the count passes
+    ``ENUMERATION_CAP``.  A count far past the cap is never formed, and the
+    error names ``what`` and the cap, not the count.
+    """
+    n, k = choose
+    k = min(int(k), n - k)
+    count = 1
+    # no factor is below 1, so stop at the first count past the cap; after
+    # the i-th binomial factor the count is prod(sizes) * C(n-k+i, i)
+    for size in sizes:
+        if count > ENUMERATION_CAP:
+            break
+        count *= size
+    for i in range(1, k + 1):
+        if count > ENUMERATION_CAP:
+            break
+        count = count * (n - k + i) // i
+    if count > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"{what} exceed the enumeration cap of {ENUMERATION_CAP}")
+    return count
 
 
 class PartitionMatroid:
@@ -88,26 +114,14 @@ class PartitionMatroid:
         members = set(members)
         return len(members) == self.num_robots and self.is_independent(members)
 
-    def basis_count(self) -> int:
-        return math.prod(len(self.blocks[r]) for r in self.robots)
-
-    def require_enumerable(self) -> int:
-        """The basis count; :class:`EnumerationCapExceeded` if beyond the cap."""
-        total = self.basis_count()
-        if total > ENUMERATION_CAP:
-            raise EnumerationCapExceeded(
-                f"{total} bases exceed the enumeration cap of {ENUMERATION_CAP}"
-            )
-        return total
-
     def enumerate_bases(self) -> Iterator[frozenset]:
         """Yield every basis, lexicographically by (robot order, menu order).
 
         Raises :class:`EnumerationCapExceeded` up front when the basis count
         is beyond ``ENUMERATION_CAP``.
         """
-        self.require_enumerable()
         menus = [self.blocks[r] for r in self.robots]
+        require_enumerable("the bases", map(len, menus))
 
         def generate() -> Iterator[frozenset]:
             for combo in itertools.product(*menus):

@@ -202,10 +202,7 @@ class ExpectedDetections:
 
     The dot product always runs over every cell, so a set's value depends
     only on which cells it covers, never on how many: a trajectory that
-    adds no new cell leaves the value bit for bit unchanged.  Evaluations
-    are memoized per trajectory set; the memo never changes observable
-    values because the function is deterministic for fixed beliefs and
-    rectangles.
+    adds no new cell leaves the value bit for bit unchanged.
 
     ``means`` and ``stds`` are ``(m, 2)``: one belief per row, its mean and
     standard deviation per axis.  ``bounds`` holds the coverage rectangle of
@@ -236,24 +233,17 @@ class ExpectedDetections:
         dpy = np.diff(normal_cdf((ys - mu_y) / sd_y), axis=1)
         self._shape = (dpx.shape[1], dpy.shape[1])
         self._weights = (dpx.T @ dpy).ravel()
-        self._cache: dict[frozenset, float] = {}
 
     def evaluate(self, members: Iterable[str]) -> float:
-        selected = frozenset(members)
-        hit = self._cache.get(selected)
-        if hit is not None:
-            return hit
         covered = np.zeros(self._shape, dtype=bool)
-        for tid in selected:
+        for tid in members:
             try:
                 covered[self._spans[tid]] = True
             except KeyError:
                 raise MissingCoverageRect(
                     f"no coverage rectangle for trajectory {tid!r}"
                 ) from None
-        value = float(np.dot(covered.ravel(), self._weights))
-        self._cache[selected] = value
-        return value
+        return float(np.dot(covered.ravel(), self._weights))
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,12 @@ remaining robots by marginal gain measured against the greedy picks alone.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import attack_optimal
-from .errors import EnumerationCapExceeded
-from .matroid import ENUMERATION_CAP, PartitionMatroid
+from .matroid import PartitionMatroid, require_enumerable
 from .objectives import basis_grid
 
 
@@ -39,14 +37,14 @@ class PlanResult:
     """Outcome of one planning call.
 
     ``oracle_calls`` counts objective evaluations made by this call only.
-    With every robot's menu of size ``m``, ``n`` robots and ``k`` of them
-    left open by the bait, the fill makes ``m * k(k+1)/2`` evaluations, so
-    the greedy planner makes ``m * n(n+1)/2`` and the resilient planner
-    ``m * n`` more for its singletons.  For the exhaustive planner it is the
-    logical count ``bases * C(n, min(alpha, n))`` of a per-basis optimal
-    attack, not the grid evaluations it makes.  ``maxmin_value`` is filled by
-    the exhaustive planner (the worst-case surviving value of the returned
-    basis) and None otherwise.
+    With every robot's menu of size ``m``, ground set ``T`` and ``k`` robots
+    left open by the bait (all ``n`` for the greedy planner), the resilient
+    and greedy planners make ``|T| + m * k(k-1)/2``: one per singleton, then
+    the fill's rounds after its first, which reads the singletons.  For the
+    exhaustive planner it is the logical count ``bases * C(n, min(alpha,
+    n))`` of a per-basis optimal attack, not the grid evaluations it makes.
+    ``maxmin_value`` is filled by the exhaustive planner (the worst-case
+    surviving value of the returned basis) and None otherwise.
     """
 
     selected: frozenset
@@ -64,30 +62,33 @@ def _check_alpha(matroid: PartitionMatroid, alpha: int) -> None:
         )
 
 
-def _greedy_fill(matroid, objective, bait: frozenset):
+def _greedy_fill(matroid, objective, bait: frozenset, singleton: dict):
     """Greedy phase: fill the robots the bait left open, by marginal gain.
 
-    Each round evaluates ``fill | {t}`` for every trajectory ``t`` of a
-    robot that is still open and admits the first maximum in canonical
-    ground order; the admitted robot's other trajectories then leave the
-    candidates.  Marginals are measured on the fill set only, not on bait +
-    fill.  Only an open robot's trajectory keeps bait + fill independent,
-    so this admits exactly what scanning all of T \\ bait and rejecting
-    dependent elements would.  Returns (fill, evaluations made).
+    Each round scores ``fill | {t}`` for every trajectory ``t`` of a robot
+    that is still open and admits the first maximum in canonical ground
+    order; the admitted robot's other trajectories then leave the
+    candidates.  The first round's sets are the singletons, so it reads
+    ``singleton`` and evaluations start at the second round.  Marginals are
+    measured on the fill set only, not on bait + fill.  Only an open
+    robot's trajectory keeps bait + fill independent, so this admits
+    exactly what scanning all of T \\ bait and rejecting dependent
+    elements would.  Returns (fill, evaluations made).
     """
     used_robots = {matroid.robot_of(tid) for tid in bait}
     candidates = [tid for tid in matroid.ground_set if matroid.robot_of(tid) not in used_robots]
+    values = [singleton[tid] for tid in candidates]
     fill: list[str] = []
     current = frozenset()
     calls = 0
     while candidates:
-        values = [objective.evaluate(current | {tid}) for tid in candidates]
-        calls += len(values)
         best = candidates[values.index(max(values))]
         fill.append(best)
         current = current | {best}
         robot = matroid.robot_of(best)
         candidates = [tid for tid in candidates if matroid.robot_of(tid) != robot]
+        values = [objective.evaluate(current | {tid}) for tid in candidates]
+        calls += len(values)
     return tuple(fill), calls
 
 
@@ -95,8 +96,9 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
     """Two-phase selection that withstands up to ``alpha`` removals.
 
     Phase 1 scans the whole ground set in descending singleton value
-    (singletons are evaluated once and cached) and admits an element while
-    the bait set stays independent and no larger than ``alpha``.  Phase 2
+    (singletons are evaluated once, and the fill's first round reads them)
+    and admits an element while the bait set stays independent and no
+    larger than ``alpha``.  Phase 2
     greedily fills the remaining robots; its marginal gains deliberately
     ignore the bait, which is what makes the bait expendable.
 
@@ -116,7 +118,7 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
             bait.append(tid)
             used_robots.add(robot)
 
-    fill, fill_calls = _greedy_fill(matroid, objective, frozenset(bait))
+    fill, fill_calls = _greedy_fill(matroid, objective, frozenset(bait), singleton)
     selected = frozenset(bait) | set(fill)
     if not matroid.is_basis(selected):
         raise AssertionError("planner failed to assemble a basis")
@@ -126,15 +128,18 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
         scanned_bait=tuple(scan_order),
     )
     return PlanResult(
-        selected=selected, trace=trace, oracle_calls=len(matroid.ground_set) + fill_calls
+        selected=selected, trace=trace, oracle_calls=len(singleton) + fill_calls
     )
 
 
 def plan_greedy(matroid: PartitionMatroid, objective) -> PlanResult:
     """Standard matroid greedy: largest marginal gain until a basis."""
-    fill, calls = _greedy_fill(matroid, objective, frozenset())
+    singleton = {tid: objective.evaluate(frozenset({tid})) for tid in matroid.ground_set}
+    fill, calls = _greedy_fill(matroid, objective, frozenset(), singleton)
     trace = AlgorithmTrace(bait=(), greedy_fill=fill, scanned_bait=())
-    return PlanResult(selected=frozenset(fill), trace=trace, oracle_calls=calls)
+    return PlanResult(
+        selected=frozenset(fill), trace=trace, oracle_calls=len(singleton) + calls
+    )
 
 
 def plan_random(matroid: PartitionMatroid, rng_seed) -> PlanResult:
@@ -163,13 +168,10 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
     """
     _check_alpha(matroid, alpha)
     n = matroid.num_robots
-    work = matroid.basis_count() * math.comb(n, min(alpha, n))
-    if work > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"max-min enumeration needs {work} attacked evaluations, "
-            f"cap is {ENUMERATION_CAP}"
-        )
     menus = [matroid.blocks[robot] for robot in matroid.robots]
+    work = require_enumerable(
+        "the max-min's attacked evaluations", map(len, menus), (n, min(alpha, n))
+    )
     union = basis_grid(objective, menus)
     worst = None
     for removed in itertools.combinations(range(n), min(alpha, n)):

@@ -102,16 +102,19 @@ class CountingOracle:
     """Wraps an objective and counts evaluations.
 
     An audit counter independent of the planners' own ``oracle_calls``
-    tally: ``eval_count`` increments by exactly one per ``evaluate`` call.
+    tally: ``eval_count`` increments by exactly one per ``evaluate`` call,
+    and ``evaluated`` lists the sets in call order.
     """
 
     def __init__(self, objective):
         self._objective = objective
         self.eval_count = 0
+        self.evaluated = []
 
     def evaluate(self, members):
         self.eval_count += 1
-        return self._objective.evaluate(frozenset(members))
+        self.evaluated.append(frozenset(members))
+        return self._objective.evaluate(self.evaluated[-1])
 
 
 # Edges on a half-unit lattice make shared edges, nesting, duplicates and

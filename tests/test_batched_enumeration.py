@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
+from resilient_tracking.adversary import attack_optimal
 from resilient_tracking.analysis import constrained_curvature
 from resilient_tracking.errors import DegenerateObjective, EnumerationCapExceeded
 from resilient_tracking.geometry import Rect
@@ -200,3 +201,11 @@ def test_batched_enumerations_keep_the_cap_checks():
     matroid, cov = random_coverage(2, [4] * 10, num_targets=10)
     with pytest.raises(EnumerationCapExceeded):
         constrained_curvature(matroid, cov)
+    # 4**8000 and C(20000, 10000) are past Python's 4300-digit int-to-str limit
+    matroid, cov = random_coverage(3, [4] * 8000, num_targets=10)
+    with pytest.raises(EnumerationCapExceeded):
+        plan_bruteforce_maxmin(matroid, cov, 1)
+    with pytest.raises(EnumerationCapExceeded):
+        constrained_curvature(matroid, cov)
+    with pytest.raises(EnumerationCapExceeded):
+        attack_optimal(helpers.SetFunction(len), range(20000), 10000)

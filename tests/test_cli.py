@@ -133,6 +133,9 @@ def test_bad_spec_exits_2_and_names_field(tmp_path, capsys):
         ({**GOLDEN_MULTI_ROUND, "measurement_noise_std": 1e-8}, "measurement_noise_std"),
         # a one-step world whose rectangles overflowed
         ({"fov_side": 1e308, "fly_length": 1e308}, "fly_length"),
+        # exact enumerations counting past Python's 4300-digit int-to-str limit
+        ({"num_robots": 8000, "planners": ["brute-force"]}, "planners"),
+        ({"num_robots": 20000, "alphas": [10000]}, "attackers"),
     ],
 )
 def test_non_finite_or_flat_spec_exits_2_without_traceback(tmp_path, capsys, overrides, field):

@@ -1,6 +1,7 @@
 """Experiment specs, suite execution, CSV round trips, summaries."""
 
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -84,6 +85,9 @@ def test_spec_errors_name_the_field():
         ({"measurement_noise_std": -3}, "measurement_noise_std"),
         ({"num_robots": 8, "alphas": [2], "planners": ["brute-force"]}, "planners"),
         ({"num_robots": 23, "alphas": [10]}, "attackers"),
+        # counts past Python's 4300-digit int-to-str limit
+        ({"num_robots": 8000, "planners": ["brute-force"]}, "planners"),
+        ({"num_robots": 20000, "alphas": [10000]}, "attackers"),
         # past the closed loop's float range or its Kalman gain limit
         ({**GOLDEN_MULTI_ROUND, "fly_length": 1e308}, "fly_length"),
         ({**GOLDEN_MULTI_ROUND, "velocity_jitter_std": 1e308}, "velocity_jitter_std"),
@@ -117,13 +121,18 @@ def test_spec_refuses_enumerations_past_the_cap_at_load():
     # brute force: 4**8 bases x C(8, alpha) attacks; optimal: C(23, alpha) removals
     inside = spec_from_dict(base_spec(num_robots=8, alphas=[0, 1], planners=["brute-force"]))
     assert inside.alphas == (0, 1)
-    with pytest.raises(SpecError, match="'planners'.*alpha 2.*1835008"):
+    with pytest.raises(SpecError, match="'planners'.*alpha 2.*cap of 1000000"):
         spec_from_dict(base_spec(num_robots=8, alphas=[1, 2], planners=["brute-force"]))
     assert spec_from_dict(base_spec(num_robots=23, alphas=[9, 14])).alphas == (9, 14)
-    with pytest.raises(SpecError, match="'attackers'.*alpha 10.*1144066"):
+    with pytest.raises(SpecError, match="'attackers'.*alpha 10.*cap of 1000000"):
         spec_from_dict(base_spec(num_robots=23, alphas=[9, 10]))
     # only the exact planner and attacker enumerate
     spec_from_dict(base_spec(num_robots=40, alphas=[20], attackers=["greedy"]))
+    # the count stops once past the cap: C(10**6, 5 * 10**5) in full takes seconds
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="'attackers'"):
+        spec_from_dict(base_spec(num_robots=10**6, alphas=[5 * 10**5]))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_spec_accepts_target_range_forms():
@@ -185,6 +194,39 @@ def test_parallel_matches_serial():
     parallel = run_suite(spec, jobs=3)
     strip = lambda r: replace(r, wall_time_micros=0)  # noqa: E731
     assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+
+
+def test_jobs_never_ask_for_more_workers_than_cells_or_cpus(monkeypatch):
+    # a process pool starts all its workers at the first submit; this fake
+    # starts none and runs the cells here
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    three_cells = spec_from_dict(base_spec(trials=3))
+    strip = lambda r: replace(r, wall_time_micros=0)  # noqa: E731
+    serial = [strip(r) for r in run_suite(three_cells, jobs=1)]
+    assert asked == []
+    assert [strip(r) for r in run_suite(three_cells, jobs=5000)] == serial
+    assert asked == [3]
+    run_suite(spec_from_dict(base_spec(trials=20)), jobs=5000)
+    assert asked == [3, 8]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    run_suite(three_cells, jobs=5000)
+    assert asked == [3, 8]
 
 
 def test_bruteforce_rows_agree_with_enumeration_oracle():

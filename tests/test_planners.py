@@ -100,7 +100,8 @@ def test_oracle_call_budget_and_audit():
 
 
 def test_oracle_calls_follow_the_closed_form_on_full_menus():
-    # the fill evaluates only open robots' trajectories: 4k + 4(k-1) + ... + 4
+    # |T| singletons, then the fill's rounds after its first, which reads
+    # them, over the k = n - alpha open robots: 4(k-1) + 4(k-2) + ... + 4
     rng = np.random.default_rng(17)
     inst = sample_instance(rng, 6, 30, 3.0, 7.0, helpers.ARENA)
     beliefs = [(x, y, 1.0, 1.0) for x, y in inst.targets.tolist()]
@@ -109,10 +110,12 @@ def test_oracle_calls_follow_the_closed_form_on_full_menus():
         CoverageCount(inst.targets, inst.ids, inst.bounds),
         helpers.expected(beliefs, helpers.rects_of(inst)),
     ):
-        assert plan_greedy(inst.matroid, objective).oracle_calls == 4 * n * (n + 1) // 2 == 84
         calls = [plan_resilient(inst.matroid, objective, alpha).oracle_calls for alpha in range(n + 1)]
-        assert calls == [4 * n + 4 * (n - a) * (n - a + 1) // 2 for a in range(n + 1)]
-        assert calls[:4] == [108, 84, 64, 48]
+        assert calls == [4 * n + 4 * (n - a) * (n - a - 1) // 2 for a in range(n + 1)]
+        assert calls[:4] == [84, 64, 48, 36]
+        greedy = plan_greedy(inst.matroid, objective)
+        assert greedy.oracle_calls == calls[0]
+        assert greedy.selected == plan_resilient(inst.matroid, objective, 0).selected
 
 
 @st.composite
@@ -166,8 +169,8 @@ def planning_instances(draw):
 @given(instance=planning_instances())
 def test_cached_selection_matches_naive_recompute(instance):
     # the open-robot fill against the literal scan-and-reject loop, which
-    # recomputes every round and also scans robots already filled; and
-    # every planner returns a basis
+    # recomputes every round and also scans robots already filled; the
+    # planners evaluate no set twice; and every planner returns a basis
     matroid, objective = instance
     for alpha in range(matroid.num_robots + 1):
         counting = helpers.CountingOracle(objective)
@@ -176,7 +179,7 @@ def test_cached_selection_matches_naive_recompute(instance):
         assert got.trace.bait == bait
         assert got.trace.greedy_fill == fill
         assert got.selected == frozenset(bait + fill)
-        assert got.oracle_calls == counting.eval_count
+        assert got.oracle_calls == counting.eval_count == len(set(counting.evaluated))
         for name in PLANNER_NAMES:
             result = get_planner(name)(matroid, objective, alpha, np.random.default_rng(alpha))
             assert matroid.is_basis(result.selected)
@@ -186,7 +189,7 @@ def test_cached_selection_matches_naive_recompute(instance):
     _, fill = oracles.resilient_literal(matroid.blocks, objective.evaluate, 0)
     assert got.trace.greedy_fill == fill
     assert got.selected == frozenset(fill)
-    assert got.oracle_calls == counting.eval_count
+    assert got.oracle_calls == counting.eval_count == len(set(counting.evaluated))
 
 
 def test_greedy_half_approximation_over_bases():
