@@ -45,7 +45,6 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from operator import attrgetter
@@ -428,6 +427,10 @@ def run_suite(spec: ExperimentSpec, jobs: int = 1) -> list[RecordRow]:
     if workers <= 1:
         buckets = [worker(spec, cell) for cell in cells]
     else:
+        # imported on first use: only a parallel run needs the pool, and its
+        # modules add to the start-up of every process that imports this one
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             buckets = list(pool.map(partial(worker, spec), cells))
     return [row for bucket in buckets for row in bucket]

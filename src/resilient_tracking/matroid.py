@@ -55,6 +55,11 @@ class PartitionMatroid:
     blocks:
         Mapping from robot id to that robot's trajectory menu (a non-empty
         sequence of unique trajectory ids).  Blocks must be disjoint.
+
+    ``owner`` maps each trajectory id to its robot and ``index`` to its
+    canonical rank, for callers whose ids come from this matroid;
+    ``robot_of`` and ``ground_index`` make the same lookups and refuse an
+    unknown id.  Like ``blocks``, neither changes after construction.
     """
 
     def __init__(self, blocks: Mapping[str, Sequence[str]]):
@@ -79,8 +84,8 @@ class PartitionMatroid:
         self.ground_set: tuple[str, ...] = tuple(
             tid for robot in robots for tid in cleaned[robot]
         )
-        self._robot_of = robot_of
-        self._index = {tid: i for i, tid in enumerate(self.ground_set)}
+        self.owner: dict[str, str] = robot_of
+        self.index = {tid: i for i, tid in enumerate(self.ground_set)}
 
     @property
     def num_robots(self) -> int:
@@ -88,14 +93,14 @@ class PartitionMatroid:
 
     def robot_of(self, trajectory_id: str) -> str:
         try:
-            return self._robot_of[trajectory_id]
+            return self.owner[trajectory_id]
         except KeyError:
             raise ValueError(f"unknown trajectory id {trajectory_id!r}") from None
 
     def ground_index(self, trajectory_id: str) -> int:
         """Canonical rank of a trajectory: robots in id order, then menu order."""
         try:
-            return self._index[trajectory_id]
+            return self.index[trajectory_id]
         except KeyError:
             raise ValueError(f"unknown trajectory id {trajectory_id!r}") from None
 

@@ -13,7 +13,13 @@ nondecreasing and submodular:
   rectangles): each grid cell's mass is a product of two 1D normal CDF
   differences, the beliefs fold into one weight per cell at construction,
   and evaluation is one dot product of the covered-cell mask with those
-  weights, linear in the grid size whatever the set size.
+  weights, linear in the grid size whatever the set size.  Construction
+  makes one pass: the grid lines are the sorted distinct edges, each
+  rectangle's cell span is two dict lookups, and one normal CDF call over
+  both axes' lines gives every belief's per-axis differences by slicing.
+  The weights are bit-identical to the literal construction
+  (``np.unique``, ``searchsorted``, one CDF pass per axis, ``np.diff``)
+  kept in ``tests/oracles.py``.
 
 Both are built from arrays: the trajectory ids in ground order, their
 coverage rectangles as one ``(T, 4)`` array of ``(x_min, x_max, y_min,
@@ -72,10 +78,17 @@ def normal_cdf(z):
 
 
 def _bounds(ids: Sequence[str], bounds) -> np.ndarray:
-    """``bounds`` as a ``(T, 4)`` array with one row per id."""
+    """``bounds`` as a ``(T, 4)`` array with one row per id.
+
+    Infinite edges are allowed; a NaN edge is refused, naming its trajectory.
+    """
     bounds = np.asarray(bounds, dtype=float).reshape(-1, 4)
     if len(bounds) != len(ids):
         raise ValueError(f"{len(ids)} trajectory ids but {len(bounds)} coverage rectangles")
+    nan = np.isnan(bounds)
+    if nan.any():
+        tid = ids[int(nan.any(axis=1).argmax())]
+        raise ValueError(f"coverage rectangle of trajectory {tid!r} has a NaN bound")
     return bounds
 
 
@@ -198,7 +211,18 @@ class ExpectedDetections:
     axis-aligned Gaussian belief is the product of its two per-axis CDF
     differences.  Construction sums those products over the beliefs into
     one weight per cell; evaluation paints the selected rectangles' cell
-    spans into a boolean grid and takes its dot product with the weights.
+    spans with 1.0 into a zero grid and takes its dot product with the
+    weights.
+
+    Construction is one pass.  The grid lines of an axis are its sorted
+    distinct edge values, and a rectangle's cell span is the positions of
+    its edges among them, looked up in a dict.  One normal CDF call covers
+    every belief at every line of both axes, an ``(m, nx + ny)`` array,
+    and each axis' cell differences are slices of it.  Every weight is bit
+    for bit the one the literal construction in ``tests/oracles.py``
+    (``np.unique``, ``searchsorted``, a CDF pass per axis and ``np.diff``)
+    gives: the same CDF values, the same differences and the same matrix
+    product.
 
     The dot product always runs over every cell, so a set's value depends
     only on which cells it covers, never on how many: a trajectory that
@@ -206,7 +230,7 @@ class ExpectedDetections:
 
     ``means`` and ``stds`` are ``(m, 2)``: one belief per row, its mean and
     standard deviation per axis.  ``bounds`` holds the coverage rectangle of
-    ``ids[g]`` in row ``g``.
+    ``ids[g]`` in row ``g``; its edges may be infinite but not NaN.
     """
 
     def __init__(self, means, stds, ids: Sequence[str], bounds):
@@ -216,34 +240,39 @@ class ExpectedDetections:
             raise ValueError(
                 "belief means must be finite and standard deviations positive and finite"
             )
-        edges = _bounds(ids, bounds)
-        xs = np.unique(edges[:, :2])
-        ys = np.unique(edges[:, 2:])
-        # cell (i, j) is [xs[i], xs[i+1]] x [ys[j], ys[j+1]]
-        x_spans = np.searchsorted(xs, edges[:, :2]).tolist()
-        y_spans = np.searchsorted(ys, edges[:, 2:]).tolist()
+        x_min, x_max, y_min, y_max = _bounds(ids, bounds).T.tolist()
+        # grid lines: each axis' distinct edges, ascending; cell (i, j) is
+        # [xs[i], xs[i+1]] x [ys[j], ys[j+1]]
+        xs = sorted({*x_min, *x_max})
+        ys = sorted({*y_min, *y_max})
+        x_line = dict(zip(xs, range(len(xs))))
+        y_line = dict(zip(ys, range(len(ys))))
         self._spans = {
-            tid: (slice(*x_span), slice(*y_span))
-            for tid, x_span, y_span in zip(ids, x_spans, y_spans)
+            tid: (slice(x_line[x0], x_line[x1]), slice(y_line[y0], y_line[y1]))
+            for tid, x0, x1, y0, y1 in zip(ids, x_min, x_max, y_min, y_max)
         }
-        mu_x, mu_y = means.T[:, :, None]
-        sd_x, sd_y = stds.T[:, :, None]
+        # every belief's CDF at every line of both axes: (beliefs, nx + ny)
+        nx = len(xs)
+        axes = (nx, len(ys))
+        lines = np.array(xs + ys)
+        cdf = normal_cdf((lines - np.repeat(means, axes, axis=1)) / np.repeat(stds, axes, axis=1))
         # per-belief CDF differences across each axis' cells: (beliefs, cells)
-        dpx = np.diff(normal_cdf((xs - mu_x) / sd_x), axis=1)
-        dpy = np.diff(normal_cdf((ys - mu_y) / sd_y), axis=1)
+        dpx = cdf[:, 1:nx] - cdf[:, : nx - 1]
+        dpy = cdf[:, nx + 1 :] - cdf[:, nx:-1]
         self._shape = (dpx.shape[1], dpy.shape[1])
         self._weights = (dpx.T @ dpy).ravel()
 
     def evaluate(self, members: Iterable[str]) -> float:
-        covered = np.zeros(self._shape, dtype=bool)
+        covered = np.zeros(self._shape)
         for tid in members:
             try:
-                covered[self._spans[tid]] = True
+                covered[self._spans[tid]] = 1.0
             except KeyError:
                 raise MissingCoverageRect(
                     f"no coverage rectangle for trajectory {tid!r}"
                 ) from None
-        return float(np.dot(covered.ravel(), self._weights))
+        # the method skips np.dot's dispatch; both make the same BLAS call
+        return float(covered.ravel().dot(self._weights))
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,9 @@ def _greedy_fill(matroid, objective, bait: frozenset, singleton: dict):
     exactly what scanning all of T \\ bait and rejecting dependent
     elements would.  Returns (fill, evaluations made).
     """
-    used_robots = {matroid.robot_of(tid) for tid in bait}
-    candidates = [tid for tid in matroid.ground_set if matroid.robot_of(tid) not in used_robots]
+    owner = matroid.owner
+    used_robots = {owner[tid] for tid in bait}
+    candidates = [tid for tid in matroid.ground_set if owner[tid] not in used_robots]
     values = [singleton[tid] for tid in candidates]
     fill: list[str] = []
     current = frozenset()
@@ -85,8 +86,8 @@ def _greedy_fill(matroid, objective, bait: frozenset, singleton: dict):
         best = candidates[values.index(max(values))]
         fill.append(best)
         current = current | {best}
-        robot = matroid.robot_of(best)
-        candidates = [tid for tid in candidates if matroid.robot_of(tid) != robot]
+        robot = owner[best]
+        candidates = [tid for tid in candidates if owner[tid] != robot]
         values = [objective.evaluate(current | {tid}) for tid in candidates]
         calls += len(values)
     return tuple(fill), calls
@@ -109,12 +110,14 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
     singleton = {tid: objective.evaluate(frozenset({tid})) for tid in matroid.ground_set}
     bait: list[str] = []
     used_robots: set[str] = set()
-    scan_order = sorted(
-        matroid.ground_set, key=lambda tid: (-singleton[tid], matroid.ground_index(tid))
-    )
+    # descending singleton value: the ground set is in ground order and a
+    # reversed sort is still stable, so ties keep ground order
+    scan_order = sorted(matroid.ground_set, key=singleton.__getitem__, reverse=True)
     for tid in scan_order:
-        robot = matroid.robot_of(tid)
-        if len(bait) < alpha and robot not in used_robots:
+        if len(bait) == alpha:
+            break
+        robot = matroid.owner[tid]
+        if robot not in used_robots:
             bait.append(tid)
             used_robots.add(robot)
 

@@ -221,22 +221,30 @@ class TargetState:
 def _reflect(values, lo, hi):
     """Fold coordinates back into [lo, hi]; returns (positions, sign flips).
 
-    Needs ``lo < hi`` (arrays that broadcast against ``values``).  A
-    coordinate more than a period ``2 * (hi - lo)`` outside first drops
-    whole periods, which flip the sign an even number of times; folding a
-    huge value directly can cycle forever in floating point.
+    Needs ``lo < hi`` (arrays that broadcast against ``values``).  When no
+    coordinate is outside, ``values`` come back as they are.  A coordinate
+    more than a period ``2 * (hi - lo)`` outside first drops whole periods,
+    which flip the sign an even number of times; folding a huge value
+    directly can cycle forever in floating point.
     """
+    below, above = values < lo, values > hi
+    outside = below | above
+    flip = np.ones_like(values)
+    if not outside.any():
+        return values, flip
     period = 2.0 * (hi - lo)
-    far = ~((lo - period <= values) & (values <= hi + period))
+    far = (values < lo - period) | (values > hi + period)
     if far.any():
         values = np.where(far, lo + np.fmod(values - lo, period), values)
-    flip = np.ones_like(values)
-    below, above = values < lo, values > hi
-    # small per-round steps need at most a couple of folds
-    while below.any() or above.any():
-        values = np.where(below, 2 * lo - values, np.where(above, 2 * hi - values, values))
-        flip = np.where(below | above, -flip, flip)
         below, above = values < lo, values > hi
+        outside = below | above
+    # small per-round steps need at most a couple of folds
+    lo2, hi2 = 2 * lo, 2 * hi
+    while outside.any():
+        values = np.where(below, lo2 - values, np.where(above, hi2 - values, values))
+        flip = np.where(outside, -flip, flip)
+        below, above = values < lo, values > hi
+        outside = below | above
     return values, flip
 
 
@@ -348,6 +356,7 @@ def run_rounds(config: SimConfig) -> dict[str, list[RoundRecord]]:
         for name in config.attackers
     }
     names = [robot_id(i) for i in range(config.num_robots)]
+    flights = MENU_STEPS * config.fly_length
 
     records = {name: [] for name in attacks}
     for round_index in range(1, config.rounds + 1):
@@ -377,9 +386,9 @@ def run_rounds(config: SimConfig) -> dict[str, list[RoundRecord]]:
         # every menu is full, so a trajectory's menu position is its
         # ground index modulo the menu length; the ground set is ordered by
         # robot id, not by row (r100 sorts before r11), so map back by name
-        chosen = map(matroid.ground_index, result.selected)
-        flown = {matroid.robot_of(instance.ids[g]): g % len(DIRECTION_ORDER) for g in chosen}
-        positions = positions + MENU_STEPS[[flown[name] for name in names]] * config.fly_length
+        owner, index = matroid.owner, matroid.index
+        flown = {owner[tid]: index[tid] % len(DIRECTION_ORDER) for tid in result.selected}
+        positions = positions + flights[[flown[name] for name in names]]
 
         step_targets(state, config, motion_rng)
         z = measure(state, config.measurement_noise_std, measure_rng)

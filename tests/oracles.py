@@ -3,7 +3,9 @@
 Everything here prefers the most literal possible enumeration over speed and
 shares no code paths with the package under test beyond the objective
 callables it is handed.  Blocks are plain {robot: [trajectory, ...]} dicts.
-The literal closed loop at the end is the one exception: it keeps its own
+There are two exceptions.  The literal expected-detections construction
+calls the package's ``normal_cdf``, since it pins the grid's weights bit
+for bit, not the CDF.  The literal closed loop at the end keeps its own
 per-object state and geometry but plans, attacks and scores with the
 package's planners, attackers and objectives.
 """
@@ -17,7 +19,7 @@ import numpy as np
 from resilient_tracking.adversary import get_attacker, score_attack
 from resilient_tracking.geometry import UNIT_STEP, Direction
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import ExpectedDetections
+from resilient_tracking.objectives import ExpectedDetections, normal_cdf
 from resilient_tracking.planners import get_planner
 from resilient_tracking.simulation import RoundRecord
 
@@ -152,6 +154,40 @@ def inclusion_exclusion_union_mass(beliefs, rects):
                 )
                 total += sign * px * py
     return total
+
+
+class LiteralExpectedDetections:
+    """Expected detections on the compressed grid, built the literal way.
+
+    ``np.unique`` gives each axis' grid lines, ``searchsorted`` each
+    rectangle's cell span, one normal CDF pass per axis and ``np.diff`` the
+    per-belief cell masses, and evaluation paints a boolean grid.  The
+    package's one-pass ``ExpectedDetections`` must give the same value bit
+    for bit; the two share only ``normal_cdf``.
+    """
+
+    def __init__(self, means, stds, ids, bounds):
+        edges = np.asarray(bounds, dtype=float).reshape(-1, 4)
+        xs = np.unique(edges[:, :2])
+        ys = np.unique(edges[:, 2:])
+        x_spans = np.searchsorted(xs, edges[:, :2]).tolist()
+        y_spans = np.searchsorted(ys, edges[:, 2:]).tolist()
+        self.spans = {
+            tid: (slice(*x_span), slice(*y_span))
+            for tid, x_span, y_span in zip(ids, x_spans, y_spans)
+        }
+        mu_x, mu_y = np.asarray(means, dtype=float).reshape(-1, 2).T[:, :, None]
+        sd_x, sd_y = np.asarray(stds, dtype=float).reshape(-1, 2).T[:, :, None]
+        dpx = np.diff(normal_cdf((xs - mu_x) / sd_x), axis=1)
+        dpy = np.diff(normal_cdf((ys - mu_y) / sd_y), axis=1)
+        self.shape = (dpx.shape[1], dpy.shape[1])
+        self.weights = (dpx.T @ dpy).ravel()
+
+    def evaluate(self, members):
+        covered = np.zeros(self.shape, dtype=bool)
+        for tid in members:
+            covered[self.spans[tid]] = True
+        return float(np.dot(covered.ravel(), self.weights))
 
 
 def mc_union_mass(rng, mean_x, mean_y, std_x, std_y, rects, samples):

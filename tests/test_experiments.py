@@ -1,5 +1,6 @@
 """Experiment specs, suite execution, CSV round trips, summaries."""
 
+import concurrent.futures
 import json
 import time
 from dataclasses import replace
@@ -214,7 +215,7 @@ def test_jobs_never_ask_for_more_workers_than_cells_or_cpus(monkeypatch):
         def map(self, fn, cells):
             return map(fn, cells)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
     three_cells = spec_from_dict(base_spec(trials=3))
     strip = lambda r: replace(r, wall_time_micros=0)  # noqa: E731

@@ -96,6 +96,8 @@ def test_ground_index_tracks_canonical_order():
     assert [m.ground_index(t) for t in m.ground_set] == [0, 1, 2, 3]
     assert sorted(["b1", "a0", "a1"], key=m.ground_index) == ["a0", "a1", "b1"]
     assert m.robot_of("b1") == "r1"
+    assert m.index == {t: m.ground_index(t) for t in m.ground_set}
+    assert m.owner == {t: m.robot_of(t) for t in m.ground_set}
 
 
 def test_malformed_blocks_rejected():

@@ -14,6 +14,7 @@ from resilient_tracking.geometry import Rect
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import (
     CoverageCount,
+    ExpectedDetections,
     check_monotone,
     check_submodular,
     normal_cdf,
@@ -214,6 +215,72 @@ def test_grid_union_matches_inclusion_exclusion(rect_list, beliefs, data):
     got = helpers.expected(beliefs, rects).evaluate(members)
     want = oracles.inclusion_exclusion_union_mass(beliefs, [rects[k] for k in members])
     assert abs(got - want) <= 1e-12
+
+
+# Edges from a few shared values, both signed zeros and both infinities
+# give shared, duplicate, touching and zero-width rectangles; the rest are
+# arbitrary finite floats.
+edge = st.one_of(
+    st.sampled_from([-math.inf, -2.0, -0.0, 0.0, 0.5, 1.0, 3.5, math.inf]),
+    st.floats(-50.0, 50.0),
+)
+
+
+@st.composite
+def edge_boxes(draw):
+    x0, x1 = sorted((draw(edge), draw(edge)))
+    y0, y1 = sorted((draw(edge), draw(edge)))
+    return (x0, x1, y0, y1)
+
+
+# means far outside the rectangles, standard deviations from 1e-3 to 1e2
+wide_beliefs = st.lists(
+    st.tuples(
+        st.floats(-1e3, 1e3),
+        st.floats(-1e3, 1e3),
+        st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+        st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(edge_boxes(), min_size=1, max_size=8), wide_beliefs, st.data())
+def test_expected_detections_is_bit_identical_to_the_literal_construction(
+    box_list, beliefs, data
+):
+    ids = [f"k{i}" for i in range(len(box_list))]
+    moments = np.array(beliefs).reshape(-1, 4)
+    args = (moments[:, :2], moments[:, 2:], ids, np.array(box_list))
+    got = ExpectedDetections(*args)
+    want = oracles.LiteralExpectedDetections(*args)
+    for members in [ids] + data.draw(st.lists(st.sets(st.sampled_from(ids)), max_size=5)):
+        assert got.evaluate(members) == want.evaluate(members)
+
+
+def test_nan_coverage_bounds_are_refused_by_both_objectives():
+    ids = ["a", "b"]
+    for row in range(4):
+        bounds = np.array([[0.0, 1.0, 0.0, 1.0], [2.0, 3.0, 2.0, 3.0]])
+        bounds[1, row] = math.nan
+        with pytest.raises(ValueError, match="trajectory 'b'"):
+            ExpectedDetections([[0.5, 0.5]], [[1.0, 1.0]], ids, bounds)
+        with pytest.raises(ValueError, match="trajectory 'b'"):
+            CoverageCount([[0.5, 0.5]], ids, bounds)
+
+
+def test_infinite_coverage_bounds_still_evaluate():
+    ids = ["half", "all"]
+    bounds = [[-math.inf, math.inf, -math.inf, 0.0], [-math.inf, math.inf, -math.inf, math.inf]]
+    exp = ExpectedDetections([[0.0, 0.0], [5.0, -3.0]], [[1.0, 1.0], [2.0, 0.5]], ids, bounds)
+    assert exp.evaluate({"half"}) == pytest.approx(0.5 + normal_cdf(6.0), abs=1e-12)
+    assert exp.evaluate({"all"}) == 2.0
+    assert exp.evaluate({"half", "all"}) == 2.0
+    cov = CoverageCount([[0.0, 0.0], [5.0, 1.0], [1e300, -1e300]], ids, bounds)
+    assert cov.evaluate({"half"}) == 2
+    assert cov.evaluate({"all"}) == 3
 
 
 @pytest.mark.parametrize(
