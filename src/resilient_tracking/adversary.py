@@ -4,19 +4,21 @@ An attack removes trajectories from a selection; the attacked value is the
 objective on the survivors.  ``attack_optimal`` is the exact worst case,
 ``attack_greedy`` a myopic approximation, ``attack_random`` a baseline.
 Ties break lexicographically on sorted trajectory ids (for the exhaustive
-search: combination order), first winner kept.  ``score_attack`` turns an
-attack into the recorded attacked value and attack rate.
+search: combination order), first winner kept.  The exact and greedy
+attacks score their candidate removals with ``objectives.evaluate_all``,
+and the surviving value is the chosen removal's score.  ``score_attack``
+turns an attack into the recorded attacked value and attack rate.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matroid import require_enumerable
+from .objectives import evaluate_all
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,9 @@ def attack_optimal(objective, members, alpha: int) -> AttackResult:
 
     Only removals of exactly min(alpha, |S|) elements are searched: for a
     monotone objective removing fewer never hurts more, so the optimum over
-    every size up to alpha is unchanged.
+    every size up to alpha is unchanged.  The removals are scored in
+    combination order: their survivors are the complementary combinations
+    in reverse order.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
@@ -40,34 +44,29 @@ def attack_optimal(objective, members, alpha: int) -> AttackResult:
     ordered = sorted(selected)
     k = min(alpha, len(ordered))
     require_enumerable("the removal sets", choose=(len(ordered), k))
-    best_removed = None
-    best_value = math.inf
-    for combo in itertools.combinations(ordered, k):
-        value = objective.evaluate(selected.difference(combo))
-        if value < best_value:
-            best_removed, best_value = frozenset(combo), value
-    return AttackResult(removed=best_removed, surviving_value=float(best_value))
+    survivors = list(itertools.combinations(ordered, len(ordered) - k))[::-1]
+    values = evaluate_all(objective, survivors)
+    best = min(values)
+    return AttackResult(
+        removed=selected.difference(survivors[values.index(best)]), surviving_value=float(best)
+    )
 
 
 def attack_greedy(objective, members, alpha: int) -> AttackResult:
     """Myopic attack: repeatedly remove the single most damaging element."""
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    survivors = frozenset(members)
-    removed = set()
+    survivors = sorted(frozenset(members))
+    removed = []
     value = None
     for _ in range(min(alpha, len(survivors))):
-        best = None
-        best_value = math.inf
-        for tid in sorted(survivors):
-            candidate = objective.evaluate(survivors - {tid})
-            if candidate < best_value:
-                best, best_value = tid, candidate
-        survivors = survivors - {best}
-        removed.add(best)
-        value = best_value
+        values = evaluate_all(
+            objective, [survivors[:i] + survivors[i + 1 :] for i in range(len(survivors))]
+        )
+        value = min(values)
+        removed.append(survivors.pop(values.index(value)))
     if value is None:
-        value = objective.evaluate(survivors)
+        value = objective.evaluate(frozenset(survivors))
     return AttackResult(removed=frozenset(removed), surviving_value=float(value))
 
 
@@ -76,12 +75,12 @@ def attack_random(objective, members, alpha: int, rng_seed) -> AttackResult:
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     selected = frozenset(members)
-    rng = np.random.default_rng(rng_seed)
     ordered = sorted(selected)
     k = min(alpha, len(ordered))
     removed = frozenset()
     if k:
-        picks = rng.choice(len(ordered), size=k, replace=False)
+        # nothing is drawn at k = 0, so no generator is built then
+        picks = np.random.default_rng(rng_seed).choice(len(ordered), size=k, replace=False)
         removed = frozenset(ordered[int(i)] for i in picks)
     value = objective.evaluate(selected - removed)
     return AttackResult(removed=removed, surviving_value=float(value))

@@ -48,6 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise TrackingError(f"--jobs must be at least 1, got {args.jobs}")
     spec = load_spec(args.spec)
     if args.seed is not None:
         seed = _require_int({"master_seed": args.seed}, "master_seed", minimum=0)
@@ -56,7 +58,7 @@ def _cmd_run(args) -> int:
     if not out:
         print("error: no output path (pass --out or set 'output' in the spec)", file=sys.stderr)
         return 2
-    rows = run_suite(spec, jobs=max(1, args.jobs))
+    rows = run_suite(spec, jobs=args.jobs)
     write_csv(rows, out, objective=objective_name(spec))
     print(f"wrote {len(rows)} rows to {out}")
     print(render_summary(*summarize(out)))

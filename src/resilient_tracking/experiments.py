@@ -330,7 +330,8 @@ def _one_step_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
     rows = []
     for planner in spec.planners:
         pcode = PLANNER_NAMES.index(planner)
-        # only the random planner and the random attacker draw from a stream
+        # only the random planner, and the random attacker at alpha > 0,
+        # draw from a stream
         planner_rng = _role_rng(trial_seed, 1, pcode) if planner == "random" else None
         t0 = time.perf_counter_ns()
         result = get_planner(planner)(instance.matroid, objective, alpha, planner_rng)
@@ -339,7 +340,9 @@ def _one_step_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
         for attacker in spec.attackers:
             acode = ATTACKER_NAMES.index(attacker)
             attacker_rng = (
-                _role_rng(trial_seed, 2, pcode, acode) if attacker == "random" else None
+                _role_rng(trial_seed, 2, pcode, acode)
+                if attacker == "random" and alpha > 0
+                else None
             )
             t1 = time.perf_counter_ns()
             attacked = get_attacker(attacker)(objective, result.selected, alpha, attacker_rng)

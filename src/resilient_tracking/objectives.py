@@ -28,12 +28,20 @@ deviations) as ``(m, 2)`` arrays.
 
 Objective protocol
 ------------------
-An objective is any object with ``evaluate(members) -> float``; planners,
-attacks, the analysis and the property checkers call that method and
-nothing else.  The objective classes are deliberately not callable: the
-benchmark's tracer and its ``--fault perturb`` control replace
-``evaluate`` on the class, so an evaluation that bypassed the method would
-go unseen by both.
+An objective is any object with ``evaluate(members) -> float``, which
+serves the values reported on their own: a selection's full value, the
+curvature, the property checks.  Choices are scored with
+:func:`evaluate_all`, which takes a list of sets and returns their values
+in order, equal to ``evaluate`` on each one bit for bit: the planners'
+singleton pass and fill rounds, the attacks' candidate removals (an
+attack's surviving value is its chosen set's score) and the exhaustive
+enumerations of any objective but :class:`CoverageCount`.  Both objective
+classes batch it in an ``evaluate_all`` method; any other object is
+evaluated one set at a time through ``evaluate``.  The objective classes
+are deliberately not callable: the benchmark's tracer and its ``--fault
+perturb`` control replace ``evaluate`` on the class, so a value that
+bypassed the method would go unseen by both.  They therefore see reported
+values only, not the scoring of choices.
 
 ``check_monotone`` and ``check_submodular`` are seeded sampling drivers that
 hunt for violations of the two properties over the whole power set of the
@@ -43,8 +51,9 @@ ground set; they return the violations found (empty list = clean run).
 per robot menu, so the exact max-min and the exact curvature score every
 basis at once.  It is the one place that depends on the objective: a
 :class:`CoverageCount` ORs and counts its packed masks there
-(``menu_tables`` and ``grid_union_counts``), and any other objective is
-evaluated once per combination of the listed robots' menus.
+(``menu_tables`` and ``grid_union_counts``), and any other objective
+scores every combination of the listed robots' menus with
+:func:`evaluate_all`.
 """
 
 from __future__ import annotations
@@ -60,6 +69,10 @@ from .errors import MissingCoverageRect
 
 # Absolute slack for the monotonicity / submodularity checks.
 PROPERTY_TOLERANCE = 1e-9
+
+# Cells painted at once by ExpectedDetections.evaluate_all (2 MiB of
+# float64): 400 singletons on a 100-robot grid would otherwise take 509 MB.
+BLOCK_CELLS = 1 << 18
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -124,6 +137,22 @@ class CoverageCount:
                     f"no coverage rectangle for trajectory {tid!r}"
                 ) from None
         return union.bit_count()
+
+    def evaluate_all(self, sets: Iterable[Iterable[str]]) -> list[int]:
+        """``[self.evaluate(s) for s in sets]``, without a call per set."""
+        masks = self._masks
+        values = []
+        try:
+            for members in sets:
+                union = 0
+                for tid in members:
+                    union |= masks[tid]
+                values.append(union.bit_count())
+        except KeyError as missing:
+            raise MissingCoverageRect(
+                f"no coverage rectangle for trajectory {missing.args[0]!r}"
+            ) from None
+        return values
 
     def menu_tables(self, menus: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Packed coverage masks of each menu, laid out on the basis grid.
@@ -193,13 +222,25 @@ def basis_grid(objective, menus: Sequence[Sequence[str]]):
         shape = [1] * ndim
         for r in robots:
             shape[r] = len(menus[r])
-        values = [
-            objective.evaluate(frozenset(combo))
-            for combo in itertools.product(*(menus[r] for r in robots))
-        ]
+        values = evaluate_all(objective, itertools.product(*(menus[r] for r in robots)))
         return np.array(values, dtype=float).reshape(shape)
 
     return union
+
+
+def evaluate_all(objective, sets: Iterable[Iterable[str]]) -> list:
+    """The objective on each of ``sets``, in order, bit for bit ``evaluate``'s.
+
+    An objective with an ``evaluate_all`` method scores the sets itself;
+    any other object gets one ``evaluate`` call per set, on a ``frozenset``
+    of it.  Values come back in the order of ``sets``, so a caller that
+    keeps the first maximum or minimum breaks ties as a loop over
+    ``evaluate`` would.
+    """
+    batched = getattr(objective, "evaluate_all", None)
+    if batched is not None:
+        return batched(sets)
+    return [objective.evaluate(frozenset(members)) for members in sets]
 
 
 class ExpectedDetections:
@@ -227,6 +268,11 @@ class ExpectedDetections:
     The dot product always runs over every cell, so a set's value depends
     only on which cells it covers, never on how many: a trajectory that
     adds no new cell leaves the value bit for bit unchanged.
+    ``evaluate_all`` paints each of many sets into its own row of a zero
+    block and takes the rows' dot products with ``np.vecdot``, whose
+    float64 loop makes the same BLAS call per row that ``ndarray.dot``
+    makes, so it returns ``evaluate``'s values bit for bit (a matrix
+    product ``block @ weights`` would not).
 
     ``means`` and ``stds`` are ``(m, 2)``: one belief per row, its mean and
     standard deviation per axis.  ``bounds`` holds the coverage rectangle of
@@ -273,6 +319,30 @@ class ExpectedDetections:
                 ) from None
         # the method skips np.dot's dispatch; both make the same BLAS call
         return float(covered.ravel().dot(self._weights))
+
+    def evaluate_all(self, sets: Iterable[Iterable[str]]) -> list[float]:
+        """``[self.evaluate(s) for s in sets]``, one row per set.
+
+        The sets are taken and painted in blocks of at most ``BLOCK_CELLS``
+        cells, so the work space stays bounded whatever the number of sets.
+        """
+        sets = iter(sets)
+        spans, weights = self._spans, self._weights
+        rows = max(1, BLOCK_CELLS // max(1, weights.size))
+        values = []
+        while block := list(itertools.islice(sets, rows)):
+            covered = np.zeros((len(block), *self._shape))
+            for row, members in enumerate(block):
+                for tid in members:
+                    try:
+                        span_x, span_y = spans[tid]
+                    except KeyError:
+                        raise MissingCoverageRect(
+                            f"no coverage rectangle for trajectory {tid!r}"
+                        ) from None
+                    covered[row, span_x, span_y] = 1.0
+            values += np.vecdot(covered.reshape(len(block), weights.size), weights).tolist()
+        return values
 
 
 @dataclass(frozen=True)

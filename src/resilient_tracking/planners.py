@@ -20,7 +20,7 @@ import numpy as np
 
 from .adversary import attack_optimal
 from .matroid import PartitionMatroid, require_enumerable
-from .objectives import basis_grid
+from .objectives import basis_grid, evaluate_all
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,9 @@ class AlgorithmTrace:
 class PlanResult:
     """Outcome of one planning call.
 
-    ``oracle_calls`` counts objective evaluations made by this call only.
+    ``oracle_calls`` counts objective evaluations made by this call only,
+    one per set scored, whether one ``evaluate_all`` call scored it with
+    others or ``evaluate`` scored it alone.
     With every robot's menu of size ``m``, ground set ``T`` and ``k`` robots
     left open by the bait (all ``n`` for the greedy planner), the resilient
     and greedy planners make ``|T| + m * k(k-1)/2``: one per singleton, then
@@ -62,15 +64,22 @@ def _check_alpha(matroid: PartitionMatroid, alpha: int) -> None:
         )
 
 
+def _singletons(matroid: PartitionMatroid, objective) -> dict:
+    """Every trajectory's own value, scored in one ``evaluate_all`` call."""
+    ground = matroid.ground_set
+    return dict(zip(ground, evaluate_all(objective, [(tid,) for tid in ground])))
+
+
 def _greedy_fill(matroid, objective, bait: frozenset, singleton: dict):
     """Greedy phase: fill the robots the bait left open, by marginal gain.
 
     Each round scores ``fill | {t}`` for every trajectory ``t`` of a robot
-    that is still open and admits the first maximum in canonical ground
-    order; the admitted robot's other trajectories then leave the
-    candidates.  The first round's sets are the singletons, so it reads
-    ``singleton`` and evaluations start at the second round.  Marginals are
-    measured on the fill set only, not on bait + fill.  Only an open
+    that is still open, in one ``evaluate_all`` call, and admits the first
+    maximum in canonical ground order; the admitted robot's other
+    trajectories then leave the candidates.  The first round's sets are the
+    singletons, so it reads ``singleton`` and evaluations start at the
+    second round.  Marginals are measured on the fill set only, not on
+    bait + fill.  Only an open
     robot's trajectory keeps bait + fill independent, so this admits
     exactly what scanning all of T \\ bait and rejecting dependent
     elements would.  Returns (fill, evaluations made).
@@ -80,15 +89,13 @@ def _greedy_fill(matroid, objective, bait: frozenset, singleton: dict):
     candidates = [tid for tid in matroid.ground_set if owner[tid] not in used_robots]
     values = [singleton[tid] for tid in candidates]
     fill: list[str] = []
-    current = frozenset()
     calls = 0
     while candidates:
         best = candidates[values.index(max(values))]
         fill.append(best)
-        current = current | {best}
         robot = owner[best]
         candidates = [tid for tid in candidates if owner[tid] != robot]
-        values = [objective.evaluate(current | {tid}) for tid in candidates]
+        values = evaluate_all(objective, [(*fill, tid) for tid in candidates])
         calls += len(values)
     return tuple(fill), calls
 
@@ -107,7 +114,7 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
     every selection can be wiped out and the guarantee is vacuous.
     """
     _check_alpha(matroid, alpha)
-    singleton = {tid: objective.evaluate(frozenset({tid})) for tid in matroid.ground_set}
+    singleton = _singletons(matroid, objective)
     bait: list[str] = []
     used_robots: set[str] = set()
     # descending singleton value: the ground set is in ground order and a
@@ -137,7 +144,7 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
 
 def plan_greedy(matroid: PartitionMatroid, objective) -> PlanResult:
     """Standard matroid greedy: largest marginal gain until a basis."""
-    singleton = {tid: objective.evaluate(frozenset({tid})) for tid in matroid.ground_set}
+    singleton = _singletons(matroid, objective)
     fill, calls = _greedy_fill(matroid, objective, frozenset(), singleton)
     trace = AlgorithmTrace(bait=(), greedy_fill=fill, scanned_bait=())
     return PlanResult(

@@ -222,29 +222,34 @@ def _reflect(values, lo, hi):
     """Fold coordinates back into [lo, hi]; returns (positions, sign flips).
 
     Needs ``lo < hi`` (arrays that broadcast against ``values``).  When no
-    coordinate is outside, ``values`` come back as they are.  A coordinate
-    more than a period ``2 * (hi - lo)`` outside first drops whole periods,
-    which flip the sign an even number of times; folding a huge value
-    directly can cycle forever in floating point.
+    coordinate is outside, ``values`` come back as they are.  Otherwise only
+    the coordinates outside (one or two in a typical round) are folded, one
+    at a time, and written into a copy.  A coordinate more than a period
+    ``2 * (hi - lo)`` outside first drops whole periods, which flip the sign
+    an even number of times; folding a huge value directly can cycle forever
+    in floating point.
     """
-    below, above = values < lo, values > hi
-    outside = below | above
+    outside = (values < lo) | (values > hi)
     flip = np.ones_like(values)
     if not outside.any():
         return values, flip
-    period = 2.0 * (hi - lo)
-    far = (values < lo - period) | (values > hi + period)
-    if far.any():
-        values = np.where(far, lo + np.fmod(values - lo, period), values)
-        below, above = values < lo, values > hi
-        outside = below | above
-    # small per-round steps need at most a couple of folds
-    lo2, hi2 = 2 * lo, 2 * hi
-    while outside.any():
-        values = np.where(below, lo2 - values, np.where(above, hi2 - values, values))
-        flip = np.where(outside, -flip, flip)
-        below, above = values < lo, values > hi
-        outside = below | above
+    at = outside.nonzero()
+    # flip is still all ones, so flip * lo is lo at every coordinate
+    folded, signs = [], []
+    for x, a, b in zip(values[at].tolist(), (flip * lo)[at].tolist(), (flip * hi)[at].tolist()):
+        period = 2.0 * (b - a)
+        if x < a - period or x > b + period:
+            x = a + float(np.fmod(x - a, period))
+        sign = 1.0
+        # small per-round steps need at most a couple of folds
+        while x < a or x > b:
+            x = 2 * a - x if x < a else 2 * b - x
+            sign = -sign
+        folded.append(x)
+        signs.append(sign)
+    values = values.copy()
+    values[at] = folded
+    flip[at] = signs
     return values, flip
 
 

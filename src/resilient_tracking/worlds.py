@@ -58,13 +58,16 @@ class WorldInstance:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(num_robots: int, menus):
-    """The matroid, each trajectory's robot and its direction's unit step.
+def _layout(num_robots: int, menus, fly_length: float):
+    """The matroid, each trajectory's robot and its flight's bound offsets.
 
-    Everything here depends on the menus only, never on positions, so a
-    closed loop builds it once and each round only moves the bounds.  The
-    cached results are shared by every world with these menus: the arrays
-    are read-only, and nothing changes a matroid after construction.
+    Everything here depends on the menus and ``fly_length`` only, never on
+    positions, so a closed loop builds it once and each round only moves
+    the bounds.  A trajectory's offsets are ``min(0, step)`` and ``max(0,
+    step)`` per axis, with ``step`` its direction's unit step times
+    ``fly_length``.  The cached results are shared by every world with
+    these menus and this flight: the arrays are read-only, and nothing
+    changes a matroid after construction.
     """
     names = [robot_id(i) for i in range(num_robots)]
     blocks = {}
@@ -76,9 +79,10 @@ def _layout(num_robots: int, menus):
         robots += [i] * len(menu)
         directions += [DIRECTION_ORDER.index(d) for d in menu]
     rows = np.array(robots, dtype=np.intp)
-    steps = MENU_STEPS[directions]
-    rows.flags.writeable = steps.flags.writeable = False
-    return PartitionMatroid(blocks), rows, steps
+    step = MENU_STEPS[directions] * fly_length
+    low, high = np.minimum(0.0, step), np.maximum(0.0, step)
+    rows.flags.writeable = low.flags.writeable = high.flags.writeable = False
+    return PartitionMatroid(blocks), rows, low, high
 
 
 def build_instance(
@@ -94,16 +98,15 @@ def build_instance(
     by default every robot gets all four.  Each bound is computed as
     ``position - half + min(0, step)`` and ``position + half + max(0,
     step)`` per axis, with ``step`` the direction's unit step times
-    ``fly_length``.
+    ``fly_length``; the two offsets come cached with the layout.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     key = None if menus is None else tuple(map(tuple, menus))
-    matroid, rows, steps = _layout(len(positions), key)
+    matroid, rows, low_offset, high_offset = _layout(len(positions), key, fly_length)
     at = positions[rows]
-    step = steps * fly_length
     half = fov_side / 2.0
-    low = at - half + np.minimum(0.0, step)
-    high = at + half + np.maximum(0.0, step)
+    low = at - half + low_offset
+    high = at + half + high_offset
     return WorldInstance(
         ids=matroid.ground_set,
         bounds=np.stack((low, high), axis=-1).reshape(-1, 4),

@@ -45,6 +45,37 @@ def attack_bruteforce(f, members, alpha):
     return best_value, best_removed
 
 
+def attack_optimal_literal(f, members, alpha):
+    """Worst removal of exactly min(alpha, |S|) members, first in combination order."""
+    members = frozenset(members)
+    best_value = math.inf
+    best_removed = None
+    for combo in itertools.combinations(sorted(members), min(alpha, len(members))):
+        value = f(members - frozenset(combo))
+        if value < best_value:
+            best_value = value
+            best_removed = frozenset(combo)
+    return best_value, best_removed
+
+
+def attack_greedy_literal(f, members, alpha):
+    """Remove the most damaging member, first in id order, min(alpha, |S|) times."""
+    survivors = frozenset(members)
+    removed = set()
+    value = f(survivors)
+    for _ in range(min(alpha, len(survivors))):
+        best = None
+        best_value = math.inf
+        for tid in sorted(survivors):
+            candidate = f(survivors - {tid})
+            if candidate < best_value:
+                best, best_value = tid, candidate
+        survivors = survivors - {best}
+        removed.add(best)
+        value = best_value
+    return value, frozenset(removed)
+
+
 def maxmin_bruteforce(blocks, f, alpha):
     """max over bases of min over removals; nested exhaustive loops."""
     best_value = -math.inf

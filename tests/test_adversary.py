@@ -106,6 +106,16 @@ def test_random_attack_determinism_and_spread():
     assert len(seen) == 3  # C(3,2) possibilities all reachable
 
 
+def test_random_attack_builds_no_generator_when_it_removes_nothing():
+    # a seed default_rng would refuse shows whether a generator was built
+    f, members = cover_fixture()
+    nothing = attack_random(f, members, 0, rng_seed="not a seed")
+    assert nothing.removed == frozenset() and nothing.surviving_value == 4.0
+    assert attack_random(f, frozenset(), 2, rng_seed="not a seed").removed == frozenset()
+    with pytest.raises(TypeError):
+        attack_random(f, members, 1, rng_seed="not a seed")
+
+
 def test_score_attack_zero_full_value_and_snap():
     assert score_attack(4.0, 3.0) == (3.0, 0.25)
     assert score_attack(4.0, 4.0) == (4.0, 0.0)

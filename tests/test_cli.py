@@ -91,6 +91,18 @@ def test_check_refuses_zero_work(capsys, suite, flag, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    # a worker count below one used to run serially without a word
+    spec = write_spec(tmp_path)
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--spec", str(spec), "--out", str(out), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--jobs" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_run_uses_output_from_spec(tmp_path, capsys):
     out = tmp_path / "from_spec.csv"
     spec = write_spec(tmp_path, output=str(out))

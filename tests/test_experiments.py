@@ -279,6 +279,23 @@ def test_multi_round_suite_runs_the_loop_once_per_planner(monkeypatch):
     assert len(rows) == len(planners) * len(attackers) * 2 * cells
 
 
+def test_random_attacker_stream_is_built_only_when_it_draws(monkeypatch):
+    # alpha 0 draws nothing, so no attacker stream (code 2) is seeded there;
+    # the golden CSVs show that no stream that is drawn from moved
+    built = []
+    role_rng = experiments._role_rng
+    spec = spec_from_dict(
+        base_spec(alphas=[0, 1], planners=["resilient", "random"], attackers=["random", "none"])
+    )
+    monkeypatch.setattr(
+        experiments, "_role_rng", lambda seed, *codes: built.append(codes) or role_rng(seed, *codes)
+    )
+    rows = run_suite(spec)
+    assert len(rows) == 2 * spec.trials * 2 * 2
+    # one per planner and trial, at alpha 1 only
+    assert sorted(codes for codes in built if codes[0] == 2) == [(2, 0, 2)] * 3 + [(2, 2, 2)] * 3
+
+
 SIMULATION_FIELDS = (
     "rounds",
     "measurement_noise_std",

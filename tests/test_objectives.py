@@ -1,6 +1,7 @@
 """Coverage counting, Gaussian expected detections, property checkers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
+from resilient_tracking import objectives
 from resilient_tracking.errors import MissingCoverageRect
 from resilient_tracking.geometry import Rect
 from resilient_tracking.matroid import PartitionMatroid
@@ -17,6 +19,7 @@ from resilient_tracking.objectives import (
     ExpectedDetections,
     check_monotone,
     check_submodular,
+    evaluate_all,
     normal_cdf,
 )
 from resilient_tracking.simulation import SimConfig, run_rounds
@@ -115,6 +118,9 @@ def test_missing_rect_raises():
     exp = helpers.expected([(0, 0, 1.0, 1.0)], simple_rects())
     with pytest.raises(MissingCoverageRect):
         exp.evaluate({"zzz"})
+    for objective in (cov, exp):
+        with pytest.raises(MissingCoverageRect, match="zzz"):
+            objective.evaluate_all([("a",), ("a", "zzz")])
 
 
 def test_counting_oracle_counts_every_call():
@@ -258,6 +264,49 @@ def test_expected_detections_is_bit_identical_to_the_literal_construction(
     want = oracles.LiteralExpectedDetections(*args)
     for members in [ids] + data.draw(st.lists(st.sets(st.sampled_from(ids)), max_size=5)):
         assert got.evaluate(members) == want.evaluate(members)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(edge_boxes(), min_size=1, max_size=8), wide_beliefs, st.data())
+def test_evaluate_all_is_bit_identical_to_evaluate(box_list, beliefs, data):
+    # the same edges and beliefs as the literal-construction test; targets
+    # at the belief means and on shared edge values.  The empty set, sets
+    # with repeated ids and any number of sets, painted in blocks of one
+    # row, a few rows or the default size
+    ids = [f"k{i}" for i in range(len(box_list))]
+    moments = np.array(beliefs).reshape(-1, 4)
+    bounds = np.array(box_list)
+    targets = np.vstack([moments[:, :2], [(0.0, 0.0), (0.5, 1.0), (-2.0, 3.5)]])
+    sets = [(), tuple(ids), tuple(ids + ids)]
+    sets += data.draw(st.lists(st.lists(st.sampled_from(ids), max_size=10), max_size=12))
+    block_cells = data.draw(st.sampled_from([1, 40, objectives.BLOCK_CELLS]))
+    for objective in (
+        ExpectedDetections(moments[:, :2], moments[:, 2:], ids, bounds),
+        CoverageCount(targets, ids, bounds),
+    ):
+        want = [repr(objective.evaluate(frozenset(members))) for members in sets]
+        with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+            assert [repr(v) for v in objective.evaluate_all(sets)] == want
+            assert [repr(v) for v in evaluate_all(objective, iter(sets))] == want
+
+
+def test_evaluate_all_falls_back_to_one_evaluate_per_frozenset():
+    seen = []
+    objective = helpers.SetFunction(lambda s: seen.append(s) or len(s))
+    assert evaluate_all(objective, [("a", "b", "a"), (), ["c"]]) == [2, 0, 1]
+    assert seen == [frozenset("ab"), frozenset(), frozenset("c")]
+
+
+def test_vecdot_rows_equal_one_dot_per_row():
+    # ExpectedDetections.evaluate_all relies on this: np.vecdot's float64
+    # loop makes the same BLAS call per row that ndarray.dot makes, whatever
+    # the row's place in the block; a matrix product block @ w does not
+    rng = np.random.default_rng(20261018)
+    for cells in (1, 9, 15, 16, 17, 33, 64, 225, 1001, 9801):
+        weights = rng.random(cells) * 10.0 ** rng.integers(-6, 3, cells)
+        block = (rng.random((24, cells)) < 0.5).astype(float)
+        rows = [float(row.copy().dot(weights)) for row in block]
+        assert np.vecdot(block, weights).tolist() == rows
 
 
 def test_nan_coverage_bounds_are_refused_by_both_objectives():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
+from resilient_tracking.adversary import attack_greedy, attack_optimal
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.planners import (
@@ -190,6 +191,37 @@ def test_cached_selection_matches_naive_recompute(instance):
     assert got.trace.greedy_fill == fill
     assert got.selected == frozenset(fill)
     assert got.oracle_calls == counting.eval_count == len(set(counting.evaluated))
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instance=planning_instances())
+def test_batched_choices_match_one_evaluate_per_set(instance):
+    # the objective's own evaluate_all against the same objective reached
+    # only through evaluate: the same plans, traces, oracle_calls, removals
+    # and surviving values, near ties included; the attacks also against
+    # their literal loops over evaluate, which keep the first strict minimum
+    matroid, objective = instance
+    bare = helpers.SetFunction(objective.evaluate)
+    assert plan_greedy(matroid, objective) == plan_greedy(matroid, bare)
+    for alpha in range(matroid.num_robots + 1):
+        plan = plan_resilient(matroid, objective, alpha)
+        assert plan == plan_resilient(matroid, bare, alpha)
+        assert plan_bruteforce_maxmin(matroid, objective, alpha) == plan_bruteforce_maxmin(
+            matroid, bare, alpha
+        )
+        for attack, literal in (
+            (attack_optimal, oracles.attack_optimal_literal),
+            (attack_greedy, oracles.attack_greedy_literal),
+        ):
+            got = attack(objective, plan.selected, alpha)
+            assert got == attack(bare, plan.selected, alpha)
+            value, removed = literal(objective.evaluate, plan.selected, alpha)
+            assert (got.surviving_value, got.removed) == (value, removed)
 
 
 def test_greedy_half_approximation_over_bases():
