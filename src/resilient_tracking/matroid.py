@@ -58,8 +58,8 @@ class PartitionMatroid:
 
     ``owner`` maps each trajectory id to its robot and ``index`` to its
     canonical rank, for callers whose ids come from this matroid;
-    ``robot_of`` and ``ground_index`` make the same lookups and refuse an
-    unknown id.  Like ``blocks``, neither changes after construction.
+    ``robot_of`` makes the owner lookup and refuses an unknown id.  Like
+    ``blocks``, neither changes after construction.
     """
 
     def __init__(self, blocks: Mapping[str, Sequence[str]]):
@@ -94,13 +94,6 @@ class PartitionMatroid:
     def robot_of(self, trajectory_id: str) -> str:
         try:
             return self.owner[trajectory_id]
-        except KeyError:
-            raise ValueError(f"unknown trajectory id {trajectory_id!r}") from None
-
-    def ground_index(self, trajectory_id: str) -> int:
-        """Canonical rank of a trajectory: robots in id order, then menu order."""
-        try:
-            return self.index[trajectory_id]
         except KeyError:
             raise ValueError(f"unknown trajectory id {trajectory_id!r}") from None
 

@@ -28,20 +28,24 @@ deviations) as ``(m, 2)`` arrays.
 
 Objective protocol
 ------------------
-An objective is any object with ``evaluate(members) -> float``, which
-serves the values reported on their own: a selection's full value, the
-curvature, the property checks.  Choices are scored with
-:func:`evaluate_all`, which takes a list of sets and returns their values
-in order, equal to ``evaluate`` on each one bit for bit: the planners'
-singleton pass and fill rounds, the attacks' candidate removals (an
-attack's surviving value is its chosen set's score) and the exhaustive
-enumerations of any objective but :class:`CoverageCount`.  Both objective
-classes batch it in an ``evaluate_all`` method; any other object is
-evaluated one set at a time through ``evaluate``.  The objective classes
-are deliberately not callable: the benchmark's tracer and its ``--fault
-perturb`` control replace ``evaluate`` on the class, so a value that
-bypassed the method would go unseen by both.  They therefore see reported
-values only, not the scoring of choices.
+An objective is any object with ``evaluate(members) -> float``.  Choices
+are scored with :func:`evaluate_all`, which takes a list of sets and
+returns their values in order: the planners' singleton pass and fill
+rounds, the attacks' candidate removals (an attack's surviving value is
+its chosen set's score) and the exhaustive enumerations of any objective
+but :class:`CoverageCount`.  An object with an ``evaluate_all`` method
+scores the sets itself; any other object is evaluated one set at a time
+through ``evaluate``.
+
+Each objective class has one scoring implementation, its ``evaluate_all``
+method, and its ``evaluate`` is the one-set case of it, so a set's value
+is the same bit for bit however it is asked for.  ``evaluate`` serves the
+values reported on their own: a selection's full value, the curvature,
+the property checks.  The objective classes are deliberately not
+callable: the benchmark's tracer and its ``--fault perturb`` control
+replace ``evaluate`` on the class, so a value that bypassed the method
+would go unseen by both.  They therefore see reported values only, not
+the scoring of choices.
 
 ``check_monotone`` and ``check_submodular`` are seeded sampling drivers that
 hunt for violations of the two properties over the whole power set of the
@@ -90,6 +94,10 @@ def normal_cdf(z):
     return 0.5 * erfc(-z / _SQRT2)
 
 
+def _missing_rect(tid: str) -> MissingCoverageRect:
+    return MissingCoverageRect(f"no coverage rectangle for trajectory {tid!r}")
+
+
 def _bounds(ids: Sequence[str], bounds) -> np.ndarray:
     """``bounds`` as a ``(T, 4)`` array with one row per id.
 
@@ -128,18 +136,10 @@ class CoverageCount:
         }
 
     def evaluate(self, members: Iterable[str]) -> int:
-        union = 0
-        for tid in members:
-            try:
-                union |= self._masks[tid]
-            except KeyError:
-                raise MissingCoverageRect(
-                    f"no coverage rectangle for trajectory {tid!r}"
-                ) from None
-        return union.bit_count()
+        return self.evaluate_all((members,))[0]
 
     def evaluate_all(self, sets: Iterable[Iterable[str]]) -> list[int]:
-        """``[self.evaluate(s) for s in sets]``, without a call per set."""
+        """The covered-target count of each of ``sets``, in order."""
         masks = self._masks
         values = []
         try:
@@ -149,9 +149,7 @@ class CoverageCount:
                     union |= masks[tid]
                 values.append(union.bit_count())
         except KeyError as missing:
-            raise MissingCoverageRect(
-                f"no coverage rectangle for trajectory {missing.args[0]!r}"
-            ) from None
+            raise _missing_rect(missing.args[0]) from None
         return values
 
     def menu_tables(self, menus: Sequence[Sequence[str]]) -> list[np.ndarray]:
@@ -163,23 +161,16 @@ class CoverageCount:
         (1,)*(n-r-1) + (W,)``: ``W = ceil(m / 64)`` ``uint64`` words per
         trajectory, target ``j`` in bit ``j % 64`` of word ``j // 64``.
         """
-        words = self._words
+        words, masks = self._words, self._masks
         tables = []
         for r, menu in enumerate(menus):
-            packed = b"".join(
-                self._mask(tid).to_bytes(8 * words, "little") for tid in menu
-            )
+            try:
+                packed = b"".join(masks[tid].to_bytes(8 * words, "little") for tid in menu)
+            except KeyError as missing:
+                raise _missing_rect(missing.args[0]) from None
             shape = (1,) * r + (len(menu),) + (1,) * (len(menus) - r - 1) + (words,)
             tables.append(np.frombuffer(packed, dtype="<u8").reshape(shape))
         return tables
-
-    def _mask(self, tid: str) -> int:
-        try:
-            return self._masks[tid]
-        except KeyError:
-            raise MissingCoverageRect(
-                f"no coverage rectangle for trajectory {tid!r}"
-            ) from None
 
 
 def grid_union_counts(tables: Sequence[np.ndarray], ndim: int) -> np.ndarray:
@@ -268,11 +259,12 @@ class ExpectedDetections:
     The dot product always runs over every cell, so a set's value depends
     only on which cells it covers, never on how many: a trajectory that
     adds no new cell leaves the value bit for bit unchanged.
-    ``evaluate_all`` paints each of many sets into its own row of a zero
-    block and takes the rows' dot products with ``np.vecdot``, whose
-    float64 loop makes the same BLAS call per row that ``ndarray.dot``
-    makes, so it returns ``evaluate``'s values bit for bit (a matrix
-    product ``block @ weights`` would not).
+    ``evaluate_all`` paints each set into its own row of a zero block and
+    takes the rows' dot products with ``np.vecdot``, whose float64 loop
+    makes the same BLAS call per row that ``ndarray.dot`` makes on the row
+    alone, so a set's value does not depend on the block it was scored in
+    (a matrix product ``block @ weights`` would not promise that).
+    ``evaluate`` is the one-set case of ``evaluate_all``.
 
     ``means`` and ``stds`` are ``(m, 2)``: one belief per row, its mean and
     standard deviation per axis.  ``bounds`` holds the coverage rectangle of
@@ -309,19 +301,10 @@ class ExpectedDetections:
         self._weights = (dpx.T @ dpy).ravel()
 
     def evaluate(self, members: Iterable[str]) -> float:
-        covered = np.zeros(self._shape)
-        for tid in members:
-            try:
-                covered[self._spans[tid]] = 1.0
-            except KeyError:
-                raise MissingCoverageRect(
-                    f"no coverage rectangle for trajectory {tid!r}"
-                ) from None
-        # the method skips np.dot's dispatch; both make the same BLAS call
-        return float(covered.ravel().dot(self._weights))
+        return self.evaluate_all((members,))[0]
 
     def evaluate_all(self, sets: Iterable[Iterable[str]]) -> list[float]:
-        """``[self.evaluate(s) for s in sets]``, one row per set.
+        """The expected detections of each of ``sets``, in order, one row per set.
 
         The sets are taken and painted in blocks of at most ``BLOCK_CELLS``
         cells, so the work space stays bounded whatever the number of sets.
@@ -332,15 +315,13 @@ class ExpectedDetections:
         values = []
         while block := list(itertools.islice(sets, rows)):
             covered = np.zeros((len(block), *self._shape))
-            for row, members in enumerate(block):
-                for tid in members:
-                    try:
+            try:
+                for row, members in enumerate(block):
+                    for tid in members:
                         span_x, span_y = spans[tid]
-                    except KeyError:
-                        raise MissingCoverageRect(
-                            f"no coverage rectangle for trajectory {tid!r}"
-                        ) from None
-                    covered[row, span_x, span_y] = 1.0
+                        covered[row, span_x, span_y] = 1.0
+            except KeyError as missing:
+                raise _missing_rect(missing.args[0]) from None
             values += np.vecdot(covered.reshape(len(block), weights.size), weights).tolist()
         return values
 

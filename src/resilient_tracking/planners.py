@@ -18,18 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import attack_optimal
 from .matroid import PartitionMatroid, require_enumerable
 from .objectives import basis_grid, evaluate_all
 
 
 @dataclass(frozen=True)
 class AlgorithmTrace:
-    """Which elements each phase admitted, in order, and the bait scan order."""
+    """Which elements each phase admitted, in order."""
 
     bait: tuple
     greedy_fill: tuple
-    scanned_bait: tuple
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,7 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
     used_robots: set[str] = set()
     # descending singleton value: the ground set is in ground order and a
     # reversed sort is still stable, so ties keep ground order
-    scan_order = sorted(matroid.ground_set, key=singleton.__getitem__, reverse=True)
-    for tid in scan_order:
+    for tid in sorted(matroid.ground_set, key=singleton.__getitem__, reverse=True):
         if len(bait) == alpha:
             break
         robot = matroid.owner[tid]
@@ -132,13 +129,10 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
     selected = frozenset(bait) | set(fill)
     if not matroid.is_basis(selected):
         raise AssertionError("planner failed to assemble a basis")
-    trace = AlgorithmTrace(
-        bait=tuple(bait),
-        greedy_fill=fill,
-        scanned_bait=tuple(scan_order),
-    )
     return PlanResult(
-        selected=selected, trace=trace, oracle_calls=len(singleton) + fill_calls
+        selected=selected,
+        trace=AlgorithmTrace(bait=tuple(bait), greedy_fill=fill),
+        oracle_calls=len(singleton) + fill_calls,
     )
 
 
@@ -146,9 +140,10 @@ def plan_greedy(matroid: PartitionMatroid, objective) -> PlanResult:
     """Standard matroid greedy: largest marginal gain until a basis."""
     singleton = _singletons(matroid, objective)
     fill, calls = _greedy_fill(matroid, objective, frozenset(), singleton)
-    trace = AlgorithmTrace(bait=(), greedy_fill=fill, scanned_bait=())
     return PlanResult(
-        selected=frozenset(fill), trace=trace, oracle_calls=len(singleton) + calls
+        selected=frozenset(fill),
+        trace=AlgorithmTrace(bait=(), greedy_fill=fill),
+        oracle_calls=len(singleton) + calls,
     )
 
 
@@ -173,8 +168,8 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
     for every set of ``min(alpha, n)`` removed robots the survivors' union
     values are taken over the grid, and a running minimum over the sets
     gives every basis's worst case.  The grid's C order is enumeration
-    order, so the first ``argmax`` is the first maximizer.  ``maxmin_value``
-    comes from the optimal attack on the chosen basis.
+    order, so the first ``argmax`` is the first maximizer, and its grid
+    value is the worst case an optimal attack on it leaves.
     """
     _check_alpha(matroid, alpha)
     n = matroid.num_robots
@@ -189,12 +184,11 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
         worst = values if worst is None else np.minimum(worst, values)
     grid = np.broadcast_to(worst, tuple(len(menu) for menu in menus))
     index = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    best_set = frozenset(menu[i] for menu, i in zip(menus, index))
     return PlanResult(
-        selected=best_set,
+        selected=frozenset(menu[i] for menu, i in zip(menus, index)),
         trace=None,
         oracle_calls=work,
-        maxmin_value=attack_optimal(objective, best_set, alpha).surviving_value,
+        maxmin_value=float(grid[index]),
     )
 
 

@@ -205,8 +205,8 @@ class TargetState:
     """Ground truth plus the tracker's beliefs, one ``(m, 2)`` row per target.
 
     ``position`` and ``velocity`` are the truth; ``mean``, ``variance`` and
-    ``velocity_estimate`` the per-axis beliefs.  ``last_measurement`` was
-    taken in round ``last_round``, which all targets share.
+    ``velocity_estimate`` the per-axis beliefs.  ``last_measurement`` is
+    the previous round's measurement of every target.
     """
 
     position: np.ndarray
@@ -215,7 +215,6 @@ class TargetState:
     variance: np.ndarray
     velocity_estimate: np.ndarray
     last_measurement: np.ndarray
-    last_round: int = 0
 
 
 def _reflect(values, lo, hi):
@@ -277,17 +276,20 @@ def measure(state: TargetState, noise_std: float, rng: np.random.Generator) -> n
     return state.position + noise_std * rng.normal(0.0, 1.0, size=state.position.shape)
 
 
-def kalman_update(state: TargetState, z: np.ndarray, round_index: int, config: SimConfig):
-    """Per-axis Kalman predict/update plus finite-difference velocity refresh."""
+def kalman_update(state: TargetState, z: np.ndarray, config: SimConfig):
+    """Per-axis Kalman predict/update plus finite-difference velocity refresh.
+
+    Every target is measured every round, so the velocity estimate is the
+    difference of two consecutive measurements.
+    """
     r = config.measurement_noise_std**2
     mean = state.mean + state.velocity_estimate
     variance = state.variance + config.process_noise
     gain = variance / (variance + r)
     state.mean = mean + gain * (z - mean)
     state.variance = (1.0 - gain) * variance
-    state.velocity_estimate = (z - state.last_measurement) / (round_index - state.last_round)
+    state.velocity_estimate = z - state.last_measurement
     state.last_measurement = z
-    state.last_round = round_index
     return state
 
 
@@ -397,5 +399,5 @@ def run_rounds(config: SimConfig) -> dict[str, list[RoundRecord]]:
 
         step_targets(state, config, motion_rng)
         z = measure(state, config.measurement_noise_std, measure_rng)
-        kalman_update(state, z, round_index, config)
+        kalman_update(state, z, config)
     return records

@@ -7,7 +7,8 @@ makes the grid call ``evaluate`` once per menu combination instead, the
 path every other objective takes.  ``oracles.py`` holds the literal nested
 enumerations.  All must agree on the selection, the witness and the value,
 and ``oracle_calls`` is the logical count ``bases * C(n, min(alpha, n))``
-of a per-basis optimal attack.
+of a per-basis optimal attack.  The max-min value is read off the grid and
+must be, bit for bit, what ``attack_optimal`` leaves of the chosen basis.
 """
 
 import itertools
@@ -55,6 +56,14 @@ def random_coverage(seed, menu_sizes, num_targets, spread=10.0):
     return PartitionMatroid(blocks), helpers.coverage(targets, rects)
 
 
+def assert_maxmin_value_is_the_optimal_attack(matroid, objective):
+    """f* read off the grid is what an optimal attack on the chosen basis leaves."""
+    for alpha in range(matroid.num_robots + 1):
+        plan = plan_bruteforce_maxmin(matroid, objective, alpha)
+        attacked = attack_optimal(objective, plan.selected, alpha)
+        assert repr(plan.maxmin_value) == repr(attacked.surviving_value)
+
+
 instances = st.tuples(
     st.integers(0, 2**32 - 1),
     st.lists(st.integers(1, 4), min_size=1, max_size=5),
@@ -79,6 +88,8 @@ def test_batched_maxmin_matches_loop_and_oracle(instance, data):
     n = matroid.num_robots
     logical = math.prod(menu_sizes) * math.comb(n, min(alpha, n))
     assert batched.oracle_calls == generic.oracle_calls == logical
+    assert_maxmin_value_is_the_optimal_attack(matroid, cov)
+    assert_maxmin_value_is_the_optimal_attack(matroid, helpers.SetFunction(cov.evaluate))
 
 
 @PROPERTY_SETTINGS
@@ -139,6 +150,7 @@ def test_exact_enumerations_on_expected_detections_match_the_oracles(instance, d
     want_value, want_basis = oracles.maxmin_bruteforce(matroid.blocks, objective.evaluate, alpha)
     assert got.selected == want_basis
     assert got.maxmin_value == want_value
+    assert_maxmin_value_is_the_optimal_attack(matroid, objective)
 
     witness = oracles.curvature_witness_bruteforce(matroid.blocks, objective.evaluate)
     if witness is None:

@@ -47,7 +47,7 @@ def test_enumeration_is_lexicographic_and_exhaustive():
     # robots sort to (r0, r1) regardless of construction order
     assert m.robots == ("r0", "r1")
     assert m.ground_set == ("x0", "x1", "x2", "y0", "y1")
-    got = [tuple(sorted(b, key=m.ground_index)) for b in m.enumerate_bases()]
+    got = [tuple(sorted(b, key=m.index.__getitem__)) for b in m.enumerate_bases()]
     want = [
         (x, y) for x in ("x0", "x1", "x2") for y in ("y0", "y1")
     ]
@@ -93,10 +93,9 @@ def test_enumeration_cap():
 
 def test_ground_index_tracks_canonical_order():
     m = two_by_two()
-    assert [m.ground_index(t) for t in m.ground_set] == [0, 1, 2, 3]
-    assert sorted(["b1", "a0", "a1"], key=m.ground_index) == ["a0", "a1", "b1"]
+    assert [m.index[t] for t in m.ground_set] == [0, 1, 2, 3]
+    assert sorted(["b1", "a0", "a1"], key=m.index.__getitem__) == ["a0", "a1", "b1"]
     assert m.robot_of("b1") == "r1"
-    assert m.index == {t: m.ground_index(t) for t in m.ground_set}
     assert m.owner == {t: m.robot_of(t) for t in m.ground_set}
 
 
@@ -112,5 +111,3 @@ def test_malformed_blocks_rejected():
     m = two_by_two()
     with pytest.raises(ValueError):
         m.is_independent(["nope"])
-    with pytest.raises(ValueError):
-        m.ground_index("nope")

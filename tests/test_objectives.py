@@ -269,23 +269,32 @@ def test_expected_detections_is_bit_identical_to_the_literal_construction(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(edge_boxes(), min_size=1, max_size=8), wide_beliefs, st.data())
 def test_evaluate_all_is_bit_identical_to_evaluate(box_list, beliefs, data):
-    # the same edges and beliefs as the literal-construction test; targets
-    # at the belief means and on shared edge values.  The empty set, sets
-    # with repeated ids and any number of sets, painted in blocks of one
-    # row, a few rows or the default size
+    # evaluate, the method evaluate_all and the module's evaluate_all against
+    # independent references: the literal construction for expected
+    # detections and a plain set-union count for coverage.  The same edges
+    # and beliefs as the literal-construction test; targets at the belief
+    # means and on shared edge values.  The empty set, sets with repeated
+    # ids and any number of sets, painted in blocks of one row, a few rows
+    # or the default size
     ids = [f"k{i}" for i in range(len(box_list))]
     moments = np.array(beliefs).reshape(-1, 4)
     bounds = np.array(box_list)
     targets = np.vstack([moments[:, :2], [(0.0, 0.0), (0.5, 1.0), (-2.0, 3.5)]])
+    covers = {
+        tid: {j for j, (x, y) in enumerate(targets.tolist()) if x0 <= x <= x1 and y0 <= y <= y1}
+        for tid, (x0, x1, y0, y1) in zip(ids, box_list)
+    }
     sets = [(), tuple(ids), tuple(ids + ids)]
     sets += data.draw(st.lists(st.lists(st.sampled_from(ids), max_size=10), max_size=12))
     block_cells = data.draw(st.sampled_from([1, 40, objectives.BLOCK_CELLS]))
-    for objective in (
-        ExpectedDetections(moments[:, :2], moments[:, 2:], ids, bounds),
-        CoverageCount(targets, ids, bounds),
+    args = (moments[:, :2], moments[:, 2:], ids, bounds)
+    for objective, reference in (
+        (ExpectedDetections(*args), oracles.LiteralExpectedDetections(*args)),
+        (CoverageCount(targets, ids, bounds), helpers.SetCover(covers)),
     ):
-        want = [repr(objective.evaluate(frozenset(members))) for members in sets]
+        want = [repr(reference.evaluate(members)) for members in sets]
         with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+            assert [repr(objective.evaluate(members)) for members in sets] == want
             assert [repr(v) for v in objective.evaluate_all(sets)] == want
             assert [repr(v) for v in evaluate_all(objective, iter(sets))] == want
 

@@ -128,9 +128,9 @@ def test_kalman_variance_follows_riccati_recursion():
     rng = np.random.default_rng(3)
     want = oracles.riccati_posteriors(2.0, 0.04, 0.25, 40)
     got = []
-    for k in range(1, 41):
+    for _ in range(40):
         z = measure(state, config.measurement_noise_std, rng)
-        kalman_update(state, z, k, config)
+        kalman_update(state, z, config)
         got.append(state.variance[0, 0])
     assert got == pytest.approx(want, rel=1e-12)
     fixed = oracles.riccati_fixed_point(0.04, 0.25)
@@ -143,9 +143,9 @@ def test_kalman_posterior_never_exceeds_predicted_variance():
     state = make_state((5.0, 5.0, 0.0, 0.0), var=1.0)
     rng = np.random.default_rng(5)
     prior = state.variance[0, 0]
-    for k in range(1, 30):
+    for _ in range(29):
         z = measure(state, 0.3, rng)
-        kalman_update(state, z, k, config)
+        kalman_update(state, z, config)
         assert state.variance[0, 0] <= prior + config.process_noise + 1e-15
         prior = state.variance[0, 0]
 
@@ -160,10 +160,10 @@ def test_kalman_zero_noise_locks_onto_constant_velocity_target():
     state = make_state((1.0, 1.0, 0.2, 0.1))
     rng = np.random.default_rng(6)
     motion = SimConfig(target_speed=0.2, rng_seed=0)
-    for k in range(1, 6):
+    for _ in range(5):
         step_targets(state, motion, rng)
         z = measure(state, 0.0, rng)
-        kalman_update(state, z, k, config)
+        kalman_update(state, z, config)
     assert state.mean[0, 0] == pytest.approx(state.position[0, 0], abs=1e-12)
     assert state.velocity_estimate[0, 0] == pytest.approx(0.2, abs=1e-12)
     assert state.velocity_estimate[0, 1] == pytest.approx(0.1, abs=1e-12)
