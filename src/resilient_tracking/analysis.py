@@ -74,27 +74,31 @@ def constrained_curvature(matroid: PartitionMatroid, objective) -> CurvatureRepo
 def _grid_witness(matroid, objective, singleton):
     """First (basis, element) with the smallest ratio, scored on the grid.
 
-    The full union minus each leave-one-out union is divided by the
-    singletons; a strict running minimum over robots keeps each basis's
-    first minimal member, and the first ``argmin`` over the grid (C order
-    is enumeration order) keeps the first minimal basis.
+    Block by block, each basis's full value minus its value without each
+    robot is divided by the singletons; a strict running minimum over
+    robots keeps each basis's first minimal member, the first ``argmin``
+    keeps the block's first minimal basis (C order is enumeration order),
+    and a strict running minimum over the blocks in order keeps the first
+    minimal basis of the grid.
     """
     menus = [matroid.blocks[robot] for robot in matroid.robots]
-    union = basis_grid(objective, menus)
-    n = len(menus)
-    full = union(range(n))
-    best = np.full(full.shape, np.inf)
-    best_robot = np.zeros(full.shape, dtype=np.intp)
-    for r, menu in enumerate(menus):
-        loss = full - union([s for s in range(n) if s != r])
-        # a zero singleton is skipped: its NaN ratio never compares lower
-        single = np.array([singleton[tid] or np.nan for tid in menu], dtype=float)
-        ratio = loss / single.reshape([-1 if s == r else 1 for s in range(n)])
-        lower = ratio < best
-        best = np.where(lower, ratio, best)
-        best_robot = np.where(lower, r, best_robot)
-    index = np.unravel_index(int(np.argmin(best)), best.shape)
-    robot = int(best_robot[index])
+    witness = None
+    for origin, block in basis_grid(objective, menus):
+        full, without = block.leave_one_out()
+        best = np.full(block.shape, np.inf)
+        best_robot = np.zeros(block.shape, dtype=np.intp)
+        for r, menu in enumerate(block.menus):
+            loss = full - without[r]
+            # a zero singleton is skipped: its NaN ratio never compares lower
+            single = np.array([singleton[tid] or np.nan for tid in menu], dtype=float)
+            ratio = loss / single.reshape([-1 if s == r else 1 for s in range(len(menus))])
+            lower = ratio < best
+            best = np.where(lower, ratio, best)
+            best_robot = np.where(lower, r, best_robot)
+        at = np.unravel_index(int(np.argmin(best)), best.shape)
+        if witness is None or best[at] < witness[0]:
+            witness = best[at], np.add(origin, at), int(best_robot[at])
+    _, index, robot = witness
     basis = frozenset(menu[i] for menu, i in zip(menus, index))
     return basis, menus[robot][index[robot]]
 

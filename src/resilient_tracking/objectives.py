@@ -53,15 +53,20 @@ ground set; they return the violations found (empty list = clean run).
 
 ``basis_grid`` lays an objective out on the grid of all bases, one axis
 per robot menu, so the exact max-min and the exact curvature score every
-basis at once.  It is the one place that depends on the objective: a
-:class:`CoverageCount` ORs and counts its packed masks there
-(``menu_tables`` and ``grid_union_counts``), and any other objective
-scores every combination of the listed robots' menus with
-:func:`evaluate_all`.
+basis at once.  It is the one place that depends on the objective.  It
+yields the grid in C-order blocks of at most about ``BLOCK_CELLS`` words,
+and each block gives two things: every basis's worst case under removal
+of a fixed number of robots (one keep/drop recursion over the robots),
+and every basis's full and leave-one-out values (prefix and suffix
+unions).  A :class:`CoverageCount` ORs and counts its packed masks there
+(``menu_tables``), sharing each OR among all the unions that contain it;
+any other objective scores every combination of the listed robots' menus
+with :func:`evaluate_all`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Sequence
@@ -76,6 +81,8 @@ PROPERTY_TOLERANCE = 1e-9
 
 # Cells painted at once by ExpectedDetections.evaluate_all (2 MiB of
 # float64): 400 singletons on a 100-robot grid would otherwise take 509 MB.
+# Also the words (uint64 or float64) per basis_grid block: 4**9 bases of
+# 16-word masks would otherwise take 32 MiB per array.
 BLOCK_CELLS = 1 << 18
 
 _SQRT2 = math.sqrt(2.0)
@@ -157,66 +164,207 @@ class CoverageCount:
 
         The grid has one axis per menu, so a grid point is one basis and
         C order over the grid is ``PartitionMatroid.enumerate_bases`` order.
-        Menu ``r``'s table has shape ``(1,)*r + (len(menus[r]),) +
-        (1,)*(n-r-1) + (W,)``: ``W = ceil(m / 64)`` ``uint64`` words per
-        trajectory, target ``j`` in bit ``j % 64`` of word ``j // 64``.
+        The word axis comes first: menu ``r``'s table has shape ``(W,) +
+        (1,)*r + (len(menus[r]),) + (1,)*(n-r-1)``, ``W = ceil(m / 64)``
+        ``uint64`` words per trajectory, target ``j`` in bit ``j % 64`` of
+        word ``j // 64``.  So a union of tables broadcasts to the grid
+        points of its robots with the words outermost, and no operation's
+        innermost axis is the word axis.
         """
         words, masks = self._words, self._masks
-        tables = []
+        try:
+            packed = b"".join(
+                masks[tid].to_bytes(8 * words, "little") for menu in menus for tid in menu
+            )
+        except KeyError as missing:
+            raise _missing_rect(missing.args[0]) from None
+        # (W, trajectories), one C-contiguous copy when there is more than one word
+        rows = np.ascontiguousarray(np.frombuffer(packed, dtype="<u8").reshape(-1, words).T)
+        tables, stop = [], 0
         for r, menu in enumerate(menus):
-            try:
-                packed = b"".join(masks[tid].to_bytes(8 * words, "little") for tid in menu)
-            except KeyError as missing:
-                raise _missing_rect(missing.args[0]) from None
-            shape = (1,) * r + (len(menu),) + (1,) * (len(menus) - r - 1) + (words,)
-            tables.append(np.frombuffer(packed, dtype="<u8").reshape(shape))
+            start, stop = stop, stop + len(menu)
+            shape = (words,) + (1,) * r + (len(menu),) + (1,) * (len(menus) - r - 1)
+            tables.append(rows[:, start:stop].reshape(shape))
         return tables
 
 
-def grid_union_counts(tables: Sequence[np.ndarray], ndim: int) -> np.ndarray:
-    """Covered-target count of the union of ``tables`` at every grid point.
+def _count(union: np.ndarray) -> np.ndarray:
+    """Covered targets at every grid point of a word-first ``union``.
 
-    ``tables`` is a subset of one :meth:`CoverageCount.menu_tables` result
-    on an ``ndim``-axis grid.  The counts broadcast over the grid: an axis
-    whose menu is not in ``tables`` has size 1 (every axis when ``tables``
-    is empty, where the count is 0).  Words are OR-ed and counted one at a
-    time, so the work space is one word per grid point whatever ``W`` is.
+    The per-word counts are summed in the narrowest unsigned type that
+    holds ``64 * W``, so the counts are exact and as small as they can be.
     """
-    counts = np.zeros((1,) * ndim, dtype=np.int64)
-    if not tables:
-        return counts
-    for w in range(tables[0].shape[-1]):
-        union = tables[0][..., w]
-        for table in tables[1:]:
-            union = union | table[..., w]
-        counts = counts + np.bitwise_count(union)
-    return counts
+    counts = np.bitwise_count(union)
+    words = len(counts)
+    if words == 1:
+        return counts[0]
+    return counts.sum(axis=0, dtype=np.min_scalar_type(64 * words))
+
+
+def _keep_or_drop(block, robot: int, prefix, removals: int):
+    """The least value of ``prefix`` joined by robots ``robot..n-1`` less ``removals`` of them.
+
+    Keeping ``robot`` extends the prefix, dropping it spends a removal, and
+    the node's value is the elementwise minimum of the two branches, so
+    each prefix is built once for every removal set that shares it and a
+    minimum below a drop runs on a grid without the dropped robot's axis.
+    With no removals left the remaining robots are all kept; when every
+    remaining robot must go, the prefix is all that is left.  A module
+    function rather than a nested one, which would be a reference cycle
+    holding the tables until the cyclic collector runs.
+    """
+    n = len(block.menus)
+    if removals == n - robot:
+        return block.finish(prefix, n)
+    if removals == 0:
+        return block.finish(prefix, robot)
+    keep = _keep_or_drop(block, robot + 1, block.keep(prefix, robot), removals)
+    drop = _keep_or_drop(block, robot + 1, prefix, removals - 1)
+    return np.minimum(keep, drop)
+
+
+class _GridBlock:
+    """One C-order block of the basis grid: the bases of ``menus``.
+
+    A subclass defines ``empty`` (the union of no robots), ``keep(prefix,
+    r)`` (the prefix with robot ``r`` added) and ``finish(prefix, r)`` (the
+    objective on the prefix together with robots ``r..n-1``, broadcast over
+    the block: the axes of the robots in it have their menu sizes, every
+    other axis size 1).
+    """
+
+    empty = None
+
+    def __init__(self, menus: Sequence[Sequence[str]]):
+        self.menus = menus
+        self.shape = tuple(map(len, menus))
+
+    def worst_case(self, removals: int) -> np.ndarray:
+        """Every basis's least value once any ``removals`` robots are removed."""
+        worst = _keep_or_drop(self, 0, self.empty, removals)
+        return np.broadcast_to(worst, self.shape)
+
+    def leave_one_out(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Every basis's value, and its value without robot ``r`` for each ``r``.
+
+        The value without ``r`` is the union of robots ``0..r-1`` (a
+        prefix) and ``r+1..n-1`` (a suffix), and the full value is robot
+        0 with the first suffix, so each prefix and suffix is built once.
+        """
+        n = len(self.menus)
+        full = self.finish(self.keep(self.empty, 0), 1)
+        prefix, without = self.empty, []
+        for r in range(n):
+            without.append(self.finish(prefix, r + 1))
+            if r + 1 < n:
+                prefix = self.keep(prefix, r)
+        return full, without
+
+
+class _CoverageBlock(_GridBlock):
+    """A prefix is the OR of its robots' tables (None for no robots).
+
+    ``finish`` ORs the prefix with the suffix ``tables[r:]``; the suffixes
+    are built from the last robot back, once, as far as they are asked for.
+    """
+
+    def __init__(self, objective: CoverageCount, menus):
+        super().__init__(menus)
+        self.tables = objective.menu_tables(menus)
+        # _suffixes[j] is the OR of tables[n-1-j:]
+        self._suffixes = [self.tables[-1]]
+
+    def keep(self, prefix, r):
+        table = self.tables[r]
+        return table if prefix is None else prefix | table
+
+    def finish(self, prefix, r):
+        n, suffixes = len(self.tables), self._suffixes
+        if r == 0:
+            # the union of every robot, which only no removals asks for, so
+            # no suffix is kept: one-trajectory menus first (they add no
+            # axis), then from the last robot back, so that every OR runs
+            # along the trailing axes its union already has
+            order = sorted(reversed(self.tables), key=lambda table: table.size > len(table))
+            return _count(functools.reduce(np.bitwise_or, order))
+        if r == n:
+            if prefix is None:
+                return np.zeros((1,) * n, dtype=np.uint8)
+            return _count(prefix)
+        while len(suffixes) < n - r:
+            suffixes.append(self.tables[n - 1 - len(suffixes)] | suffixes[-1])
+        suffix = suffixes[n - 1 - r]
+        return _count(suffix if prefix is None else prefix | suffix)
+
+
+class _SetBlock(_GridBlock):
+    """A prefix is a tuple of robots; ``finish`` scores every combination."""
+
+    empty = ()
+
+    def __init__(self, objective, menus):
+        super().__init__(menus)
+        self.objective = objective
+
+    def keep(self, prefix, r):
+        return (*prefix, r)
+
+    def finish(self, prefix, r):
+        robots = (*prefix, *range(r, len(self.menus)))
+        shape = [1] * len(self.menus)
+        for q in robots:
+            shape[q] = self.shape[q]
+        values = evaluate_all(self.objective, itertools.product(*(self.menus[q] for q in robots)))
+        return np.array(values, dtype=float).reshape(shape)
+
+
+def _block_menus(menus: Sequence[Sequence[str]], cap: int):
+    """C-order blocks of the basis grid of ``menus``, as ``(origin, menus)``.
+
+    A block fixes the leading robots' picks, takes a run of the next
+    robot's menu and all of every later robot's, so it is a contiguous run
+    of C order with at most ``cap`` bases (or one when ``cap`` is smaller);
+    ``origin`` is its first basis's grid index.
+    """
+    n = len(menus)
+    split, tail = n, 1
+    while split > 0 and tail * len(menus[split - 1]) <= cap:
+        split -= 1
+        tail *= len(menus[split])
+    if split == 0:
+        yield (0,) * n, menus
+        return
+    axis = split - 1
+    step = max(1, cap // tail)
+    rest = list(menus[split:])
+    for lead in itertools.product(*(range(len(menu)) for menu in menus[:axis])):
+        fixed = [menu[i : i + 1] for menu, i in zip(menus, lead)]
+        for start in range(0, len(menus[axis]), step):
+            origin = (*lead, start) + (0,) * len(rest)
+            yield origin, fixed + [menus[axis][start : start + step]] + rest
 
 
 def basis_grid(objective, menus: Sequence[Sequence[str]]):
-    """``union(robots)``: the objective on the union of the listed robots' picks.
+    """The basis grid of ``menus``, in C-order blocks of bounded size.
 
     ``menus`` are the robot menus in robot order, so a point of the grid
     (one axis per menu) is one basis and C order over the grid is
-    ``PartitionMatroid.enumerate_bases`` order.  ``union`` takes robot
-    indices in increasing order and returns the objective's value for every
-    combination of their menus, broadcast over the grid: the listed robots'
-    axes have their menu sizes, every other axis size 1.  No robots gives
-    ``f(empty)`` at every point.
+    ``PartitionMatroid.enumerate_bases`` order.  Yields ``(origin, block)``
+    in C order: ``block.menus`` are the menu runs whose bases the block
+    holds, its first basis sits at grid index ``origin``, and
+    ``block.worst_case(removals)`` and ``block.leave_one_out()`` score its
+    bases.  A block holds at most about ``BLOCK_CELLS`` words: bases times
+    the packed words per mask for a :class:`CoverageCount`, bases for any
+    other objective.  A caller that keeps a strict running maximum or
+    minimum over the blocks in order breaks ties as one pass over the whole
+    grid would, by the first basis in C order.
     """
-    ndim = len(menus)
     if isinstance(objective, CoverageCount):
-        tables = objective.menu_tables(menus)
-        return lambda robots: grid_union_counts([tables[r] for r in robots], ndim)
-
-    def union(robots):
-        shape = [1] * ndim
-        for r in robots:
-            shape[r] = len(menus[r])
-        values = evaluate_all(objective, itertools.product(*(menus[r] for r in robots)))
-        return np.array(values, dtype=float).reshape(shape)
-
-    return union
+        kind, cap = _CoverageBlock, BLOCK_CELLS // objective._words
+    else:
+        kind, cap = _SetBlock, BLOCK_CELLS
+    for origin, run in _block_menus(menus, cap):
+        yield origin, kind(objective, run)
 
 
 def evaluate_all(objective, sets: Iterable[Iterable[str]]) -> list:

@@ -13,7 +13,6 @@ remaining robots by marginal gain measured against the greedy picks alone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,12 +163,12 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
     maximizer in enumeration order.  The product of basis count and attack
     subsets per basis must stay within ``ENUMERATION_CAP``.
 
-    Every basis is scored at once on the basis grid (:func:`basis_grid`):
-    for every set of ``min(alpha, n)`` removed robots the survivors' union
-    values are taken over the grid, and a running minimum over the sets
-    gives every basis's worst case.  The grid's C order is enumeration
-    order, so the first ``argmax`` is the first maximizer, and its grid
-    value is the worst case an optimal attack on it leaves.
+    Every basis is scored at once on the basis grid (:func:`basis_grid`),
+    block by block: each block's worst case under removal of ``min(alpha,
+    n)`` robots comes from one keep/drop pass over the robots.  The grid's
+    C order is enumeration order, so the first ``argmax`` of each block and
+    a strict running maximum across the blocks give the first maximizer,
+    and its grid value is the worst case an optimal attack on it leaves.
     """
     _check_alpha(matroid, alpha)
     n = matroid.num_robots
@@ -177,18 +176,17 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
     work = require_enumerable(
         "the max-min's attacked evaluations", map(len, menus), (n, min(alpha, n))
     )
-    union = basis_grid(objective, menus)
-    worst = None
-    for removed in itertools.combinations(range(n), min(alpha, n)):
-        values = union([r for r in range(n) if r not in removed])
-        worst = values if worst is None else np.minimum(worst, values)
-    grid = np.broadcast_to(worst, tuple(len(menu) for menu in menus))
-    index = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    best = index = None
+    for origin, block in basis_grid(objective, menus):
+        worst = block.worst_case(min(alpha, n))
+        at = np.unravel_index(int(np.argmax(worst)), worst.shape)
+        if best is None or worst[at] > best:
+            best, index = worst[at], np.add(origin, at)
     return PlanResult(
         selected=frozenset(menu[i] for menu, i in zip(menus, index)),
         trace=None,
         oracle_calls=work,
-        maxmin_value=float(grid[index]),
+        maxmin_value=float(best),
     )
 
 

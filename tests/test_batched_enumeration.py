@@ -9,10 +9,15 @@ enumerations.  All must agree on the selection, the witness and the value,
 and ``oracle_calls`` is the logical count ``bases * C(n, min(alpha, n))``
 of a per-basis optimal attack.  The max-min value is read off the grid and
 must be, bit for bit, what ``attack_optimal`` leaves of the chosen basis.
+The grid comes in blocks of at most about ``objectives.BLOCK_CELLS`` words;
+shrinking that constant to a few words must change no selection, witness
+or value, ties included.
 """
 
+import gc
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,12 +26,12 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
+from resilient_tracking import objectives
 from resilient_tracking.adversary import attack_optimal
 from resilient_tracking.analysis import constrained_curvature
 from resilient_tracking.errors import DegenerateObjective, EnumerationCapExceeded
 from resilient_tracking.geometry import Rect
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import grid_union_counts
 from resilient_tracking.planners import plan_bruteforce_maxmin
 
 PROPERTY_SETTINGS = settings(
@@ -164,19 +169,24 @@ def test_exact_enumerations_on_expected_detections_match_the_oracles(instance, d
     assert zero in report.skipped_zero_elements
 
 
-def test_menu_tables_pack_more_than_64_targets():
+def test_menu_tables_put_the_words_first():
     matroid, cov = random_coverage(3, [2, 3, 1], num_targets=150)
     menus = [matroid.blocks[robot] for robot in matroid.robots]
     tables = cov.menu_tables(menus)
-    assert [t.shape for t in tables] == [(2, 1, 1, 3), (1, 3, 1, 3), (1, 1, 1, 3)]
-    for r, menu in enumerate(menus):
-        alone = grid_union_counts([tables[r]], len(menus)).ravel()
-        assert list(alone) == [cov.evaluate({tid}) for tid in menu]
-    grid = grid_union_counts(tables, len(menus))
+    assert [t.shape for t in tables] == [(3, 2, 1, 1), (3, 1, 3, 1), (3, 1, 1, 1)]
+    for r, (table, menu) in enumerate(zip(tables, menus)):
+        # the menu axis, not the word axis, is the one with unit stride
+        assert table.dtype == np.uint64
+        assert len(menu) == 1 or table.strides[r + 1] == 8
+        words = table.reshape(3, len(menu))
+        for k, tid in enumerate(menu):
+            mask = sum(int(word) << (64 * w) for w, word in enumerate(words[:, k]))
+            assert mask.bit_count() == cov.evaluate({tid})
+    union = tables[0] | tables[1] | tables[2]
+    counts = np.bitwise_count(union).sum(axis=0)
     for index in itertools.product(*(range(len(menu)) for menu in menus)):
         basis = {menu[i] for menu, i in zip(menus, index)}
-        assert grid[index] == cov.evaluate(basis)
-    assert grid_union_counts([], len(menus)).shape == (1, 1, 1)
+        assert counts[index] == cov.evaluate(basis)
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 3])
@@ -221,3 +231,131 @@ def test_batched_enumerations_keep_the_cap_checks():
         constrained_curvature(matroid, cov)
     with pytest.raises(EnumerationCapExceeded):
         attack_optimal(helpers.SetFunction(len), range(20000), 10000)
+
+
+def assert_grid_paths_match_the_oracles(matroid, cov, alphas):
+    """Max-min and curvature through both grid paths equal the literal loops."""
+    generic = helpers.SetFunction(cov.evaluate)
+    for alpha in alphas:
+        want_value, want_basis = oracles.maxmin_bruteforce(matroid.blocks, cov.evaluate, alpha)
+        for objective in (cov, generic):
+            plan = plan_bruteforce_maxmin(matroid, objective, alpha)
+            assert plan.selected == want_basis
+            assert repr(plan.maxmin_value) == repr(float(want_value))
+    witness = oracles.curvature_witness_bruteforce(matroid.blocks, cov.evaluate)
+    for objective in (cov, generic):
+        if witness is None:
+            with pytest.raises(DegenerateObjective):
+                constrained_curvature(matroid, objective)
+            continue
+        report = constrained_curvature(matroid, objective)
+        assert (report.value, report.witness_set, report.witness_element) == (
+            1.0 - witness[0],
+            witness[1],
+            witness[2],
+        )
+
+
+@PROPERTY_SETTINGS
+@given(
+    instance=instances,
+    block_cells=st.sampled_from([1, 2, 3, 5, 8, 13, 40]),
+    data=st.data(),
+)
+def test_chunked_grid_matches_the_whole_grid_and_the_oracles(instance, block_cells, data):
+    seed, menu_sizes, num_targets, spread = instance
+    matroid, cov = random_coverage(seed, menu_sizes, num_targets, spread)
+    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    alpha = data.draw(st.integers(0, matroid.num_robots))
+    whole = plan_bruteforce_maxmin(matroid, cov, alpha)
+    witness = oracles.curvature_witness_bruteforce(matroid.blocks, cov.evaluate)
+    whole_curvature = None if witness is None else constrained_curvature(matroid, cov)
+
+    with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+        for objective in (cov, helpers.SetFunction(cov.evaluate)):
+            # the blocks cut C order into consecutive runs of bounded size
+            cap = block_cells // cov._words if objective is cov else block_cells
+            bases = list(itertools.product(*menus))
+            start = 0
+            for origin, block in objectives.basis_grid(objective, menus):
+                run = list(itertools.product(*block.menus))
+                assert 1 <= len(run) <= max(1, cap)
+                assert bases[start : start + len(run)] == run
+                assert bases.index(tuple(m[i] for m, i in zip(menus, origin))) == start
+                start += len(run)
+            assert start == len(bases)
+
+            chunked = plan_bruteforce_maxmin(matroid, objective, alpha)
+            assert chunked.selected == whole.selected
+            assert repr(chunked.maxmin_value) == repr(whole.maxmin_value)
+            if witness is None:
+                with pytest.raises(DegenerateObjective):
+                    constrained_curvature(matroid, objective)
+            else:
+                assert constrained_curvature(matroid, objective) == whole_curvature
+        assert_grid_paths_match_the_oracles(matroid, cov, [alpha])
+
+
+@pytest.mark.parametrize("block_cells", [1, 2, 5])
+def test_chunked_ties_go_to_the_first_basis(block_cells):
+    # every basis ties: nothing is covered, or every rectangle covers
+    # everything; the first basis of the first block must win
+    matroid = PartitionMatroid({"r0": ["a", "b", "c"], "r1": ["d", "e"], "r2": ["f", "g"]})
+    first = next(matroid.enumerate_bases())
+    targets = [(0.5, 0.5), (0.6, 0.4), (0.2, 0.9)]
+    for spot in (500.0, 0.0):
+        rects = {tid: Rect(spot, spot + 1.0, spot, spot + 1.0) for tid in matroid.ground_set}
+        cov = helpers.coverage(targets, rects)
+        with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+            for alpha in range(4):
+                plan = plan_bruteforce_maxmin(matroid, cov, alpha)
+                assert plan.selected == first
+                assert plan.maxmin_value == (3.0 if spot == 0.0 and alpha < 3 else 0.0)
+            assert_grid_paths_match_the_oracles(matroid, cov, range(4))
+            if spot == 0.0:
+                report = constrained_curvature(matroid, cov)
+                assert (report.witness_set, report.witness_element) == (first, "a")
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 4])
+def test_counts_past_255_targets(alpha):
+    # 900 targets (15 words); each robot covers one quadrant and a margin
+    # of its neighbours', so every basis covers more targets than a uint8
+    # holds and every robot's loss is partial
+    rng = np.random.default_rng(4)
+    blocks, rects = {}, {}
+    for r, size in enumerate([3, 2, 3, 2]):
+        blocks[f"r{r}"] = [f"r{r}:{k}" for k in range(size)]
+        cx, cy = 2.5 + 5.0 * (r % 2), 2.5 + 5.0 * (r // 2)
+        for tid in blocks[f"r{r}"]:
+            x, y = rng.uniform(-0.5, 0.5, size=2) + (cx, cy)
+            w, h = rng.uniform(2.5, 3.5, size=2)
+            rects[tid] = Rect(x - w, x + w, y - h, y + h)
+    matroid = PartitionMatroid(blocks)
+    cov = helpers.coverage([tuple(p) for p in rng.uniform(0.0, 10.0, size=(900, 2))], rects)
+    assert min(cov.evaluate(basis) for basis in matroid.enumerate_bases()) > 255
+    assert 0.0 < constrained_curvature(matroid, cov).value < 1.0
+    if alpha == 0:
+        assert plan_bruteforce_maxmin(matroid, cov, alpha).maxmin_value > 255
+    assert_grid_paths_match_the_oracles(matroid, cov, [alpha])
+
+
+@pytest.mark.parametrize(
+    "menu_sizes", [[1], [3], [1, 1, 1], [2, 1, 3], [1, 4, 1, 1]], ids=str
+)
+def test_one_robot_single_item_menus_and_every_robot_removed(menu_sizes):
+    matroid, cov = random_coverage(8, menu_sizes, num_targets=120, spread=9.0)
+    assert_grid_paths_match_the_oracles(matroid, cov, range(len(menu_sizes) + 1))
+
+
+def test_exact_enumerations_leave_no_reference_cycles():
+    # a cycle would hold the masks until the cyclic collector runs
+    matroid, cov = random_coverage(5, [4, 3, 4, 2], num_targets=100)
+    gc.collect()
+    gc.disable()
+    try:
+        plan_bruteforce_maxmin(matroid, cov, 2)
+        constrained_curvature(matroid, cov)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
