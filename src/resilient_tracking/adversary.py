@@ -29,6 +29,13 @@ class AttackResult:
     surviving_value: float
 
 
+def _removal_size(alpha: int, size: int) -> int:
+    """How many of ``size`` selected elements an attack removes: min(alpha, size)."""
+    if alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    return min(alpha, size)
+
+
 def attack_optimal(objective, members, alpha: int) -> AttackResult:
     """Exact minimizer of the surviving value over removal sets.
 
@@ -38,11 +45,9 @@ def attack_optimal(objective, members, alpha: int) -> AttackResult:
     combination order: their survivors are the complementary combinations
     in reverse order.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
     selected = frozenset(members)
     ordered = sorted(selected)
-    k = min(alpha, len(ordered))
+    k = _removal_size(alpha, len(ordered))
     require_enumerable("the removal sets", choose=(len(ordered), k))
     survivors = list(itertools.combinations(ordered, len(ordered) - k))[::-1]
     values = evaluate_all(objective, survivors)
@@ -54,12 +59,10 @@ def attack_optimal(objective, members, alpha: int) -> AttackResult:
 
 def attack_greedy(objective, members, alpha: int) -> AttackResult:
     """Myopic attack: repeatedly remove the single most damaging element."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
     survivors = sorted(frozenset(members))
     removed = []
     value = None
-    for _ in range(min(alpha, len(survivors))):
+    for _ in range(_removal_size(alpha, len(survivors))):
         values = evaluate_all(
             objective, [survivors[:i] + survivors[i + 1 :] for i in range(len(survivors))]
         )
@@ -72,11 +75,9 @@ def attack_greedy(objective, members, alpha: int) -> AttackResult:
 
 def attack_random(objective, members, alpha: int, rng_seed) -> AttackResult:
     """Uniformly random removal of min(alpha, |S|) distinct elements."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
     selected = frozenset(members)
     ordered = sorted(selected)
-    k = min(alpha, len(ordered))
+    k = _removal_size(alpha, len(ordered))
     removed = frozenset()
     if k:
         # nothing is drawn at k = 0, so no generator is built then
@@ -107,19 +108,21 @@ def score_attack(f_full: float, surviving_value: float) -> tuple[float, float]:
     return f_attacked, rate
 
 
-ATTACKER_NAMES = ("optimal", "greedy", "random", "none")
+# Uniform ``(objective, members, alpha, rng) -> AttackResult`` adapters in
+# registry order, whose indices seed the attacker streams.  Each looks its
+# attack up on this module when called, so a replaced one takes effect.
+_ATTACKERS = {
+    "optimal": lambda objective, members, alpha, rng: attack_optimal(objective, members, alpha),
+    "greedy": lambda objective, members, alpha, rng: attack_greedy(objective, members, alpha),
+    "random": lambda objective, members, alpha, rng: attack_random(objective, members, alpha, rng),
+    "none": lambda objective, members, alpha, rng: attack_none(objective, members),
+}
+ATTACKER_NAMES = tuple(_ATTACKERS)
 
 
 def get_attacker(name: str):
-    """Uniform ``(objective, members, alpha, rng) -> AttackResult`` adapter."""
-    if name == "optimal":
-        return lambda objective, members, alpha, rng: attack_optimal(objective, members, alpha)
-    if name == "greedy":
-        return lambda objective, members, alpha, rng: attack_greedy(objective, members, alpha)
-    if name == "random":
-        return lambda objective, members, alpha, rng: attack_random(
-            objective, members, alpha, rng
-        )
-    if name == "none":
-        return lambda objective, members, alpha, rng: attack_none(objective, members)
-    raise ValueError(f"unknown attacker {name!r}; expected one of {ATTACKER_NAMES}")
+    """The uniform adapter of attacker ``name``."""
+    try:
+        return _ATTACKERS[name]
+    except KeyError:
+        raise ValueError(f"unknown attacker {name!r}; expected one of {ATTACKER_NAMES}") from None

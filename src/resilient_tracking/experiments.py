@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -131,38 +131,98 @@ def _require_number(data, field, minimum=None, strict=False) -> float:
     value = data.get(field)
     if not (isinstance(value, float) or _is_int(value)):
         _fail(field, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    # false for nan, infinities and integers past the float range
+    if not abs(value) <= sys.float_info.max:
         _fail(field, f"must be finite, got {value}")
-    if minimum is not None:
-        if strict and not value > minimum:
-            _fail(field, f"must be greater than {minimum}, got {value}")
-        if not strict and value < minimum:
-            _fail(field, f"must be at least {minimum}, got {value}")
+    if minimum is not None and (value <= minimum if strict else value < minimum):
+        _fail(field, f"must be {'greater than' if strict else 'at least'} {minimum}, got {value}")
     return float(value)
 
 
-def _normalize_targets(value) -> tuple[int, ...]:
+def _require_choice(data, field, choices) -> str:
+    value = data.get(field)
+    if value not in choices:
+        _fail(field, f"expected one of {choices}, got {value!r}")
+    return value
+
+
+def _require_list(data, field, names=None) -> tuple:
+    """A non-empty list of integers, or of ``names`` when given."""
+    value = data.get(field)
+    if not isinstance(value, list) or not value:
+        _fail(field, f"expected a non-empty list, got {value!r}")
+    for item in value:
+        if names is None and not _is_int(item):
+            _fail(field, f"expected a list of integers, got {value!r}")
+        if names is not None and item not in names:
+            _fail(field, f"unknown name {item!r}; expected one of {names}")
+    return tuple(value)
+
+
+def _require_arena(data, field) -> Rect:
+    value = data.get(field)
+    if not isinstance(value, list) or len(value) != 4:
+        _fail(field, f"expected [x_min, x_max, y_min, y_max], got {value!r}")
+    try:
+        arena = Rect(*(_require_number({field: v}, field) for v in value))
+    except ValueError as exc:
+        _fail(field, str(exc))
+    if arena.x_min == arena.x_max or arena.y_min == arena.y_max:
+        _fail(field, f"width and height must be positive, got {value!r}")
+    return arena
+
+
+def _optional_path(data, field) -> str | None:
+    value = data.get(field)
+    if value is not None and not isinstance(value, str):
+        _fail(field, f"expected a string path, got {value!r}")
+    return value
+
+
+def _require_enumerable(field, what, sizes=(), choose=(0, 0)) -> None:
+    try:
+        require_enumerable(what, sizes, choose)
+    except EnumerationCapExceeded as exc:
+        _fail(field, str(exc))
+
+
+def _require_targets(data, field) -> tuple[int, ...]:
+    value = values = data.get(field)
     if _is_int(value):
         values = [value]
-    elif isinstance(value, list) and value and all(map(_is_int, value)):
-        values = list(value)
     elif (
         isinstance(value, dict)
         and set(value) == {"start", "stop"}
         and all(map(_is_int, value.values()))
-        and value["start"] <= value["stop"]
     ):
+        # counted before it is listed
+        _require_enumerable(field, "the target range", [value["stop"] - value["start"] + 1])
         values = list(range(value["start"], value["stop"] + 1))
-    else:
+    if not (isinstance(values, list) and values and all(_is_int(v) and v >= 1 for v in values)):
         _fail(
-            "num_targets",
-            "expected an integer, a non-empty list of integers, or "
-            f"{{'start': a, 'stop': b}} with a <= b, got {value!r}",
+            field,
+            "expected a positive integer, a non-empty list of them, or "
+            f"{{'start': a, 'stop': b}} with 1 <= a <= b, got {value!r}",
         )
-    if any(v < 1 for v in values):
-        _fail("num_targets", f"target counts must be positive, got {values}")
     return tuple(values)
 
+
+# Validators of the spec's fields, in ExperimentSpec's order; each takes the
+# parsed spec and the field's name.
+_SPEC_FIELDS = {
+    "protocol": partial(_require_choice, choices=("one-step", "multi-round")),
+    "num_robots": partial(_require_int, minimum=1),
+    "fov_side": partial(_require_number, minimum=0, strict=True),
+    "fly_length": partial(_require_number, minimum=0),
+    "arena": _require_arena,
+    "num_targets": _require_targets,
+    "alphas": _require_list,
+    "trials": partial(_require_int, minimum=1),
+    "planners": partial(_require_list, names=PLANNER_NAMES),
+    "attackers": partial(_require_list, names=ATTACKER_NAMES),
+    "master_seed": partial(_require_int, minimum=0),
+    "output": _optional_path,
+}
 
 # Validators of the optional multi-round fields, which are SimConfig fields.
 _SIMULATION_FIELDS = {
@@ -179,129 +239,58 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     """Validate a parsed spec; raises :class:`SpecError` naming the field."""
     if not isinstance(data, dict):
         raise SpecError("spec must be a JSON object")
-    known = {
-        "protocol", "num_robots", "fov_side", "fly_length", "arena",
-        "num_targets", "alphas", "trials", "planners", "attackers",
-        "master_seed", "output", *_SIMULATION_FIELDS,
-    }
     for key in data:
-        if key not in known:
+        if key not in _SPEC_FIELDS and key not in _SIMULATION_FIELDS:
             _fail(key, "unknown field")
+    spec = ExperimentSpec(
+        **{key: check(data, key) for key, check in _SPEC_FIELDS.items()},
+        # validated for either protocol; only the multi-round protocol uses them
+        simulation={
+            key: check(data, key) for key, check in _SIMULATION_FIELDS.items() if key in data
+        },
+    )
 
-    protocol = data.get("protocol")
-    if protocol not in ("one-step", "multi-round"):
-        _fail("protocol", f"expected 'one-step' or 'multi-round', got {protocol!r}")
-    num_robots = _require_int(data, "num_robots", minimum=1)
-    fov_side = _require_number(data, "fov_side", minimum=0, strict=True)
-    fly_length = _require_number(data, "fly_length", minimum=0)
-
-    arena_raw = data.get("arena")
-    if (
-        not isinstance(arena_raw, list)
-        or len(arena_raw) != 4
-        or not all(isinstance(v, float) or _is_int(v) for v in arena_raw)
-    ):
-        _fail("arena", f"expected [x_min, x_max, y_min, y_max], got {arena_raw!r}")
-    try:
-        arena = Rect(*[float(v) for v in arena_raw])
-    except ValueError as exc:
-        _fail("arena", str(exc))
-    if arena.x_min == arena.x_max or arena.y_min == arena.y_max:
-        _fail("arena", f"width and height must be positive, got {arena_raw!r}")
-
-    num_targets = _normalize_targets(data.get("num_targets"))
-
-    alphas_raw = data.get("alphas")
-    if (
-        not isinstance(alphas_raw, list)
-        or not alphas_raw
-        or not all(map(_is_int, alphas_raw))
-    ):
-        _fail("alphas", f"expected a non-empty list of integers, got {alphas_raw!r}")
-    for a in alphas_raw:
-        if not 0 <= a <= num_robots:
-            _fail("alphas", f"each alpha must be in [0, {num_robots}], got {a}")
-
-    trials = _require_int(data, "trials", minimum=1)
-
-    planners_raw = data.get("planners")
-    if not isinstance(planners_raw, list) or not planners_raw:
-        _fail("planners", f"expected a non-empty list, got {planners_raw!r}")
-    for p in planners_raw:
-        if p not in PLANNER_NAMES:
-            _fail("planners", f"unknown planner {p!r}; expected one of {PLANNER_NAMES}")
-    attackers_raw = data.get("attackers")
-    if not isinstance(attackers_raw, list) or not attackers_raw:
-        _fail("attackers", f"expected a non-empty list, got {attackers_raw!r}")
-    for a in attackers_raw:
-        if a not in ATTACKER_NAMES:
-            _fail("attackers", f"unknown attacker {a!r}; expected one of {ATTACKER_NAMES}")
-    # the exact enumerations' own cap checks, made before any cell runs;
-    # both protocols give every robot the full four-direction menu
-    for a in alphas_raw:
-        if "brute-force" in planners_raw:
-            try:
-                require_enumerable(
-                    f"brute-force at alpha {a}: the attacked evaluations",
-                    itertools.repeat(len(DIRECTION_ORDER), num_robots),
-                    (num_robots, a),
-                )
-            except EnumerationCapExceeded as exc:
-                _fail("planners", str(exc))
-        if "optimal" in attackers_raw:
-            try:
-                require_enumerable(
-                    f"the optimal attacker at alpha {a}: the removal sets",
-                    choose=(num_robots, a),
-                )
-            except EnumerationCapExceeded as exc:
-                _fail("attackers", str(exc))
-
-    master_seed = _require_int(data, "master_seed", minimum=0)
-    output = data.get("output")
-    if output is not None and not isinstance(output, str):
-        _fail("output", f"expected a string path, got {output!r}")
-
-    # validated for either protocol; only the multi-round protocol uses them
-    simulation = {
-        key: check(data, key) for key, check in _SIMULATION_FIELDS.items() if key in data
-    }
+    n = spec.num_robots
+    for a in spec.alphas:
+        if not 0 <= a <= n:
+            _fail("alphas", f"each alpha must be in [0, {n}], got {a}")
+        # the exact enumerations' own cap checks, made before any cell runs;
+        # both protocols give every robot the full four-direction menu
+        if "brute-force" in spec.planners:
+            _require_enumerable(
+                "planners",
+                f"brute-force at alpha {a}: the attacked evaluations",
+                itertools.repeat(len(DIRECTION_ORDER), n),
+                (n, a),
+            )
+        if "optimal" in spec.attackers:
+            _require_enumerable(
+                "attackers", f"the optimal attacker at alpha {a}: the removal sets", choose=(n, a)
+            )
     # SimConfig refuses arithmetic that would overflow or zero the belief
     # variance, naming the field; a one-step world is one unmoved round
     try:
         SimConfig(
-            num_robots=num_robots,
+            num_robots=n,
             alpha=0,
-            fov_side=fov_side,
-            fly_length=fly_length,
-            arena=arena,
-            **(simulation if protocol == "multi-round" else {"rounds": 1}),
+            fov_side=spec.fov_side,
+            fly_length=spec.fly_length,
+            arena=spec.arena,
+            **(spec.simulation if spec.protocol == "multi-round" else {"rounds": 1}),
         )
     except ValueError as exc:
         raise SpecError(str(exc)) from None
-    return ExperimentSpec(
-        protocol=protocol,
-        num_robots=num_robots,
-        fov_side=fov_side,
-        fly_length=fly_length,
-        arena=arena,
-        num_targets=num_targets,
-        alphas=tuple(alphas_raw),
-        trials=trials,
-        planners=tuple(planners_raw),
-        attackers=tuple(attackers_raw),
-        master_seed=master_seed,
-        output=output,
-        simulation=simulation,
-    )
+    return spec
 
 
 def load_spec(path) -> ExperimentSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec file is not valid JSON: {exc}") from None
+        # not UTF-8, not JSON, an integer past Python's digit limit, or
+        # nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
+            raise SpecError(f"spec file is not valid UTF-8 JSON: {exc}") from None
     return spec_from_dict(data)
 
 
@@ -477,8 +466,13 @@ def read_csv(path) -> list[RecordRow]:
     ``rows`` must equal the number of rows read.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode, and split as the file would
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise CsvFormatError(f"line {lineno}: not UTF-8: {exc}") from None
     if not lines:
         raise CsvFormatError("line 1: empty file, expected header")
     if lines[0] != ",".join(CSV_COLUMNS):

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from .errors import EnumerationCapExceeded
 
 # Most bases, removal sets or attacked evaluations any exact enumeration
-# may visit.
+# may visit; it also bounds the length of a spec's ``num_targets`` range.
 ENUMERATION_CAP = 10**6
 
 

@@ -67,7 +67,7 @@ def _singletons(matroid: PartitionMatroid, objective) -> dict:
     return dict(zip(ground, evaluate_all(objective, [(tid,) for tid in ground])))
 
 
-def _greedy_fill(matroid, objective, bait: frozenset, singleton: dict):
+def _greedy_fill(matroid, objective, used_robots: set, singleton: dict):
     """Greedy phase: fill the robots the bait left open, by marginal gain.
 
     Each round scores ``fill | {t}`` for every trajectory ``t`` of a robot
@@ -82,7 +82,6 @@ def _greedy_fill(matroid, objective, bait: frozenset, singleton: dict):
     elements would.  Returns (fill, evaluations made).
     """
     owner = matroid.owner
-    used_robots = {owner[tid] for tid in bait}
     candidates = [tid for tid in matroid.ground_set if owner[tid] not in used_robots]
     values = [singleton[tid] for tid in candidates]
     fill: list[str] = []
@@ -97,34 +96,28 @@ def _greedy_fill(matroid, objective, bait: frozenset, singleton: dict):
     return tuple(fill), calls
 
 
-def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResult:
-    """Two-phase selection that withstands up to ``alpha`` removals.
+def _two_phase(matroid: PartitionMatroid, objective, alpha: int) -> PlanResult:
+    """Bait of up to ``alpha`` trajectories, then the greedy fill.
 
-    Phase 1 scans the whole ground set in descending singleton value
-    (singletons are evaluated once, and the fill's first round reads them)
-    and admits an element while the bait set stays independent and no
-    larger than ``alpha``.  Phase 2
-    greedily fills the remaining robots; its marginal gains deliberately
-    ignore the bait, which is what makes the bait expendable.
-
-    ``alpha`` may be any value in [0, number of robots]; at the upper end
-    every selection can be wiped out and the guarantee is vacuous.
+    The bait scans the ground set in descending singleton value and admits
+    an element while the bait stays independent and no larger than
+    ``alpha``; at alpha 0 there is no bait and no scan.
     """
-    _check_alpha(matroid, alpha)
     singleton = _singletons(matroid, objective)
     bait: list[str] = []
     used_robots: set[str] = set()
     # descending singleton value: the ground set is in ground order and a
     # reversed sort is still stable, so ties keep ground order
-    for tid in sorted(matroid.ground_set, key=singleton.__getitem__, reverse=True):
-        if len(bait) == alpha:
-            break
+    ranked = sorted(matroid.ground_set, key=singleton.__getitem__, reverse=True) if alpha else ()
+    for tid in ranked:
         robot = matroid.owner[tid]
         if robot not in used_robots:
             bait.append(tid)
             used_robots.add(robot)
+            if len(bait) == alpha:
+                break
 
-    fill, fill_calls = _greedy_fill(matroid, objective, frozenset(bait), singleton)
+    fill, fill_calls = _greedy_fill(matroid, objective, used_robots, singleton)
     selected = frozenset(bait) | set(fill)
     if not matroid.is_basis(selected):
         raise AssertionError("planner failed to assemble a basis")
@@ -135,15 +128,25 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
     )
 
 
+def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResult:
+    """Two-phase selection that withstands up to ``alpha`` removals.
+
+    Phase 1 reserves as bait the ``alpha`` individually most valuable,
+    mutually independent trajectories (singletons are evaluated once, and
+    the fill's first round reads them).  Phase 2
+    greedily fills the remaining robots; its marginal gains deliberately
+    ignore the bait, which is what makes the bait expendable.
+
+    ``alpha`` may be any value in [0, number of robots]; at the upper end
+    every selection can be wiped out and the guarantee is vacuous.
+    """
+    _check_alpha(matroid, alpha)
+    return _two_phase(matroid, objective, alpha)
+
+
 def plan_greedy(matroid: PartitionMatroid, objective) -> PlanResult:
-    """Standard matroid greedy: largest marginal gain until a basis."""
-    singleton = _singletons(matroid, objective)
-    fill, calls = _greedy_fill(matroid, objective, frozenset(), singleton)
-    return PlanResult(
-        selected=frozenset(fill),
-        trace=AlgorithmTrace(bait=(), greedy_fill=fill),
-        oracle_calls=len(singleton) + calls,
-    )
+    """Standard matroid greedy: the two-phase body with no bait."""
+    return _two_phase(matroid, objective, 0)
 
 
 def plan_random(matroid: PartitionMatroid, rng_seed) -> PlanResult:
@@ -190,19 +193,23 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
     )
 
 
-PLANNER_NAMES = ("resilient", "greedy", "random", "brute-force")
+# Uniform ``(matroid, objective, alpha, rng) -> PlanResult`` adapters in
+# registry order, whose indices seed the planner streams.  Each looks its
+# planner up on this module when called, so a replaced one takes effect.
+_PLANNERS = {
+    "resilient": lambda matroid, objective, alpha, rng: plan_resilient(matroid, objective, alpha),
+    "greedy": lambda matroid, objective, alpha, rng: plan_greedy(matroid, objective),
+    "random": lambda matroid, objective, alpha, rng: plan_random(matroid, rng),
+    "brute-force": lambda matroid, objective, alpha, rng: plan_bruteforce_maxmin(
+        matroid, objective, alpha
+    ),
+}
+PLANNER_NAMES = tuple(_PLANNERS)
 
 
 def get_planner(name: str):
-    """Uniform ``(matroid, objective, alpha, rng) -> PlanResult`` adapter."""
-    if name == "resilient":
-        return lambda matroid, objective, alpha, rng: plan_resilient(matroid, objective, alpha)
-    if name == "greedy":
-        return lambda matroid, objective, alpha, rng: plan_greedy(matroid, objective)
-    if name == "random":
-        return lambda matroid, objective, alpha, rng: plan_random(matroid, rng)
-    if name == "brute-force":
-        return lambda matroid, objective, alpha, rng: plan_bruteforce_maxmin(
-            matroid, objective, alpha
-        )
-    raise ValueError(f"unknown planner {name!r}; expected one of {PLANNER_NAMES}")
+    """The uniform adapter of planner ``name``."""
+    try:
+        return _PLANNERS[name]
+    except KeyError:
+        raise ValueError(f"unknown planner {name!r}; expected one of {PLANNER_NAMES}") from None

@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 import oracles
+from resilient_tracking import adversary, experiments, simulation
 from resilient_tracking.adversary import (
     ATTACKER_NAMES,
     attack_greedy,
@@ -134,8 +135,30 @@ def test_attacker_registry():
     for name in ATTACKER_NAMES:
         result = get_attacker(name)(f, members, 1, rng)
         assert result.removed <= members
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         get_attacker("nuke")
+    assert "'nuke'" in str(caught.value) and str(ATTACKER_NAMES) in str(caught.value)
+
+
+def test_adapters_look_their_attack_up_on_the_module_when_called(monkeypatch):
+    # replacing an attack on the module reaches the registry's callers
+    f, members = cover_fixture()
+    for name, attr in zip(
+        ATTACKER_NAMES, ("attack_optimal", "attack_greedy", "attack_random", "attack_none")
+    ):
+        marker = object()
+        monkeypatch.setattr(adversary, attr, lambda *args, marker=marker: marker)
+        for lookup in (get_attacker, experiments.get_attacker, simulation.get_attacker):
+            assert lookup(name)(f, members, 1, np.random.default_rng(0)) is marker
+
+
+def test_every_attack_refuses_a_negative_alpha():
+    f, members = cover_fixture()
+    for attack in (attack_optimal, attack_greedy):
+        with pytest.raises(ValueError, match="alpha must be nonnegative, got -1"):
+            attack(f, members, -1)
+    with pytest.raises(ValueError, match="alpha must be nonnegative, got -1"):
+        attack_random(f, members, -1, 0)
 
 
 def test_optimal_attack_call_count_is_exhaustive():

@@ -148,6 +148,11 @@ def test_bad_spec_exits_2_and_names_field(tmp_path, capsys):
         # exact enumerations counting past Python's 4300-digit int-to-str limit
         ({"num_robots": 8000, "planners": ["brute-force"]}, "planners"),
         ({"num_robots": 20000, "alphas": [10000]}, "attackers"),
+        # integers past the float range
+        ({"fov_side": 10**400}, "fov_side"),
+        ({"arena": [0, 10**400, 0, 10]}, "arena"),
+        # a target range far past the enumeration cap
+        ({"num_targets": {"start": 1, "stop": 10**12}}, "num_targets"),
     ],
 )
 def test_non_finite_or_flat_spec_exits_2_without_traceback(tmp_path, capsys, overrides, field):
@@ -164,6 +169,27 @@ def test_non_finite_or_flat_spec_exits_2_without_traceback(tmp_path, capsys, ove
 def test_missing_spec_file_exits_1(tmp_path, capsys):
     assert main(["run", "--spec", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_spec_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(write_spec(tmp_path).read_bytes().replace(b"one-step", b"one-step\xff"))
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
+    assert not out.exists()
+
+
+def test_summarize_refuses_a_csv_that_is_not_utf8(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+    capsys.readouterr()
+    out.write_bytes(out.read_bytes().replace(b"greedy", b"gr\xe9edy", 1))
+    assert main(["summarize", "--in", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and "not UTF-8" in err
 
 
 def test_summarize_rejects_malformed_csv(tmp_path, capsys):

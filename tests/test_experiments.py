@@ -3,17 +3,19 @@
 import concurrent.futures
 import json
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from resilient_tracking import experiments, simulation
+from resilient_tracking import experiments, matroid, simulation
+from resilient_tracking.adversary import ATTACKER_NAMES
 from resilient_tracking.errors import CsvFormatError, SpecError
 from resilient_tracking.experiments import (
     CSV_COLUMNS,
+    ExperimentSpec,
     PairwiseRow,
     RecordRow,
     SummaryRow,
@@ -27,6 +29,7 @@ from resilient_tracking.experiments import (
     summarize_rows,
     write_csv,
 )
+from resilient_tracking.planners import PLANNER_NAMES
 from resilient_tracking.simulation import SimConfig
 
 GOLDEN_MULTI_ROUND = json.loads(
@@ -98,10 +101,43 @@ def test_spec_errors_name_the_field():
         ({**GOLDEN_MULTI_ROUND, "measurement_noise_std": 1e-8}, "measurement_noise_std"),
         ({"arena": [-1e308, 1e308, 0, 10]}, "arena"),
         ({"fov_side": 1e308, "fly_length": 1e308}, "fly_length"),
+        # integers past the float range
+        ({"fov_side": 10**400}, "fov_side"),
+        ({"fly_length": -(10**400)}, "fly_length"),
+        ({"arena": [0, 10**400, 0, 10]}, "arena"),
+        ({"protocol": "multi-round", "target_speed": 10**400}, "target_speed"),
     ]
     for overrides, field in cases:
         with pytest.raises(SpecError, match=field):
             spec_from_dict(base_spec(**overrides))
+
+
+def test_every_spec_field_is_required_and_checked():
+    # a missing field, or one of the wrong type, gets an error naming it
+    for spec_field in fields(ExperimentSpec):
+        name = spec_field.name
+        if name == "simulation":
+            continue
+        if name != "output":
+            spec = base_spec()
+            del spec[name]
+            with pytest.raises(SpecError, match=f"field '{name}'"):
+                spec_from_dict(spec)
+        for wrong in ({"x": 1}, True):
+            with pytest.raises(SpecError, match=f"field '{name}'"):
+                spec_from_dict(base_spec(**{name: wrong}))
+    for name in experiments._SIMULATION_FIELDS:
+        with pytest.raises(SpecError, match=f"field '{name}'"):
+            spec_from_dict(base_spec(**{name: True}))
+
+
+def test_unknown_planner_or_attacker_names_the_value_and_the_choices():
+    for name, allowed in (("planners", PLANNER_NAMES), ("attackers", ATTACKER_NAMES)):
+        with pytest.raises(SpecError) as caught:
+            spec_from_dict(base_spec(**{name: [allowed[0], "wishful"]}))
+        message = str(caught.value)
+        assert f"field '{name}'" in message
+        assert "'wishful'" in message and str(allowed) in message
 
 
 def test_spec_just_inside_the_arithmetic_limits_runs():
@@ -136,6 +172,21 @@ def test_spec_refuses_enumerations_past_the_cap_at_load():
     assert time.perf_counter() - start < 0.5
 
 
+def test_spec_refuses_a_target_range_past_the_cap_at_load(monkeypatch):
+    # the range is counted before it is listed: listing 10**12 counts
+    # would run out of memory
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="'num_targets'.*cap of 1000000"):
+        spec_from_dict(base_spec(num_targets={"start": 1, "stop": 10**12}))
+    assert time.perf_counter() - start < 0.5
+    monkeypatch.setattr(matroid, "ENUMERATION_CAP", 10)
+    assert spec_from_dict(base_spec(num_targets={"start": 3, "stop": 12})).num_targets == tuple(
+        range(3, 13)
+    )
+    with pytest.raises(SpecError, match="'num_targets'.*cap of 10$"):
+        spec_from_dict(base_spec(num_targets={"start": 3, "stop": 13}))
+
+
 def test_spec_accepts_target_range_forms():
     assert spec_from_dict(base_spec(num_targets=7)).num_targets == (7,)
     assert spec_from_dict(base_spec(num_targets=[3, 9])).num_targets == (3, 9)
@@ -147,6 +198,22 @@ def test_load_spec_rejects_bad_json(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text("{not json")
     with pytest.raises(SpecError, match="JSON"):
+        load_spec(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"protocol": "one-step\xff"}',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        b'{"num_robots": ' + b"9" * 5000 + b"}",  # past Python's int digit limit
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_load_spec_refuses_files_json_cannot_read(tmp_path, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    with pytest.raises(SpecError, match="spec file is not valid UTF-8 JSON"):
         load_spec(path)
 
 
@@ -374,6 +441,21 @@ def test_read_csv_refuses_a_marker_with_the_wrong_row_count(tmp_path):
     path.write_text(text + text.splitlines(keepends=True)[1])
     with pytest.raises(CsvFormatError, match="after the completeness marker"):
         read_csv(path)
+
+
+def test_read_csv_names_the_line_of_the_first_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(fixture_rows(), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    for eol in (b"\n", b"\r\n", b"\r"):
+        for lineno in (1, 3, len(lines)):
+            broken = [line.rstrip(b"\n") + eol for line in lines]
+            broken[lineno - 1] = broken[lineno - 1][:5] + b"\xff" + broken[lineno - 1][5:]
+            path.write_bytes(b"".join(broken))
+            with pytest.raises(CsvFormatError, match=f"^line {lineno}: not UTF-8"):
+                read_csv(path)
+    with pytest.raises(CsvFormatError, match=f"^line {len(lines)}: not UTF-8"):
+        summarize(path)
 
 
 def test_write_csv_replaces_the_file_whole_or_not_at_all(tmp_path):

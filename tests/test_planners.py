@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
+from resilient_tracking import experiments, planners, simulation
 from resilient_tracking.adversary import attack_greedy, attack_optimal
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import CoverageCount
@@ -286,8 +287,40 @@ def test_planner_registry():
     for name in PLANNER_NAMES:
         result = get_planner(name)(inst.matroid, cov, 1, planner_rng)
         assert inst.matroid.is_basis(result.selected)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         get_planner("nope")
+    assert "'nope'" in str(caught.value) and str(PLANNER_NAMES) in str(caught.value)
+
+
+def test_adapters_look_their_planner_up_on_the_module_when_called(monkeypatch):
+    # replacing a planner on the module reaches the registry's callers
+    matroid = PartitionMatroid({"r0": ["a"], "r1": ["b"]})
+    f = helpers.SetFunction(lambda s: float(len(s)))
+    attrs = ("plan_resilient", "plan_greedy", "plan_random", "plan_bruteforce_maxmin")
+    for name, attr in zip(PLANNER_NAMES, attrs):
+        marker = object()
+        monkeypatch.setattr(planners, attr, lambda *args, marker=marker: marker)
+        for lookup in (get_planner, experiments.get_planner, simulation.get_planner):
+            assert lookup(name)(matroid, f, 1, np.random.default_rng(0)) is marker
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instance=planning_instances())
+def test_greedy_is_the_resilient_body_with_no_bait(instance):
+    # selection, trace and oracle_calls equal, and the same sets evaluated;
+    # with no bait neither sorts the ground set for one
+    matroid, objective = instance
+    greedy, resilient = helpers.CountingOracle(objective), helpers.CountingOracle(objective)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planners, "sorted", None, raising=False)
+        assert plan_greedy(matroid, greedy) == plan_resilient(matroid, resilient, 0)
+    assert greedy.evaluated == resilient.evaluated
+    assert greedy.eval_count == resilient.eval_count
 
 
 def test_selected_set_is_always_a_basis_even_with_zero_objective():
