@@ -17,6 +17,7 @@ from .experiments import (
     summarize,
     write_csv,
 )
+from .matroid import require_enumerable
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,6 +79,9 @@ def _cmd_check(args) -> int:
     ):
         if value < minimum:
             raise TrackingError(f"{flag} must be at least {minimum}, got {value}")
+    # the same bound on the amount of work as a spec's trials
+    for flag, value in (("--instances", args.instances), ("--trials", args.trials)):
+        require_enumerable(f"the checks of {flag} {value}", [value])
     if args.suite == "bounds":
         reports = run_bound_suite(num_instances=args.instances, rng_seed=args.seed)
         bad = [r for r in reports if not r.satisfied]

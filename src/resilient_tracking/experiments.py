@@ -2,9 +2,11 @@
 
 Protocols
 ---------
-one-step: per (m, alpha, trial) sample a fresh world (robots and targets
-uniform in the arena, full four-direction menus), plan once per planner on
-ground-truth coverage, apply each attacker, one row per (planner, attacker).
+one-step: the world (robots and targets uniform in the arena, full
+four-direction menus) depends on (m, trial) only, so it is sampled once and
+every alpha is planned on it.  Per alpha, plan once per planner on
+ground-truth coverage and apply each attacker, one row per (planner,
+attacker).
 
 multi-round: per (m, alpha, trial) run the closed-loop simulation once per
 planner under a shared per-trial seed, so every planner sees the same target
@@ -47,7 +49,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from statistics import mean, pstdev
 from typing import get_type_hints
@@ -267,6 +269,23 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             _require_enumerable(
                 "attackers", f"the optimal attacker at alpha {a}: the removal sets", choose=(n, a)
             )
+    # the amount of work, counted before anything is listed or allocated:
+    # the cells of the sweep and one world's targets and trajectories;
+    # rounds are not bounded
+    _require_enumerable(
+        "trials",
+        f"the (m, alpha, trial) cells of {spec.trials} trials",
+        [len(spec.num_targets), len(spec.alphas), spec.trials],
+    )
+    _require_enumerable(
+        "num_robots", f"the trajectories of {n} robots", [len(DIRECTION_ORDER), n]
+    )
+    m = max(spec.num_targets)
+    _require_enumerable(
+        "num_targets",
+        f"the target-trajectory pairs of a world of {m} targets and {n} robots",
+        [m, len(DIRECTION_ORDER), n],
+    )
     # SimConfig refuses arithmetic that would overflow or zero the belief
     # variance, naming the field; a one-step world is one unmoved round
     try:
@@ -304,8 +323,10 @@ def _role_rng(trial_seed: int, *codes: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([trial_seed, *codes]))
 
 
-def _one_step_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
-    m, alpha, trial = cell
+def _one_step_world(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[RecordRow]]]:
+    """Every alpha's rows on the world of ``unit = (m position, trial)``."""
+    i, trial = unit
+    m = spec.num_targets[i]
     trial_seed = derive_trial_seed(spec.master_seed, trial)
     instance = sample_instance(
         _role_rng(trial_seed, 0),
@@ -316,48 +337,53 @@ def _one_step_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
         arena=spec.arena,
     )
     objective = CoverageCount(instance.targets, instance.ids, instance.bounds)
-    rows = []
-    for planner in spec.planners:
-        pcode = PLANNER_NAMES.index(planner)
-        # only the random planner, and the random attacker at alpha > 0,
-        # draw from a stream
-        planner_rng = _role_rng(trial_seed, 1, pcode) if planner == "random" else None
-        t0 = time.perf_counter_ns()
-        result = get_planner(planner)(instance.matroid, objective, alpha, planner_rng)
-        plan_ns = time.perf_counter_ns() - t0
-        f_full = float(objective.evaluate(result.selected))
-        for attacker in spec.attackers:
-            acode = ATTACKER_NAMES.index(attacker)
-            attacker_rng = (
-                _role_rng(trial_seed, 2, pcode, acode)
-                if attacker == "random" and alpha > 0
-                else None
-            )
-            t1 = time.perf_counter_ns()
-            attacked = get_attacker(attacker)(objective, result.selected, alpha, attacker_rng)
-            attack_ns = time.perf_counter_ns() - t1
-            f_att, rate = score_attack(f_full, attacked.surviving_value)
-            rows.append(
-                RecordRow(
-                    trial=trial,
-                    round=1,
-                    planner=planner,
-                    attacker=attacker,
-                    m=m,
-                    alpha=alpha,
-                    f_full=f_full,
-                    f_attacked=f_att,
-                    attack_rate=rate,
-                    oracle_calls=result.oracle_calls,
-                    wall_time_micros=(plan_ns + attack_ns) // 1000,
-                    seed=trial_seed,
+    keyed = []
+    for j, alpha in enumerate(spec.alphas):
+        rows = []
+        for planner in spec.planners:
+            pcode = PLANNER_NAMES.index(planner)
+            # only the random planner, and the random attacker at alpha > 0,
+            # draw from a stream
+            planner_rng = _role_rng(trial_seed, 1, pcode) if planner == "random" else None
+            t0 = time.perf_counter_ns()
+            result = get_planner(planner)(instance.matroid, objective, alpha, planner_rng)
+            plan_ns = time.perf_counter_ns() - t0
+            f_full = float(objective.evaluate(result.selected))
+            for attacker in spec.attackers:
+                acode = ATTACKER_NAMES.index(attacker)
+                attacker_rng = (
+                    _role_rng(trial_seed, 2, pcode, acode)
+                    if attacker == "random" and alpha > 0
+                    else None
                 )
-            )
-    return rows
+                t1 = time.perf_counter_ns()
+                attacked = get_attacker(attacker)(objective, result.selected, alpha, attacker_rng)
+                attack_ns = time.perf_counter_ns() - t1
+                f_att, rate = score_attack(f_full, attacked.surviving_value)
+                rows.append(
+                    RecordRow(
+                        trial=trial,
+                        round=1,
+                        planner=planner,
+                        attacker=attacker,
+                        m=m,
+                        alpha=alpha,
+                        f_full=f_full,
+                        f_attacked=f_att,
+                        attack_rate=rate,
+                        oracle_calls=result.oracle_calls,
+                        wall_time_micros=(plan_ns + attack_ns) // 1000,
+                        seed=trial_seed,
+                    )
+                )
+        keyed.append(((i, j, trial), rows))
+    return keyed
 
 
-def _multi_round_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
-    m, alpha, trial = cell
+def _multi_round_cell(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[RecordRow]]]:
+    """The rows of ``unit = (m position, alpha position, trial)``."""
+    i, j, trial = unit
+    m, alpha = spec.num_targets[i], spec.alphas[j]
     trial_seed = derive_trial_seed(spec.master_seed, trial)
     rows = []
     for planner in spec.planners:
@@ -394,38 +420,41 @@ def _multi_round_cell(spec: ExperimentSpec, cell) -> list[RecordRow]:
                         seed=trial_seed,
                     )
                 )
-    return rows
-
-
-def _cells(spec: ExperimentSpec):
-    return [
-        (m, alpha, trial)
-        for m in spec.num_targets
-        for alpha in spec.alphas
-        for trial in range(spec.trials)
-    ]
+    return [((i, j, trial), rows)]
 
 
 def run_suite(spec: ExperimentSpec, jobs: int = 1) -> list[RecordRow]:
-    """Run the spec's protocol; rows come back in deterministic cell order.
+    """Run the spec's protocol; rows come back in the order m, alpha, trial.
 
-    At most ``jobs`` worker processes run the cells, and never more than
-    the cells or the CPUs, since a process pool starts all its workers at
-    once.  With one worker the cells run in the calling process.
+    The unit of work is one world.  A one-step world depends on ``(m,
+    trial)`` only, so each unit samples it once and plans every alpha on
+    it; a closed loop depends on alpha too, so each multi-round unit is one
+    ``(m, alpha, trial)``.  Units key their rows by the positions of m and
+    alpha in the spec and the trial, and the rows are put in that key's
+    order, which holds when a list repeats a value.
+
+    At most ``jobs`` worker processes run the units, and never more than
+    the units or the CPUs, since a process pool starts all its workers at
+    once.  With one worker the units run in the calling process.
     """
-    worker = _one_step_cell if spec.protocol == "one-step" else _multi_round_cell
-    cells = _cells(spec)
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    ms, trials = range(len(spec.num_targets)), range(spec.trials)
+    if spec.protocol == "one-step":
+        worker, units = _one_step_world, list(itertools.product(ms, trials))
+    else:
+        alphas = range(len(spec.alphas))
+        worker, units = _multi_round_cell, list(itertools.product(ms, alphas, trials))
+    workers = min(jobs, len(units), os.cpu_count() or 1)
     if workers <= 1:
-        buckets = [worker(spec, cell) for cell in cells]
+        keyed = [worker(spec, unit) for unit in units]
     else:
         # imported on first use: only a parallel run needs the pool, and its
         # modules add to the start-up of every process that imports this one
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            buckets = list(pool.map(partial(worker, spec), cells))
-    return [row for bucket in buckets for row in bucket]
+            keyed = list(pool.map(partial(worker, spec), units))
+    buckets = sorted(itertools.chain.from_iterable(keyed), key=itemgetter(0))
+    return [row for _, bucket in buckets for row in bucket]
 
 
 def objective_name(spec: ExperimentSpec) -> str:

@@ -3,11 +3,13 @@
 Everything here prefers the most literal possible enumeration over speed and
 shares no code paths with the package under test beyond the objective
 callables it is handed.  Blocks are plain {robot: [trajectory, ...]} dicts.
-There are two exceptions.  The literal expected-detections construction
+There are three exceptions.  The literal expected-detections construction
 calls the package's ``normal_cdf``, since it pins the grid's weights bit
 for bit, not the CDF.  The literal closed loop at the end keeps its own
 per-object state and geometry but plans, attacks and scores with the
-package's planners, attackers and objectives.
+package's planners, attackers and objectives.  The literal one-step schedule
+keeps only its loop order and its seeding; it samples worlds, plans, attacks
+and scores with the package.
 """
 
 import itertools
@@ -16,12 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from resilient_tracking.adversary import get_attacker, score_attack
+from resilient_tracking.adversary import ATTACKER_NAMES, get_attacker, score_attack
+from resilient_tracking.experiments import RecordRow
 from resilient_tracking.geometry import UNIT_STEP, Direction
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import ExpectedDetections, normal_cdf
-from resilient_tracking.planners import get_planner
+from resilient_tracking.objectives import CoverageCount, ExpectedDetections, normal_cdf
+from resilient_tracking.planners import PLANNER_NAMES, get_planner
 from resilient_tracking.simulation import RoundRecord
+from resilient_tracking.worlds import sample_instance
 
 
 def all_bases(blocks):
@@ -448,3 +452,59 @@ def run_rounds_literal(config, attacker):
         for track in tracks:
             kalman_update(track, measurements[track.target_id], round_index, config)
     return records
+
+
+def one_step_rows_literal(spec):
+    """The one-step protocol cell by cell: per (m, alpha, trial), in that
+    nesting, a fresh world, every planner and every attacker.  Rows carry a
+    ``wall_time_micros`` of 0."""
+    rows = []
+    for m in spec.num_targets:
+        for alpha in spec.alphas:
+            for trial in range(spec.trials):
+                root = np.random.SeedSequence([spec.master_seed, trial])
+                trial_seed = int(root.generate_state(1, np.uint64)[0])
+                instance = sample_instance(
+                    np.random.default_rng(np.random.SeedSequence([trial_seed, 0])),
+                    num_robots=spec.num_robots,
+                    num_targets=m,
+                    fov_side=spec.fov_side,
+                    fly_length=spec.fly_length,
+                    arena=spec.arena,
+                )
+                objective = CoverageCount(instance.targets, instance.ids, instance.bounds)
+                for planner in spec.planners:
+                    pcode = PLANNER_NAMES.index(planner)
+                    planner_rng = np.random.default_rng(
+                        np.random.SeedSequence([trial_seed, 1, pcode])
+                    )
+                    result = get_planner(planner)(
+                        instance.matroid, objective, alpha, planner_rng
+                    )
+                    f_full = float(objective.evaluate(result.selected))
+                    for attacker in spec.attackers:
+                        acode = ATTACKER_NAMES.index(attacker)
+                        attacker_rng = np.random.default_rng(
+                            np.random.SeedSequence([trial_seed, 2, pcode, acode])
+                        )
+                        attacked = get_attacker(attacker)(
+                            objective, result.selected, alpha, attacker_rng
+                        )
+                        f_att, rate = score_attack(f_full, attacked.surviving_value)
+                        rows.append(
+                            RecordRow(
+                                trial=trial,
+                                round=1,
+                                planner=planner,
+                                attacker=attacker,
+                                m=m,
+                                alpha=alpha,
+                                f_full=f_full,
+                                f_attacked=f_att,
+                                attack_rate=rate,
+                                oracle_calls=result.oracle_calls,
+                                wall_time_micros=0,
+                                seed=trial_seed,
+                            )
+                        )
+    return rows

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from resilient_tracking import cli
 from resilient_tracking.cli import main
 from resilient_tracking.experiments import read_csv
 
@@ -91,6 +92,32 @@ def test_check_refuses_zero_work(capsys, suite, flag, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("bounds", "--instances", "1000001"),
+        ("bounds", "--instances", "1000000000000"),
+        ("properties", "--trials", "1000001"),
+        ("properties", "--trials", "1000000000000"),
+    ],
+)
+def test_check_refuses_work_past_the_cap(capsys, suite, flag, value):
+    # --instances 10**12 used to run on without end
+    assert main(["check", "--suite", suite, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and flag in captured.err
+    assert "cap of 1000000" in captured.err
+    assert captured.out == ""
+
+
+def test_check_runs_at_the_cap(monkeypatch, capsys):
+    asked = []
+    monkeypatch.setattr(cli, "run_bound_suite", lambda **kwargs: asked.append(kwargs) or [])
+    assert main(["check", "--suite", "bounds", "--instances", "1000000"]) == 0
+    assert asked == [{"num_instances": 1000000, "rng_seed": 20260815}]
+    assert "bound holds on 0/0 instances" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_run_refuses_jobs_below_one(tmp_path, capsys, jobs):
     # a worker count below one used to run serially without a word
@@ -153,6 +180,9 @@ def test_bad_spec_exits_2_and_names_field(tmp_path, capsys):
         ({"arena": [0, 10**400, 0, 10]}, "arena"),
         # a target range far past the enumeration cap
         ({"num_targets": {"start": 1, "stop": 10**12}}, "num_targets"),
+        # work past the enumeration cap: cells listed, or a world allocated
+        ({"trials": 10**12}, "trials"),
+        ({"num_targets": 10**12}, "num_targets"),
     ],
 )
 def test_non_finite_or_flat_spec_exits_2_without_traceback(tmp_path, capsys, overrides, field):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import re
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -180,11 +181,60 @@ def test_spec_refuses_a_target_range_past_the_cap_at_load(monkeypatch):
         spec_from_dict(base_spec(num_targets={"start": 1, "stop": 10**12}))
     assert time.perf_counter() - start < 0.5
     monkeypatch.setattr(matroid, "ENUMERATION_CAP", 10)
-    assert spec_from_dict(base_spec(num_targets={"start": 3, "stop": 12})).num_targets == tuple(
-        range(3, 13)
-    )
-    with pytest.raises(SpecError, match="'num_targets'.*cap of 10$"):
-        spec_from_dict(base_spec(num_targets={"start": 3, "stop": 13}))
+    # a range of 10 passes its own count, and its 10 cells pass theirs; its
+    # world of 12 targets and 4 trajectories does not
+    tiny = {"num_robots": 1, "alphas": [0], "trials": 1}
+    with pytest.raises(SpecError, match="'num_targets': the target-trajectory pairs.*cap of 10$"):
+        spec_from_dict(base_spec(**tiny, num_targets={"start": 3, "stop": 12}))
+    with pytest.raises(SpecError, match="'num_targets': the target range.*cap of 10$"):
+        spec_from_dict(base_spec(**tiny, num_targets={"start": 3, "stop": 13}))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"trials": 10**12}, "'trials': the \\(m, alpha, trial\\) cells"),
+        ({"num_targets": [8, 10**12]}, "'num_targets': the target-trajectory pairs"),
+        ({"num_robots": 10**12, "alphas": [0]}, "'num_robots': the trajectories"),
+        (
+            {"protocol": "multi-round", "num_targets": 10**12, "rounds": 2},
+            "'num_targets': the target-trajectory pairs",
+        ),
+    ],
+    ids=["trials", "num_targets", "num_robots", "multi-round"],
+)
+def test_spec_refuses_work_past_the_cap_at_load(overrides, message):
+    # each used to end in a MemoryError: the cells were listed, or the
+    # world's targets or robots allocated, before anything ran
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match=f"{message}.*cap of 1000000$"):
+        spec_from_dict(base_spec(**overrides))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_spec_work_bound_boundaries_at_a_patched_cap(monkeypatch):
+    monkeypatch.setattr(matroid, "ENUMERATION_CAP", 12)
+    # 2 target counts x 1 alpha x 6 trials = 12 cells; 3 targets x 4 x 1 robot = 12 pairs
+    small = {"num_robots": 1, "alphas": [0], "num_targets": [1, 3]}
+    assert spec_from_dict(base_spec(**small, trials=6)).trials == 6
+    with pytest.raises(SpecError, match="'trials'.*cap of 12$"):
+        spec_from_dict(base_spec(**small, trials=7))
+    with pytest.raises(SpecError, match="'num_targets'.*cap of 12$"):
+        spec_from_dict(base_spec(**{**small, "num_targets": [1, 4]}, trials=1))
+    # 4 directions x 3 robots = 12 trajectories, and 12 pairs with one target
+    assert spec_from_dict(base_spec(num_robots=3, alphas=[0], num_targets=[1], trials=1))
+    with pytest.raises(SpecError, match="'num_robots'.*cap of 12$"):
+        spec_from_dict(base_spec(num_robots=4, alphas=[0], num_targets=[1], trials=1))
+
+
+def test_rounds_bound_no_work_and_documented_specs_pass_the_bound():
+    spec = spec_from_dict(base_spec(protocol="multi-round", rounds=10**9))
+    assert spec.simulation["rounds"] == 10**9
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        spec_from_dict(json.loads(block))
 
 
 def test_spec_accepts_target_range_forms():
@@ -295,6 +345,67 @@ def test_jobs_never_ask_for_more_workers_than_cells_or_cpus(monkeypatch):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
     run_suite(three_cells, jobs=5000)
     assert asked == [3, 8]
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_one_step_rows_match_the_literal_cell_loop(trials, jobs):
+    # repeated target counts and alphas must keep their list positions
+    spec = spec_from_dict(
+        base_spec(
+            num_targets=[5, 8, 5],
+            alphas=[1, 0, 2, 1],
+            trials=trials,
+            planners=list(PLANNER_NAMES),
+            attackers=list(ATTACKER_NAMES),
+        )
+    )
+    got = [replace(r, wall_time_micros=0) for r in run_suite(spec, jobs=jobs)]
+    assert got == oracles.one_step_rows_literal(spec)
+
+
+def test_one_step_samples_each_world_once_and_plans_every_alpha_on_it(monkeypatch):
+    worlds, objectives, lookups, plans = [], [], [], []
+    sample_instance, coverage_count = experiments.sample_instance, experiments.CoverageCount
+    get_planner = experiments.get_planner
+
+    def counted_sample(rng, **kwargs):
+        worlds.append(kwargs["num_targets"])
+        return sample_instance(rng, **kwargs)
+
+    def counted_objective(*args):
+        objectives.append(len(worlds))
+        return coverage_count(*args)
+
+    def logged_planner(name):
+        lookups.append((len(worlds) - 1, name))
+        plan = get_planner(name)
+
+        def logged(matroid, objective, alpha, rng):
+            plans.append((len(worlds) - 1, alpha, name))
+            return plan(matroid, objective, alpha, rng)
+
+        return logged
+
+    monkeypatch.setattr(experiments, "sample_instance", counted_sample)
+    monkeypatch.setattr(experiments, "CoverageCount", counted_objective)
+    monkeypatch.setattr(experiments, "get_planner", logged_planner)
+    planners = ["resilient", "random", "greedy"]
+    spec = spec_from_dict(
+        base_spec(num_targets=[5, 8], alphas=[2, 0, 1], trials=2, planners=planners)
+    )
+    run_suite(spec, jobs=1)
+    # one world and one objective per (m, trial), m-major; one planner
+    # lookup and one plan per (world, alpha, planner)
+    assert worlds == [5, 5, 8, 8]
+    assert objectives == [1, 2, 3, 4]
+    assert lookups == [(world, p) for world in range(4) for _ in spec.alphas for p in planners]
+    assert plans == [
+        (world, alpha, planner)
+        for world in range(4)
+        for alpha in spec.alphas
+        for planner in planners
+    ]
 
 
 def test_bruteforce_rows_agree_with_enumeration_oracle():
