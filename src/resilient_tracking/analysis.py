@@ -51,6 +51,14 @@ def constrained_curvature(matroid: PartitionMatroid, objective) -> CurvatureRepo
     minimum ratio; the reported value is evaluated on the witness through
     the objective.  Raises :class:`DegenerateObjective` when no nonzero
     singleton exists.
+
+    The singletons and the witness are scored through ``objective.evaluate``
+    on purpose, not through ``evaluate_all``: they are the only path by
+    which a fault that perturbs ``evaluate`` (``bench/run.py --fault
+    perturb``) reaches a bound report.  Adding 1e-6 to ``evaluate`` moves 25
+    of the 100 reports of ``run_bound_suite(100, 1)``; routed through
+    ``evaluate_all``, it moves none, and that negative control could no
+    longer fail.
     """
     require_enumerable("the bases", map(len, matroid.blocks.values()))
     evaluate = objective.evaluate

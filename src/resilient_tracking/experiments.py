@@ -22,7 +22,10 @@ streams.  Within a one-step trial, consumers draw from disjoint child
 streams keyed by fixed role codes: SeedSequence([trial_seed, 0]) samples the
 world, ([trial_seed, 1, planner_code]) feeds the planner and
 ([trial_seed, 2, planner_code, attacker_code]) feeds the attacker, with codes
-taken from the canonical registry order, not the spec's list order.
+taken from the canonical registry order, not the spec's list order.  A
+world derives each role's stream once and starts it from the beginning for
+every alpha, so each alpha draws exactly what a stream derived for it alone
+would give.
 
 CSV schema (version 1)
 ----------------------
@@ -270,8 +273,8 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
                 "attackers", f"the optimal attacker at alpha {a}: the removal sets", choose=(n, a)
             )
     # the amount of work, counted before anything is listed or allocated:
-    # the cells of the sweep and one world's targets and trajectories;
-    # rounds are not bounded
+    # the cells of the sweep, one world's targets and trajectories and,
+    # for the closed loop, a round's grid; rounds are not bounded
     _require_enumerable(
         "trials",
         f"the (m, alpha, trial) cells of {spec.trials} trials",
@@ -286,6 +289,15 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         f"the target-trajectory pairs of a world of {m} targets and {n} robots",
         [m, len(DIRECTION_ORDER), n],
     )
+    if spec.protocol == "multi-round":
+        # each robot's four flights have at most four distinct edges per
+        # axis, so a round's grid has at most (4n - 1)^2 cells
+        lines = len(DIRECTION_ORDER) * n - 1
+        _require_enumerable(
+            "num_robots",
+            f"the expected-detections grid cells of a round of {n} robots",
+            [lines, lines],
+        )
     # SimConfig refuses arithmetic that would overflow or zero the belief
     # variance, naming the field; a one-step world is one unmoved round
     try:
@@ -323,6 +335,19 @@ def _role_rng(trial_seed: int, *codes: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([trial_seed, *codes]))
 
 
+def _replayable(trial_seed: int, *codes: int):
+    """A role's generator and its start state, for :func:`_rewound`."""
+    rng = _role_rng(trial_seed, *codes)
+    return rng, rng.bit_generator.state
+
+
+def _rewound(stream) -> np.random.Generator:
+    """The generator of a :func:`_replayable` stream, back at its start."""
+    rng, start = stream
+    rng.bit_generator.state = start
+    return rng
+
+
 def _one_step_world(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[RecordRow]]]:
     """Every alpha's rows on the world of ``unit = (m position, trial)``."""
     i, trial = unit
@@ -337,14 +362,21 @@ def _one_step_world(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[Record
         arena=spec.arena,
     )
     objective = CoverageCount(instance.targets, instance.ids, instance.bounds)
+    # only the random planner, and the random attacker at alpha > 0, draw;
+    # each stream they draw from is derived once, keyed by its role codes,
+    # and every alpha gets it back at its start: restoring a saved state
+    # costs far less than a new SeedSequence and bit generator
+    codes = [(1, PLANNER_NAMES.index(p)) for p in spec.planners if p == "random"]
+    if "random" in spec.attackers and any(alpha > 0 for alpha in spec.alphas):
+        acode = ATTACKER_NAMES.index("random")
+        codes += [(2, PLANNER_NAMES.index(p), acode) for p in spec.planners]
+    streams = {key: _replayable(trial_seed, *key) for key in dict.fromkeys(codes)}
     keyed = []
     for j, alpha in enumerate(spec.alphas):
         rows = []
         for planner in spec.planners:
             pcode = PLANNER_NAMES.index(planner)
-            # only the random planner, and the random attacker at alpha > 0,
-            # draw from a stream
-            planner_rng = _role_rng(trial_seed, 1, pcode) if planner == "random" else None
+            planner_rng = _rewound(streams[1, pcode]) if planner == "random" else None
             t0 = time.perf_counter_ns()
             result = get_planner(planner)(instance.matroid, objective, alpha, planner_rng)
             plan_ns = time.perf_counter_ns() - t0
@@ -352,7 +384,7 @@ def _one_step_world(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[Record
             for attacker in spec.attackers:
                 acode = ATTACKER_NAMES.index(attacker)
                 attacker_rng = (
-                    _role_rng(trial_seed, 2, pcode, acode)
+                    _rewound(streams[2, pcode, acode])
                     if attacker == "random" and alpha > 0
                     else None
                 )

@@ -57,32 +57,54 @@ class WorldInstance:
     targets: np.ndarray
 
 
+# Column of a position's x (0) or y (1) that each bound column starts from.
+_BOUND_AXIS = np.array([0, 0, 1, 1], dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=1024)
+def _robot_piece(index: int, menu, fly_length: float):
+    """Robot ``index``'s id, block of trajectory ids and bound rows.
+
+    Row ``k`` of the two ``(len(menu), 4)`` arrays belongs to the robot's
+    ``k``-th trajectory: where in the flattened ``(n, 2)`` positions each
+    bound column reads its coordinate, and the offset added to it,
+    ``(min(0, step_x), max(0, step_x), min(0, step_y), max(0, step_y))``
+    with ``step`` the direction's unit step times ``fly_length``.  A piece
+    depends on its three arguments only, so worlds that miss
+    :func:`_layout`'s cache share their robots' pieces.
+    """
+    name = robot_id(index)
+    step = MENU_STEPS[[DIRECTION_ORDER.index(d) for d in menu]] * fly_length
+    offsets = np.stack((np.minimum(0.0, step), np.maximum(0.0, step)), axis=-1).reshape(-1, 4)
+    coords = np.tile(2 * index + _BOUND_AXIS, (len(menu), 1))
+    coords.flags.writeable = offsets.flags.writeable = False
+    return name, tuple(f"{name}:{d.value}" for d in menu), coords, offsets
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(num_robots: int, menus, fly_length: float):
-    """The matroid, each trajectory's robot and its flight's bound offsets.
+    """The matroid and every trajectory's bound rows (see :func:`_robot_piece`).
 
     Everything here depends on the menus and ``fly_length`` only, never on
     positions, so a closed loop builds it once and each round only moves
-    the bounds.  A trajectory's offsets are ``min(0, step)`` and ``max(0,
-    step)`` per axis, with ``step`` its direction's unit step times
-    ``fly_length``.  The cached results are shared by every world with
-    these menus and this flight: the arrays are read-only, and nothing
-    changes a matroid after construction.
+    the bounds.  The cached results are shared by every world with these
+    menus and this flight: the arrays are read-only, and nothing changes a
+    matroid after construction.  The closed loop and the one-step sweep
+    give every robot all four directions and hit this cache; sampled
+    worlds with partial menus mostly miss it (192 of the bound suite's 200
+    worlds do), and a miss assembles its layout from the robots' cached
+    pieces.
     """
-    names = [robot_id(i) for i in range(num_robots)]
-    blocks = {}
-    robots: list[int] = []
-    directions: list[int] = []
-    for i in sorted(range(num_robots), key=names.__getitem__):
-        menu = DIRECTION_ORDER if menus is None else menus[i]
-        blocks[names[i]] = [f"{names[i]}:{d.value}" for d in menu]
-        robots += [i] * len(menu)
-        directions += [DIRECTION_ORDER.index(d) for d in menu]
-    rows = np.array(robots, dtype=np.intp)
-    step = MENU_STEPS[directions] * fly_length
-    low, high = np.minimum(0.0, step), np.maximum(0.0, step)
-    rows.flags.writeable = low.flags.writeable = high.flags.writeable = False
-    return PartitionMatroid(blocks), rows, low, high
+    pieces = [
+        _robot_piece(i, DIRECTION_ORDER if menus is None else menus[i], fly_length)
+        for i in sorted(range(num_robots), key=robot_id)
+    ]
+    # built first: it refuses a world without robots
+    matroid = PartitionMatroid({name: ids for name, ids, _, _ in pieces})
+    coords = np.concatenate([piece[2] for piece in pieces])
+    offsets = np.concatenate([piece[3] for piece in pieces])
+    coords.flags.writeable = offsets.flags.writeable = False
+    return matroid, coords, offsets
 
 
 def build_instance(
@@ -98,18 +120,16 @@ def build_instance(
     by default every robot gets all four.  Each bound is computed as
     ``position - half + min(0, step)`` and ``position + half + max(0,
     step)`` per axis, with ``step`` the direction's unit step times
-    ``fly_length``; the two offsets come cached with the layout.
+    ``fly_length``; the offsets come cached with the layout, and adding
+    ``-half`` is subtracting ``half`` bit for bit.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     key = None if menus is None else tuple(map(tuple, menus))
-    matroid, rows, low_offset, high_offset = _layout(len(positions), key, fly_length)
-    at = positions[rows]
+    matroid, coords, offsets = _layout(len(positions), key, fly_length)
     half = fov_side / 2.0
-    low = at - half + low_offset
-    high = at + half + high_offset
     return WorldInstance(
         ids=matroid.ground_set,
-        bounds=np.stack((low, high), axis=-1).reshape(-1, 4),
+        bounds=positions.ravel().take(coords) + np.array((-half, half, -half, half)) + offsets,
         matroid=matroid,
         targets=np.asarray(targets, dtype=float).reshape(-1, 2),
     )
@@ -133,19 +153,17 @@ def sample_instance(
     """
     if any(size < 1 or size > len(DIRECTION_ORDER) for size in menu_sizes):
         raise ValueError(f"menu sizes must be within 1..4, got {menu_sizes}")
-    positions = np.empty((num_robots, 2))
-    menus = []
-    for i in range(num_robots):
-        positions[i] = (
-            rng.uniform(arena.x_min, arena.x_max),
-            rng.uniform(arena.y_min, arena.y_max),
+    positions, menus = [], []
+    for _ in range(num_robots):
+        positions.append(
+            (rng.uniform(arena.x_min, arena.x_max), rng.uniform(arena.y_min, arena.y_max))
         )
         size = menu_sizes[int(rng.integers(len(menu_sizes)))]
         if size == len(DIRECTION_ORDER):
             menus.append(DIRECTION_ORDER)
         else:
-            keep = sorted(rng.choice(len(DIRECTION_ORDER), size=size, replace=False))
-            menus.append(tuple(DIRECTION_ORDER[int(k)] for k in keep))
+            keep = sorted(rng.choice(len(DIRECTION_ORDER), size=size, replace=False).tolist())
+            menus.append(tuple(DIRECTION_ORDER[k] for k in keep))
     targets = rng.uniform(
         (arena.x_min, arena.y_min), (arena.x_max, arena.y_max), size=(num_targets, 2)
     )

@@ -9,7 +9,11 @@ for bit, not the CDF.  The literal closed loop at the end keeps its own
 per-object state and geometry but plans, attacks and scores with the
 package's planners, attackers and objectives.  The literal one-step schedule
 keeps only its loop order and its seeding; it samples worlds, plans, attacks
-and scores with the package.
+and scores with the package.  The world builders ``layout_reference``,
+``build_instance_reference`` and ``sample_instance_reference`` are the
+package's builders as they were before sampled worlds were assembled from
+cached per-robot pieces: one loop over the robots per world, one row
+assignment per drawn position.
 """
 
 import itertools
@@ -25,7 +29,13 @@ from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import CoverageCount, ExpectedDetections, normal_cdf
 from resilient_tracking.planners import PLANNER_NAMES, get_planner
 from resilient_tracking.simulation import RoundRecord
-from resilient_tracking.worlds import sample_instance
+from resilient_tracking.worlds import (
+    DIRECTION_ORDER,
+    MENU_STEPS,
+    WorldInstance,
+    robot_id,
+    sample_instance,
+)
 
 
 def all_bases(blocks):
@@ -508,3 +518,58 @@ def one_step_rows_literal(spec):
                             )
                         )
     return rows
+
+
+def layout_reference(num_robots, menus, fly_length):
+    """The matroid, each trajectory's robot and its bound offsets, built in one pass."""
+    names = [robot_id(i) for i in range(num_robots)]
+    blocks = {}
+    robots = []
+    directions = []
+    for i in sorted(range(num_robots), key=names.__getitem__):
+        menu = DIRECTION_ORDER if menus is None else menus[i]
+        blocks[names[i]] = [f"{names[i]}:{d.value}" for d in menu]
+        robots += [i] * len(menu)
+        directions += [DIRECTION_ORDER.index(d) for d in menu]
+    rows = np.array(robots, dtype=np.intp)
+    step = MENU_STEPS[directions] * fly_length
+    return PartitionMatroid(blocks), rows, np.minimum(0.0, step), np.maximum(0.0, step)
+
+
+def build_instance_reference(positions, targets, fov_side, fly_length, menus=None):
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    key = None if menus is None else tuple(map(tuple, menus))
+    matroid, rows, low_offset, high_offset = layout_reference(len(positions), key, fly_length)
+    at = positions[rows]
+    half = fov_side / 2.0
+    low = at - half + low_offset
+    high = at + half + high_offset
+    return WorldInstance(
+        ids=matroid.ground_set,
+        bounds=np.stack((low, high), axis=-1).reshape(-1, 4),
+        matroid=matroid,
+        targets=np.asarray(targets, dtype=float).reshape(-1, 2),
+    )
+
+
+def sample_instance_reference(
+    rng, num_robots, num_targets, fov_side, fly_length, arena, menu_sizes=(4,)
+):
+    """Robot by robot x, y, menu size and (below four) directions; then targets."""
+    positions = np.empty((num_robots, 2))
+    menus = []
+    for i in range(num_robots):
+        positions[i] = (
+            rng.uniform(arena.x_min, arena.x_max),
+            rng.uniform(arena.y_min, arena.y_max),
+        )
+        size = menu_sizes[int(rng.integers(len(menu_sizes)))]
+        if size == len(DIRECTION_ORDER):
+            menus.append(DIRECTION_ORDER)
+        else:
+            keep = sorted(rng.choice(len(DIRECTION_ORDER), size=size, replace=False))
+            menus.append(tuple(DIRECTION_ORDER[int(k)] for k in keep))
+    targets = rng.uniform(
+        (arena.x_min, arena.y_min), (arena.x_max, arena.y_max), size=(num_targets, 2)
+    )
+    return build_instance_reference(positions, targets, fov_side, fly_length, menus)

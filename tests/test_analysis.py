@@ -12,6 +12,7 @@ from resilient_tracking.analysis import (
     constrained_curvature,
     h_bound,
 )
+from resilient_tracking.checks import run_bound_suite
 from resilient_tracking.errors import DegenerateObjective
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import CoverageCount
@@ -144,3 +145,23 @@ def test_bound_degenerate_when_alpha_equals_robots():
     report = check_performance_bound(inst.matroid, CoverageCount(inst.targets, inst.ids, inst.bounds), inst.matroid.num_robots)
     assert report.degenerate
     assert report.satisfied
+
+
+def test_a_perturbed_evaluate_moves_a_bound_report(monkeypatch):
+    # the bench's perturb control reaches bound-check only through the
+    # curvature's evaluate calls; if none went through evaluate, the control
+    # could no longer fail
+    def values(reports):
+        return [
+            (r.surviving_value, r.optimal_value, r.curvature or 0.0, r.guarantee)
+            for r in reports
+        ]
+
+    clean = values(run_bound_suite(100, 1))
+    evaluate = CoverageCount.evaluate
+    monkeypatch.setattr(
+        CoverageCount, "evaluate", lambda objective, members: evaluate(objective, members) + 1e-6
+    )
+    perturbed = values(run_bound_suite(100, 1))
+    moved = max(abs(a - b) for got, want in zip(perturbed, clean) for a, b in zip(got, want))
+    assert moved > 1e-9

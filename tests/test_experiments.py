@@ -200,12 +200,23 @@ def test_spec_refuses_a_target_range_past_the_cap_at_load(monkeypatch):
             {"protocol": "multi-round", "num_targets": 10**12, "rounds": 2},
             "'num_targets': the target-trajectory pairs",
         ),
+        (
+            {
+                "protocol": "multi-round",
+                "num_robots": 2000,
+                "num_targets": 1,
+                "trials": 1,
+                "rounds": 1,
+            },
+            "'num_robots': the expected-detections grid cells of a round of 2000 robots",
+        ),
     ],
-    ids=["trials", "num_targets", "num_robots", "multi-round"],
+    ids=["trials", "num_targets", "num_robots", "multi-round", "multi-round-grid"],
 )
 def test_spec_refuses_work_past_the_cap_at_load(overrides, message):
     # each used to end in a MemoryError: the cells were listed, or the
-    # world's targets or robots allocated, before anything ran
+    # world's targets or robots allocated, or a round's 7999 x 7999 grid
+    # painted, before anything ran
     start = time.perf_counter()
     with pytest.raises(SpecError, match=f"{message}.*cap of 1000000$"):
         spec_from_dict(base_spec(**overrides))
@@ -225,6 +236,18 @@ def test_spec_work_bound_boundaries_at_a_patched_cap(monkeypatch):
     assert spec_from_dict(base_spec(num_robots=3, alphas=[0], num_targets=[1], trials=1))
     with pytest.raises(SpecError, match="'num_robots'.*cap of 12$"):
         spec_from_dict(base_spec(num_robots=4, alphas=[0], num_targets=[1], trials=1))
+
+
+def test_multi_round_grid_bound_boundary_at_a_patched_cap(monkeypatch):
+    # 2 robots: 8 trajectories and at most (4 * 2 - 1)^2 = 49 grid cells
+    monkeypatch.setattr(matroid, "ENUMERATION_CAP", 49)
+    two = {"num_robots": 2, "alphas": [0], "num_targets": [1], "trials": 1}
+    assert spec_from_dict(base_spec(**two, protocol="multi-round", rounds=1)).num_robots == 2
+    monkeypatch.setattr(matroid, "ENUMERATION_CAP", 48)
+    with pytest.raises(SpecError, match="'num_robots': the expected-detections grid.*cap of 48$"):
+        spec_from_dict(base_spec(**two, protocol="multi-round", rounds=1))
+    # a one-step world scores no grid
+    assert spec_from_dict(base_spec(**two)).num_robots == 2
 
 
 def test_rounds_bound_no_work_and_documented_specs_pass_the_bound():
@@ -406,6 +429,40 @@ def test_one_step_samples_each_world_once_and_plans_every_alpha_on_it(monkeypatc
         for alpha in spec.alphas
         for planner in planners
     ]
+
+
+def test_one_step_derives_each_stream_once_per_world(monkeypatch):
+    derived = []
+    role_rng = experiments._role_rng
+
+    def counted(trial_seed, *codes):
+        derived.append((trial_seed, codes))
+        return role_rng(trial_seed, *codes)
+
+    monkeypatch.setattr(experiments, "_role_rng", counted)
+    random_code, greedy_code = PLANNER_NAMES.index("random"), PLANNER_NAMES.index("greedy")
+    acode = ATTACKER_NAMES.index("random")
+    # per world: its own stream, the random planner's, and the random
+    # attacker's of each planner; greedy neither plans nor attacks by drawing
+    want = [(0,), (1, random_code), (2, random_code, acode), (2, greedy_code, acode)]
+    for alphas in ([2, 0, 1, 3], [2]):
+        derived.clear()
+        spec = spec_from_dict(
+            base_spec(
+                alphas=alphas,
+                trials=2,
+                planners=["random", "greedy"],
+                attackers=["random", "greedy"],
+            )
+        )
+        rows = run_suite(spec, jobs=1)
+        seeds = list(dict.fromkeys(row.seed for row in rows))
+        assert derived == [(seed, codes) for seed in seeds for codes in want]
+    # nothing is drawn at alpha 0, so no attacker stream is derived
+    derived.clear()
+    spec = base_spec(alphas=[0], trials=2, planners=["random"], attackers=["random"])
+    run_suite(spec_from_dict(spec), jobs=1)
+    assert [codes for _, codes in derived] == [(0,), (1, random_code)] * 2
 
 
 def test_bruteforce_rows_agree_with_enumeration_oracle():

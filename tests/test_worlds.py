@@ -119,3 +119,39 @@ def test_sample_instance_is_seed_deterministic():
     assert a.matroid.ground_set == b.matroid.ground_set
     assert np.array_equal(a.targets, b.targets)
     assert np.array_equal(a.bounds, b.bounds)
+
+
+def _same_world(got, want):
+    assert got.ids == want.ids
+    assert got.matroid.blocks == want.matroid.blocks
+    assert got.matroid.robots == want.matroid.robots
+    assert got.bounds.shape == want.bounds.shape
+    assert got.bounds.tobytes() == want.bounds.tobytes()
+    assert got.targets.tobytes() == want.targets.tobytes()
+
+
+@pytest.mark.parametrize("menu_sizes", [(1,), (2, 3), (4,), (1, 2, 3, 4)])
+def test_sampled_worlds_match_the_one_pass_builders(menu_sizes):
+    # worlds assembled from cached per-robot pieces against the builders
+    # that loop over every robot per world; from 100 robots on, ids sort
+    # r100 before r11, so the robot order is not the index order
+    robot_counts = (1, 2, 3, 5, 11, 100, 120)
+    for seed in range(28):
+        num_robots = robot_counts[seed % len(robot_counts)]
+        shape = (num_robots, 1 + seed % 9, (1.0, 3.0)[seed % 2], (0.0, 3.0, 7.0)[seed % 3])
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_instance(rng, *shape, helpers.ARENA, menu_sizes)
+        want = oracles.sample_instance_reference(ref_rng, *shape, helpers.ARENA, menu_sizes)
+        _same_world(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_full_menu_worlds_match_the_one_pass_builder():
+    rng = np.random.default_rng(3)
+    for num_robots in (1, 4, 6, 101, 120):
+        positions = rng.uniform(0.0, 10.0, size=(num_robots, 2))
+        targets = rng.uniform(0.0, 10.0, size=(5, 2))
+        for fly_length in (0.0, 3.0):
+            got = build_instance(positions, targets, 3.0, fly_length)
+            want = oracles.build_instance_reference(positions, targets, 3.0, fly_length)
+            _same_world(got, want)
