@@ -32,8 +32,10 @@ CSV schema (version 1)
 Exact header ``trial,round,planner,attacker,m,alpha,f_full,f_attacked,
 attack_rate,oracle_calls,wall_time_micros,seed``; one trailing comment line
 ``# status=complete schema=1 objective=<name> rows=<N>`` marks a complete
-file (a crashed run leaves no marker, and readers refuse a file without it
-or whose ``rows`` disagrees with the rows present).  ``wall_time_micros``
+file (a crashed run leaves no marker, and readers refuse a file without it,
+whose ``schema`` is not this version or whose ``rows`` disagrees with the
+rows present; they also refuse a row naming an unknown planner or attacker
+or holding a non-finite value).  ``wall_time_micros``
 is informational only and excluded from golden comparisons; for multi-round
 rows it is the planner's whole run, every attacker's attacks included, split
 evenly over its rounds.  Recorded ``f_attacked`` and ``attack_rate`` come from
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -518,13 +521,32 @@ def write_csv(rows, path, objective: str = "coverage_count") -> None:
 
 
 _MARKER_ROWS = re.compile(r"^# status=complete .*\brows=(\d+)$")
+_MARKER_SCHEMA = re.compile(r" schema=(\S*)")
+
+
+def _impossible(row: RecordRow) -> str | None:
+    """Why ``write_csv`` could not have written ``row``, naming the field, or None.
+
+    An unknown planner or attacker, or a NaN or infinite value, so that a
+    summary never averages one.
+    """
+    for name, names in (("planner", PLANNER_NAMES), ("attacker", ATTACKER_NAMES)):
+        if getattr(row, name) not in names:
+            return f"{name}: {getattr(row, name)!r} is not one of {names}"
+    for name in ("f_full", "f_attacked", "attack_rate"):
+        if not math.isfinite(getattr(row, name)):
+            return f"{name}: {getattr(row, name)!r} is not a finite number"
+    return None
 
 
 def read_csv(path) -> list[RecordRow]:
     """Parse a results CSV; raises :class:`CsvFormatError` with line numbers.
 
-    The file must end with the completeness marker, and the marker's
-    ``rows`` must equal the number of rows read.
+    The file must end with the completeness marker, the marker's
+    ``schema`` must be ``CSV_SCHEMA_VERSION`` and its ``rows`` the number
+    of rows read.  A row naming an unknown planner or attacker, or with a
+    non-finite ``f_full``, ``f_attacked`` or ``attack_rate``, is refused
+    with its line and field.
     """
     rows = []
     data = Path(path).read_bytes()
@@ -555,15 +577,25 @@ def read_csv(path) -> list[RecordRow]:
                 f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}"
             )
         try:
-            rows.append(RecordRow(*(parse(part) for parse, part in zip(_COLUMN_TYPES, parts))))
+            row = RecordRow(*(parse(part) for parse, part in zip(_COLUMN_TYPES, parts)))
         except ValueError as exc:
             raise CsvFormatError(f"line {lineno}: {exc}") from None
+        problem = _impossible(row)
+        if problem is not None:
+            raise CsvFormatError(f"line {lineno}: {problem}")
+        rows.append(row)
     if marker is None:
         raise CsvFormatError(
             f"line {len(lines) + 1}: no '# status=complete ... rows=N' marker; "
             "the file is incomplete"
         )
     lineno, line = marker
+    schema = _MARKER_SCHEMA.search(line)
+    if schema is None or schema.group(1) != str(CSV_SCHEMA_VERSION):
+        raise CsvFormatError(
+            f"line {lineno}: marker {line!r} is not schema {CSV_SCHEMA_VERSION}; "
+            "this reader reads no other"
+        )
     match = _MARKER_ROWS.match(line)
     if match is None or int(match.group(1)) != len(rows):
         raise CsvFormatError(

@@ -30,18 +30,25 @@ Objective protocol
 ------------------
 An objective is any object with ``evaluate(members) -> float``.  Choices
 are scored with :func:`evaluate_all`, which takes a list of sets and
-returns their values in order: the planners' singleton pass and fill
-rounds, the attacks' candidate removals (an attack's surviving value is
-its chosen set's score) and the exhaustive enumerations of any objective
-but :class:`CoverageCount`.  An object with an ``evaluate_all`` method
-scores the sets itself; any other object is evaluated one set at a time
-through ``evaluate``.
+returns their values in order: the attacks' candidate removals (an
+attack's surviving value is its chosen set's score) and the exhaustive
+enumerations of any objective but :class:`CoverageCount`.  An object with
+an ``evaluate_all`` method scores the sets itself; any other object is
+evaluated one set at a time through ``evaluate``.  The planners' singleton
+pass and fill rounds score one-element extensions of a kept set with
+:func:`evaluate_extensions`: ``base`` plus each candidate, in order.  An
+object with an ``evaluate_extensions`` method scores them itself; any
+other object falls back to ``evaluate_all`` of the sets ``(*base, t)``.
 
-Each objective class has one scoring implementation, its ``evaluate_all``
-method, and its ``evaluate`` is the one-set case of it, so a set's value
-is the same bit for bit however it is asked for.  ``evaluate`` serves the
-values reported on their own: a selection's full value, the curvature,
-the property checks.  The objective classes are deliberately not
+Each objective class has one union rule, so a set's value is the same bit
+for bit however it is asked for.  :class:`CoverageCount` counts the bits
+of the OR of its members' masks: ``evaluate_all`` takes that union per
+set, and ``evaluate_extensions`` takes the base's union once and ORs each
+candidate into it.  :class:`ExpectedDetections` paints its members' cells
+in ``evaluate_all`` and has no ``evaluate_extensions``.  Each class's
+``evaluate`` is the one-set case of its ``evaluate_all``.  ``evaluate``
+serves the values reported on their own: a selection's full value, the
+curvature, the property checks.  The objective classes are deliberately not
 callable: the benchmark's tracer and its ``--fault perturb`` control
 replace ``evaluate`` on the class, so a value that bypassed the method
 would go unseen by both.  They therefore see reported values only, not
@@ -120,6 +127,18 @@ def _bounds(ids: Sequence[str], bounds) -> np.ndarray:
     return bounds
 
 
+def _union(masks: dict, members: Iterable[str]) -> int:
+    """The OR of the coverage masks of ``members``; an unknown id raises KeyError.
+
+    :class:`CoverageCount`'s one union rule: a set's value is the bit count
+    of this union, whichever method scores it.
+    """
+    union = 0
+    for tid in members:
+        union |= masks[tid]
+    return union
+
+
 class CoverageCount:
     """Number of targets covered by the union of selected rectangles.
 
@@ -148,16 +167,25 @@ class CoverageCount:
     def evaluate_all(self, sets: Iterable[Iterable[str]]) -> list[int]:
         """The covered-target count of each of ``sets``, in order."""
         masks = self._masks
-        values = []
         try:
-            for members in sets:
-                union = 0
-                for tid in members:
-                    union |= masks[tid]
-                values.append(union.bit_count())
+            return [_union(masks, members).bit_count() for members in sets]
         except KeyError as missing:
             raise _missing_rect(missing.args[0]) from None
-        return values
+
+    def evaluate_extensions(self, base: Iterable[str], candidates: Iterable[str]) -> list[int]:
+        """The covered-target count of ``base`` plus each of ``candidates``, in order.
+
+        The base is ORed once and each candidate's mask joins it, so a
+        round costs one union of ``base`` and then one OR and one count per
+        candidate.  OR is associative, so each value is bit for bit
+        ``evaluate_all``'s on ``(*base, t)``.
+        """
+        masks = self._masks
+        try:
+            union = _union(masks, base)
+            return [(union | masks[tid]).bit_count() for tid in candidates]
+        except KeyError as missing:
+            raise _missing_rect(missing.args[0]) from None
 
     def menu_tables(self, menus: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Packed coverage masks of each menu, laid out on the basis grid.
@@ -380,6 +408,20 @@ def evaluate_all(objective, sets: Iterable[Iterable[str]]) -> list:
     if batched is not None:
         return batched(sets)
     return [objective.evaluate(frozenset(members)) for members in sets]
+
+
+def evaluate_extensions(objective, base: Sequence[str], candidates: Iterable[str]) -> list:
+    """The objective on ``base`` plus each of ``candidates``, in order.
+
+    Each value is bit for bit :func:`evaluate_all`'s on ``(*base, t)``.  An
+    objective with an ``evaluate_extensions`` method scores them itself;
+    any other object gets ``evaluate_all`` of those sets, so it scores and
+    counts exactly the sets it would be asked for one at a time.
+    """
+    extend = getattr(objective, "evaluate_extensions", None)
+    if extend is not None:
+        return extend(base, candidates)
+    return evaluate_all(objective, [(*base, tid) for tid in candidates])
 
 
 class ExpectedDetections:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matroid import PartitionMatroid, require_enumerable
-from .objectives import basis_grid, evaluate_all
+from .objectives import basis_grid, evaluate_extensions
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,9 @@ class PlanResult:
     """Outcome of one planning call.
 
     ``oracle_calls`` counts objective evaluations made by this call only,
-    one per set scored, whether one ``evaluate_all`` call scored it with
-    others or ``evaluate`` scored it alone.
+    one per set scored, whether a batched call (``evaluate_all`` or
+    ``evaluate_extensions``) scored it with others or ``evaluate`` scored
+    it alone.
     With every robot's menu of size ``m``, ground set ``T`` and ``k`` robots
     left open by the bait (all ``n`` for the greedy planner), the resilient
     and greedy planners make ``|T| + m * k(k-1)/2``: one per singleton, then
@@ -62,24 +63,30 @@ def _check_alpha(matroid: PartitionMatroid, alpha: int) -> None:
 
 
 def _singletons(matroid: PartitionMatroid, objective) -> dict:
-    """Every trajectory's own value, scored in one ``evaluate_all`` call."""
+    """Every trajectory's own value: the extensions of the empty set, in one call."""
     ground = matroid.ground_set
-    return dict(zip(ground, evaluate_all(objective, [(tid,) for tid in ground])))
+    return dict(zip(ground, evaluate_extensions(objective, (), ground)))
 
 
 def _greedy_fill(matroid, objective, used_robots: set, singleton: dict):
     """Greedy phase: fill the robots the bait left open, by marginal gain.
 
     Each round scores ``fill | {t}`` for every trajectory ``t`` of a robot
-    that is still open, in one ``evaluate_all`` call, and admits the first
-    maximum in canonical ground order; the admitted robot's other
-    trajectories then leave the candidates.  The first round's sets are the
-    singletons, so it reads ``singleton`` and evaluations start at the
-    second round.  Marginals are measured on the fill set only, not on
-    bait + fill.  Only an open
+    that is still open, in one ``evaluate_extensions`` call, and admits the
+    first maximum in canonical ground order; the admitted robot's other
+    trajectories then leave the candidates, and the fill stops when none is
+    left.  The first round's sets are the singletons, so it reads
+    ``singleton`` and evaluations start at the second round.  Marginals are
+    measured on the fill set only, not on bait + fill.  Only an open
     robot's trajectory keeps bait + fill independent, so this admits
     exactly what scanning all of T \\ bait and rejecting dependent
     elements would.  Returns (fill, evaluations made).
+
+    A round costs one union of the fill and then one operation per
+    candidate (for a :class:`~.objectives.CoverageCount`, one OR and one
+    bit count), so a plan over ``n`` robots does O(|T| n) of them, as
+    plain greedy does.  An objective without ``evaluate_extensions``
+    scores each ``fill | {t}`` whole.
     """
     owner = matroid.owner
     candidates = [tid for tid in matroid.ground_set if owner[tid] not in used_robots]
@@ -91,8 +98,9 @@ def _greedy_fill(matroid, objective, used_robots: set, singleton: dict):
         fill.append(best)
         robot = owner[best]
         candidates = [tid for tid in candidates if owner[tid] != robot]
-        values = evaluate_all(objective, [(*fill, tid) for tid in candidates])
-        calls += len(values)
+        if candidates:
+            values = evaluate_extensions(objective, fill, candidates)
+            calls += len(values)
     return tuple(fill), calls
 
 

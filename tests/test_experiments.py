@@ -585,6 +585,29 @@ def test_read_csv_rejects_malformed_files(tmp_path):
     bad_type.write_text(good_header + "\n0,1,greedy,optimal,5,1,x,3.0,0.25,10,100,7\n")
     with pytest.raises(CsvFormatError, match="line 2"):
         read_csv(bad_type)
+    # names and values write_csv never writes, on the second row of a
+    # complete file, so summarize never averages them
+    good = "0,1,greedy,optimal,5,1,4.0,3.0,0.25,10,100,7"
+    marker = "# status=complete schema=1 objective=coverage_count rows=2"
+    impossible = tmp_path / "d.csv"
+    for column, value in (
+        ("planner", "nonsense-planner"),
+        ("planner", "Greedy"),
+        ("attacker", "worst"),
+        ("f_full", "nan"),
+        ("f_full", "inf"),
+        ("f_full", "1e400"),
+        ("f_attacked", "-inf"),
+        ("attack_rate", "NaN"),
+    ):
+        parts = good.split(",")
+        parts[CSV_COLUMNS.index(column)] = value
+        impossible.write_text("\n".join([good_header, good, ",".join(parts), marker, ""]))
+        for reader in (read_csv, summarize):
+            with pytest.raises(CsvFormatError, match=f"^line 3: {column}: "):
+                reader(impossible)
+    impossible.write_text("\n".join([good_header, good, good, marker, ""]))
+    assert len(read_csv(impossible)) == 2
 
 
 def test_read_csv_refuses_a_truncated_file(tmp_path):
@@ -609,6 +632,18 @@ def test_read_csv_refuses_a_marker_with_the_wrong_row_count(tmp_path):
     path.write_text(text + text.splitlines(keepends=True)[1])
     with pytest.raises(CsvFormatError, match="after the completeness marker"):
         read_csv(path)
+    # a marker of another schema, or of none, is refused at its line even
+    # when its rows count is right
+    marker = f"line {len(rows) + 2}: marker .* is not schema 1"
+    for foreign in ("schema=2", "schema=", "schema=10", "schema=1.0", "version=1"):
+        path.write_text(text.replace("schema=1", foreign))
+        with pytest.raises(CsvFormatError, match=marker):
+            read_csv(path)
+    path.write_text(text.replace(" schema=1", ""))
+    with pytest.raises(CsvFormatError, match=marker):
+        read_csv(path)
+    path.write_text(text)
+    assert read_csv(path) == rows
 
 
 def test_read_csv_names_the_line_of_the_first_byte_that_is_not_utf8(tmp_path):

@@ -20,6 +20,7 @@ from resilient_tracking.objectives import (
     check_monotone,
     check_submodular,
     evaluate_all,
+    evaluate_extensions,
     normal_cdf,
 )
 from resilient_tracking.simulation import SimConfig, run_rounds
@@ -121,6 +122,12 @@ def test_missing_rect_raises():
     for objective in (cov, exp):
         with pytest.raises(MissingCoverageRect, match="zzz"):
             objective.evaluate_all([("a",), ("a", "zzz")])
+        # in the base or among the candidates, through the method or the fallback
+        for base, candidates in ((("a", "zzz"), ["b"]), (("a",), ["b", "zzz", "c"])):
+            with pytest.raises(MissingCoverageRect, match="zzz"):
+                evaluate_extensions(objective, base, candidates)
+    with pytest.raises(MissingCoverageRect, match="zzz"):
+        cov.evaluate_extensions(("zzz",), [])
 
 
 def test_counting_oracle_counts_every_call():
@@ -266,6 +273,22 @@ def test_expected_detections_is_bit_identical_to_the_literal_construction(
         assert got.evaluate(members) == want.evaluate(members)
 
 
+def edge_world(box_list, beliefs):
+    """Ids, ``ExpectedDetections`` arguments, targets and their plain covers.
+
+    The targets are the belief means and points on shared edge values;
+    ``covers`` maps each id to the indices of the targets its box holds.
+    """
+    ids = [f"k{i}" for i in range(len(box_list))]
+    moments = np.array(beliefs).reshape(-1, 4)
+    targets = np.vstack([moments[:, :2], [(0.0, 0.0), (0.5, 1.0), (-2.0, 3.5)]])
+    covers = {
+        tid: {j for j, (x, y) in enumerate(targets.tolist()) if x0 <= x <= x1 and y0 <= y <= y1}
+        for tid, (x0, x1, y0, y1) in zip(ids, box_list)
+    }
+    return ids, (moments[:, :2], moments[:, 2:], ids, np.array(box_list)), targets, covers
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(edge_boxes(), min_size=1, max_size=8), wide_beliefs, st.data())
 def test_evaluate_all_is_bit_identical_to_evaluate(box_list, beliefs, data):
@@ -276,21 +299,13 @@ def test_evaluate_all_is_bit_identical_to_evaluate(box_list, beliefs, data):
     # means and on shared edge values.  The empty set, sets with repeated
     # ids and any number of sets, painted in blocks of one row, a few rows
     # or the default size
-    ids = [f"k{i}" for i in range(len(box_list))]
-    moments = np.array(beliefs).reshape(-1, 4)
-    bounds = np.array(box_list)
-    targets = np.vstack([moments[:, :2], [(0.0, 0.0), (0.5, 1.0), (-2.0, 3.5)]])
-    covers = {
-        tid: {j for j, (x, y) in enumerate(targets.tolist()) if x0 <= x <= x1 and y0 <= y <= y1}
-        for tid, (x0, x1, y0, y1) in zip(ids, box_list)
-    }
+    ids, args, targets, covers = edge_world(box_list, beliefs)
     sets = [(), tuple(ids), tuple(ids + ids)]
     sets += data.draw(st.lists(st.lists(st.sampled_from(ids), max_size=10), max_size=12))
     block_cells = data.draw(st.sampled_from([1, 40, objectives.BLOCK_CELLS]))
-    args = (moments[:, :2], moments[:, 2:], ids, bounds)
     for objective, reference in (
         (ExpectedDetections(*args), oracles.LiteralExpectedDetections(*args)),
-        (CoverageCount(targets, ids, bounds), helpers.SetCover(covers)),
+        (CoverageCount(targets, ids, args[-1]), helpers.SetCover(covers)),
     ):
         want = [repr(reference.evaluate(members)) for members in sets]
         with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
@@ -304,6 +319,37 @@ def test_evaluate_all_falls_back_to_one_evaluate_per_frozenset():
     objective = helpers.SetFunction(lambda s: seen.append(s) or len(s))
     assert evaluate_all(objective, [("a", "b", "a"), (), ["c"]]) == [2, 0, 1]
     assert seen == [frozenset("ab"), frozenset(), frozenset("c")]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(edge_boxes(), min_size=1, max_size=8), wide_beliefs, st.data())
+def test_evaluate_extensions_equals_evaluate_all_of_each_extension(box_list, beliefs, data):
+    # CoverageCount's own extensions against a plain set-union count of
+    # (*base, t), and every objective's extensions, through the method or
+    # the fallback, against evaluate_all of those sets; the fallback scores
+    # exactly them, in order.  Empty bases and candidate lists, candidates
+    # already in the base and ids repeated in either
+    ids, args, targets, covers = edge_world(box_list, beliefs)
+    coverage = CoverageCount(targets, ids, args[-1])
+    expected = ExpectedDetections(*args)
+    reference = helpers.SetCover(covers)
+    cases = [((), ids), (tuple(ids), ids + ids), (tuple(ids[:1] * 3), []), ((), [])]
+    cases.append(
+        (
+            tuple(data.draw(st.lists(st.sampled_from(ids), max_size=10))),
+            data.draw(st.lists(st.sampled_from(ids), max_size=12)),
+        )
+    )
+    for base, candidates in cases:
+        sets = [(*base, tid) for tid in candidates]
+        want = [repr(reference.evaluate(members)) for members in sets]
+        assert [repr(v) for v in coverage.evaluate_extensions(base, iter(candidates))] == want
+        for objective in (coverage, expected):
+            counting = helpers.CountingOracle(objective)
+            batched = [repr(v) for v in evaluate_all(objective, sets)]
+            assert [repr(v) for v in evaluate_extensions(objective, base, candidates)] == batched
+            assert [repr(v) for v in evaluate_extensions(counting, base, candidates)] == batched
+            assert counting.evaluated == [frozenset(members) for members in sets]
 
 
 def test_vecdot_rows_equal_one_dot_per_row():

@@ -202,16 +202,22 @@ def test_cached_selection_matches_naive_recompute(instance):
 )
 @given(instance=planning_instances())
 def test_batched_choices_match_one_evaluate_per_set(instance):
-    # the objective's own evaluate_all against the same objective reached
-    # only through evaluate: the same plans, traces, oracle_calls, removals
-    # and surviving values, near ties included; the attacks also against
-    # their literal loops over evaluate, which keep the first strict minimum
+    # the objective's own evaluate_all and evaluate_extensions against the
+    # same objective reached only through evaluate, whose calls a
+    # CountingOracle audits: the same plans, traces, oracle_calls, removals
+    # and surviving values, near ties included, and one evaluate per
+    # oracle call; the attacks also against their literal loops over
+    # evaluate, which keep the first strict minimum
     matroid, objective = instance
-    bare = helpers.SetFunction(objective.evaluate)
-    assert plan_greedy(matroid, objective) == plan_greedy(matroid, bare)
+    bare = helpers.CountingOracle(objective)
+    greedy = plan_greedy(matroid, bare)
+    assert plan_greedy(matroid, objective) == greedy
+    assert bare.eval_count == greedy.oracle_calls
     for alpha in range(matroid.num_robots + 1):
         plan = plan_resilient(matroid, objective, alpha)
+        before = bare.eval_count
         assert plan == plan_resilient(matroid, bare, alpha)
+        assert bare.eval_count - before == plan.oracle_calls
         assert plan_bruteforce_maxmin(matroid, objective, alpha) == plan_bruteforce_maxmin(
             matroid, bare, alpha
         )
