@@ -124,5 +124,5 @@ def get_attacker(name: str):
     """The uniform adapter of attacker ``name``."""
     try:
         return _ATTACKERS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable name is unknown too
         raise ValueError(f"unknown attacker {name!r}; expected one of {ATTACKER_NAMES}") from None

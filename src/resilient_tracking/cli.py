@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .checks import run_bound_suite, run_property_suite
 from .errors import TrackingError
 from .experiments import (
-    _require_int,
     load_spec,
     objective_name,
     render_summary,
@@ -18,6 +18,7 @@ from .experiments import (
     write_csv,
 )
 from .matroid import require_enumerable
+from .simulation import FIELD_RULES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,12 +54,15 @@ def _cmd_run(args) -> int:
         raise TrackingError(f"--jobs must be at least 1, got {args.jobs}")
     spec = load_spec(args.spec)
     if args.seed is not None:
-        seed = _require_int({"master_seed": args.seed}, "master_seed", minimum=0)
-        spec = replace(spec, master_seed=seed)
+        spec = replace(spec, master_seed=FIELD_RULES["rng_seed"](args.seed, "master_seed"))
     out = args.out or spec.output
     if not out:
         print("error: no output path (pass --out or set 'output' in the spec)", file=sys.stderr)
         return 2
+    # refused before the suite runs, not after it, when the CSV is written
+    if not Path(out).parent.is_dir():
+        print(f"error: cannot write {out}: its directory does not exist", file=sys.stderr)
+        return 1
     rows = run_suite(spec, jobs=args.jobs)
     write_csv(rows, out, objective=objective_name(spec))
     print(f"wrote {len(rows)} rows to {out}")

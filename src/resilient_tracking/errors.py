@@ -17,8 +17,8 @@ class DegenerateObjective(TrackingError):
     """Curvature is undefined because no usable singleton value is nonzero."""
 
 
-class SpecError(TrackingError):
-    """An experiment spec failed validation; the message names the field."""
+class SpecError(TrackingError, ValueError):
+    """An experiment spec or a ``SimConfig`` failed validation; the message names the field."""
 
 
 class CsvFormatError(TrackingError):

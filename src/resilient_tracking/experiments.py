@@ -51,7 +51,6 @@ import json
 import math
 import os
 import re
-import sys
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -68,7 +67,7 @@ from .geometry import Rect
 from .matroid import require_enumerable
 from .objectives import CoverageCount
 from .planners import PLANNER_NAMES, get_planner
-from .simulation import SimConfig, run_rounds
+from .simulation import FIELD_RULES, SimConfig, require_int, require_number, run_rounds
 from .worlds import DIRECTION_ORDER, sample_instance
 
 CSV_SCHEMA_VERSION = 1
@@ -121,67 +120,31 @@ def _fail(field: str, problem: str):
     raise SpecError(f"field {field!r}: {problem}")
 
 
-def _is_int(value) -> bool:
-    # JSON true and false load as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_int(data, field, minimum=None) -> int:
-    value = data.get(field)
-    if not _is_int(value):
-        _fail(field, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(field, f"must be at least {minimum}, got {value}")
-    return value
-
-
-def _require_number(data, field, minimum=None, strict=False) -> float:
-    value = data.get(field)
-    if not (isinstance(value, float) or _is_int(value)):
-        _fail(field, f"expected a number, got {value!r}")
-    # false for nan, infinities and integers past the float range
-    if not abs(value) <= sys.float_info.max:
-        _fail(field, f"must be finite, got {value}")
-    if minimum is not None and (value <= minimum if strict else value < minimum):
-        _fail(field, f"must be {'greater than' if strict else 'at least'} {minimum}, got {value}")
-    return float(value)
-
-
-def _require_choice(data, field, choices) -> str:
-    value = data.get(field)
+def _require_choice(value, field, choices) -> str:
     if value not in choices:
         _fail(field, f"expected one of {choices}, got {value!r}")
     return value
 
 
-def _require_list(data, field, names=None) -> tuple:
-    """A non-empty list of integers, or of ``names`` when given."""
-    value = data.get(field)
+def _require_list(value, field, item) -> tuple:
+    """A non-empty list whose every element passes ``item(element, field)``."""
     if not isinstance(value, list) or not value:
         _fail(field, f"expected a non-empty list, got {value!r}")
-    for item in value:
-        if names is None and not _is_int(item):
-            _fail(field, f"expected a list of integers, got {value!r}")
-        if names is not None and item not in names:
-            _fail(field, f"unknown name {item!r}; expected one of {names}")
-    return tuple(value)
+    return tuple(item(element, field) for element in value)
 
 
-def _require_arena(data, field) -> Rect:
-    value = data.get(field)
+def _require_arena(value, field) -> Rect:
+    # SimConfig, built for either protocol, refuses a flat arena
     if not isinstance(value, list) or len(value) != 4:
         _fail(field, f"expected [x_min, x_max, y_min, y_max], got {value!r}")
+    bounds = [require_number(v, field) for v in value]
     try:
-        arena = Rect(*(_require_number({field: v}, field) for v in value))
+        return Rect(*bounds)
     except ValueError as exc:
         _fail(field, str(exc))
-    if arena.x_min == arena.x_max or arena.y_min == arena.y_max:
-        _fail(field, f"width and height must be positive, got {value!r}")
-    return arena
 
 
-def _optional_path(data, field) -> str | None:
-    value = data.get(field)
+def _optional_path(value, field) -> str | None:
     if value is not None and not isinstance(value, str):
         _fail(field, f"expected a string path, got {value!r}")
     return value
@@ -194,52 +157,50 @@ def _require_enumerable(field, what, sizes=(), choose=(0, 0)) -> None:
         _fail(field, str(exc))
 
 
-def _require_targets(data, field) -> tuple[int, ...]:
-    value = values = data.get(field)
-    if _is_int(value):
-        values = [value]
-    elif (
-        isinstance(value, dict)
-        and set(value) == {"start", "stop"}
-        and all(map(_is_int, value.values()))
-    ):
-        # counted before it is listed
-        _require_enumerable(field, "the target range", [value["stop"] - value["start"] + 1])
-        values = list(range(value["start"], value["stop"] + 1))
-    if not (isinstance(values, list) and values and all(_is_int(v) and v >= 1 for v in values)):
-        _fail(
-            field,
-            "expected a positive integer, a non-empty list of them, or "
-            f"{{'start': a, 'stop': b}} with 1 <= a <= b, got {value!r}",
-        )
-    return tuple(values)
+def _require_targets(value, field) -> tuple[int, ...]:
+    """A target count, a non-empty list of them, or ``{'start': a, 'stop': b}``."""
+    count = FIELD_RULES["num_targets"]
+    if isinstance(value, list):
+        return _require_list(value, field, count)
+    if not (isinstance(value, dict) and set(value) == {"start", "stop"}):
+        return (count(value, field),)
+    start, stop = count(value["start"], field), count(value["stop"], field)
+    if start > stop:
+        _fail(field, f"expected start <= stop, got {value!r}")
+    # counted before it is listed
+    _require_enumerable(field, "the target range", [stop - start + 1])
+    return tuple(range(start, stop + 1))
 
 
 # Validators of the spec's fields, in ExperimentSpec's order; each takes the
-# parsed spec and the field's name.
+# field's value (None when it is missing) and its name.  A field that sets a
+# SimConfig field takes that field's rule.
 _SPEC_FIELDS = {
     "protocol": partial(_require_choice, choices=("one-step", "multi-round")),
-    "num_robots": partial(_require_int, minimum=1),
-    "fov_side": partial(_require_number, minimum=0, strict=True),
-    "fly_length": partial(_require_number, minimum=0),
+    "num_robots": FIELD_RULES["num_robots"],
+    "fov_side": FIELD_RULES["fov_side"],
+    "fly_length": FIELD_RULES["fly_length"],
     "arena": _require_arena,
     "num_targets": _require_targets,
-    "alphas": _require_list,
-    "trials": partial(_require_int, minimum=1),
-    "planners": partial(_require_list, names=PLANNER_NAMES),
-    "attackers": partial(_require_list, names=ATTACKER_NAMES),
-    "master_seed": partial(_require_int, minimum=0),
+    "alphas": partial(_require_list, item=FIELD_RULES["alpha"]),
+    "trials": partial(require_int, minimum=1),
+    "planners": partial(_require_list, item=partial(_require_choice, choices=PLANNER_NAMES)),
+    "attackers": partial(_require_list, item=partial(_require_choice, choices=ATTACKER_NAMES)),
+    "master_seed": FIELD_RULES["rng_seed"],
     "output": _optional_path,
 }
 
-# Validators of the optional multi-round fields, which are SimConfig fields.
+# The optional multi-round fields, which are SimConfig fields.
 _SIMULATION_FIELDS = {
-    "rounds": partial(_require_int, minimum=1),
-    "measurement_noise_std": partial(_require_number, minimum=0, strict=True),
-    "process_noise": partial(_require_number, minimum=0),
-    "initial_variance": partial(_require_number, minimum=0, strict=True),
-    "target_speed": partial(_require_number, minimum=0),
-    "velocity_jitter_std": partial(_require_number, minimum=0),
+    key: FIELD_RULES[key]
+    for key in (
+        "rounds",
+        "measurement_noise_std",
+        "process_noise",
+        "initial_variance",
+        "target_speed",
+        "velocity_jitter_std",
+    )
 }
 
 
@@ -251,16 +212,16 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         if key not in _SPEC_FIELDS and key not in _SIMULATION_FIELDS:
             _fail(key, "unknown field")
     spec = ExperimentSpec(
-        **{key: check(data, key) for key, check in _SPEC_FIELDS.items()},
+        **{key: check(data.get(key), key) for key, check in _SPEC_FIELDS.items()},
         # validated for either protocol; only the multi-round protocol uses them
         simulation={
-            key: check(data, key) for key, check in _SIMULATION_FIELDS.items() if key in data
+            key: check(data[key], key) for key, check in _SIMULATION_FIELDS.items() if key in data
         },
     )
 
     n = spec.num_robots
     for a in spec.alphas:
-        if not 0 <= a <= n:
+        if a > n:
             _fail("alphas", f"each alpha must be in [0, {n}], got {a}")
         # the exact enumerations' own cap checks, made before any cell runs;
         # both protocols give every robot the full four-direction menu
@@ -301,19 +262,17 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             f"the expected-detections grid cells of a round of {n} robots",
             [lines, lines],
         )
-    # SimConfig refuses arithmetic that would overflow or zero the belief
-    # variance, naming the field; a one-step world is one unmoved round
-    try:
-        SimConfig(
-            num_robots=n,
-            alpha=0,
-            fov_side=spec.fov_side,
-            fly_length=spec.fly_length,
-            arena=spec.arena,
-            **(spec.simulation if spec.protocol == "multi-round" else {"rounds": 1}),
-        )
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    # SimConfig refuses a flat arena and arithmetic that would overflow or
+    # zero the belief variance, naming the field; a one-step world is one
+    # unmoved round
+    SimConfig(
+        num_robots=n,
+        alpha=0,
+        fov_side=spec.fov_side,
+        fly_length=spec.fly_length,
+        arena=spec.arena,
+        **(spec.simulation if spec.protocol == "multi-round" else {"rounds": 1}),
+    )
     return spec
 
 

@@ -219,5 +219,5 @@ def get_planner(name: str):
     """The uniform adapter of planner ``name``."""
     try:
         return _PLANNERS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable name is unknown too
         raise ValueError(f"unknown planner {name!r}; expected one of {PLANNER_NAMES}") from None

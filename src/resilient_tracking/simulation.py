@@ -35,13 +35,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .adversary import ATTACKER_NAMES, get_attacker, score_attack
+from .adversary import get_attacker, score_attack
+from .errors import SpecError
 from .geometry import Rect
 from .objectives import ExpectedDetections
-from .planners import PLANNER_NAMES, get_planner
+from .planners import get_planner
 from .worlds import DIRECTION_ORDER, MENU_STEPS, build_instance, robot_id
 
 DEFAULT_ARENA = Rect(0.0, 10.0, 0.0, 10.0)
@@ -49,6 +51,53 @@ DEFAULT_ARENA = Rect(0.0, 10.0, 0.0, 10.0)
 # No standard normal draw of numpy's ziggurat sampler exceeds this in
 # magnitude: its tail draw r + x (r = 3.6542) needs x**2 < 2 * 53 * log(2).
 NORMAL_DRAW_BOUND = 12.3
+
+
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_int(value, field: str, minimum=None) -> int:
+    """``value`` if it is an integer of at least ``minimum``; else :class:`SpecError`."""
+    if not _is_int(value):
+        raise SpecError(f"field {field!r}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SpecError(f"field {field!r}: must be at least {minimum}, got {value}")
+    return value
+
+
+def require_number(value, field: str, minimum=None, strict=False) -> float:
+    """``value`` as a finite float at least (``strict``: above) ``minimum``."""
+    if not (isinstance(value, float) or _is_int(value)):
+        raise SpecError(f"field {field!r}: expected a number, got {value!r}")
+    # false for nan, infinities and integers past the float range
+    if not abs(value) <= sys.float_info.max:
+        raise SpecError(f"field {field!r}: must be finite, got {value}")
+    if minimum is not None and (value <= minimum if strict else value < minimum):
+        relation = "greater than" if strict else "at least"
+        raise SpecError(f"field {field!r}: must be {relation} {minimum}, got {value}")
+    return float(value)
+
+
+# The rule of each numeric SimConfig field, called as ``rule(value, field)``;
+# experiment specs check the fields they set with the same rules.
+FIELD_RULES = {
+    "num_robots": partial(require_int, minimum=1),
+    "num_targets": partial(require_int, minimum=1),
+    "alpha": partial(require_int, minimum=0),
+    "fov_side": partial(require_number, minimum=0, strict=True),
+    "fly_length": partial(require_number, minimum=0),
+    "rounds": partial(require_int, minimum=1),
+    # a noiseless update drives the belief variance to 0, which no Gaussian
+    # belief can carry into the next round's plan
+    "measurement_noise_std": partial(require_number, minimum=0, strict=True),
+    "process_noise": partial(require_number, minimum=0),
+    "initial_variance": partial(require_number, minimum=0, strict=True),
+    "target_speed": partial(require_number, minimum=0),
+    "velocity_jitter_std": partial(require_number, minimum=0),
+    "rng_seed": partial(require_int, minimum=0),
+}
 
 
 @dataclass(frozen=True)
@@ -59,6 +108,16 @@ class SimConfig:
     with two tolerated failures.  Where the scenario source is silent
     (arena size, target speed, noise levels) the defaults are documented
     assumptions, not derived values.
+
+    Each numeric field must pass its rule in ``FIELD_RULES``, the rule an
+    experiment spec applies to the same field, so a config refuses exactly
+    what a spec refuses: a bool, a float for an integer field, a value that
+    is not finite or is below its minimum.  ``alpha`` may not exceed
+    ``num_robots``, the arena needs positive width and height, the planner
+    and every attacker must be registered, and ``attackers`` may not be
+    empty.  Every refusal is a :class:`SpecError`, a ``ValueError`` whose
+    message names the field, except an unknown planner or attacker, which
+    its registry lookup refuses with a ``ValueError`` naming it.
     """
 
     num_robots: int = 4
@@ -78,41 +137,22 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.num_robots < 1:
-            raise ValueError(f"num_robots must be at least 1, got {self.num_robots}")
-        if self.num_targets < 1:
-            raise ValueError(f"num_targets must be at least 1, got {self.num_targets}")
-        if not 0 <= self.alpha <= self.num_robots:
-            raise ValueError(
-                f"alpha must be in [0, {self.num_robots}], got {self.alpha}"
+        for name, rule in FIELD_RULES.items():
+            rule(getattr(self, name), name)
+        if self.alpha > self.num_robots:
+            raise SpecError(
+                f"field 'alpha': must be at most num_robots = {self.num_robots}, got {self.alpha}"
             )
         if not (self.arena.x_min < self.arena.x_max and self.arena.y_min < self.arena.y_max):
-            raise ValueError(f"arena must have positive width and height, got {self.arena}")
-        if self.fov_side <= 0 or self.fly_length < 0:
-            raise ValueError("fov_side must be positive and fly_length nonnegative")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
-        if not self.measurement_noise_std > 0:
-            # a noiseless update drives the belief variance to 0, which no
-            # Gaussian belief can carry into the next round's plan
-            raise ValueError(
-                f"measurement_noise_std must be positive, got {self.measurement_noise_std}"
-            )
-        if self.process_noise < 0:
-            raise ValueError(f"process_noise must be nonnegative, got {self.process_noise}")
-        if self.initial_variance <= 0:
-            raise ValueError(f"initial_variance must be positive, got {self.initial_variance}")
-        if self.target_speed < 0 or self.velocity_jitter_std < 0:
-            raise ValueError("target speed and jitter must be nonnegative")
-        if self.planner not in PLANNER_NAMES:
-            raise ValueError(f"unknown planner {self.planner!r}; expected one of {PLANNER_NAMES}")
-        if not self.attackers or not set(self.attackers) <= set(ATTACKER_NAMES):
-            raise ValueError(
-                f"attackers must be a non-empty tuple of {ATTACKER_NAMES}, got {self.attackers}"
-            )
+            raise SpecError(f"field 'arena': width and height must be positive, got {self.arena}")
+        get_planner(self.planner)
+        if not self.attackers:
+            raise SpecError("field 'attackers': expected at least one attacker")
+        for name in self.attackers:
+            get_attacker(name)
         problem = _arithmetic_problem(self)
         if problem is not None:
-            raise ValueError(problem)
+            raise SpecError(problem)
 
 
 def _largest(terms: dict[str, float]) -> str:

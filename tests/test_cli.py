@@ -201,6 +201,22 @@ def test_missing_spec_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_refuses_an_output_directory_that_does_not_exist_before_running(
+    tmp_path, monkeypatch, capsys
+):
+    # the whole suite used to run first, then the error named the hidden temp file
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: ran.append(args) or [])
+    spec = write_spec(tmp_path)
+    out = tmp_path / "missing" / "rows.csv"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(out) in captured.err
+    assert ".tmp" not in captured.err
+    assert ran == []
+    assert not out.parent.exists()
+
+
 def test_spec_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_bytes(write_spec(tmp_path).read_bytes().replace(b"one-step", b"one-step\xff"))

@@ -2,10 +2,12 @@
 
 import concurrent.futures
 import json
+import math
 import re
 import time
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -557,6 +559,86 @@ def test_multi_round_spec_without_sim_fields_gets_sim_config_defaults(monkeypatc
     for name in SIMULATION_FIELDS:
         assert getattr(configs[0], name) == getattr(defaults, name)
         assert getattr(configs[-1], name) == given[name]
+
+
+# Each numeric SimConfig field's least refused and least accepted value on
+# the side of its minimum, stated apart from the rule table, so that a rule
+# missing from the table shows; an int boundary marks an integer field.
+# Below about 1e-7 the arithmetic check refuses measurement_noise_std.
+SMALLEST = math.nextafter(0.0, 1.0)
+FIELD_BOUNDARIES = {
+    "num_robots": (0, 1),
+    "num_targets": (0, 1),
+    "alpha": (-1, 0),
+    "fov_side": (0.0, SMALLEST),
+    "fly_length": (-SMALLEST, 0.0),
+    "rounds": (0, 1),
+    "measurement_noise_std": (0.0, 1e-7),
+    "process_noise": (-SMALLEST, 0.0),
+    "initial_variance": (0.0, SMALLEST),
+    "target_speed": (-SMALLEST, 0.0),
+    "velocity_jitter_std": (-SMALLEST, 0.0),
+    "rng_seed": (-1, 0),
+}
+
+# A spec field that sets a SimConfig field, and how it holds one value.
+SPEC_FIELD_OF = {
+    "num_robots": ("num_robots", lambda v: v),
+    "num_targets": ("num_targets", lambda v: [v]),
+    "alpha": ("alphas", lambda v: [v]),
+    "fov_side": ("fov_side", lambda v: v),
+    "fly_length": ("fly_length", lambda v: v),
+    "rng_seed": ("master_seed", lambda v: v),
+    **{name: (name, lambda v: v) for name in SIMULATION_FIELDS},
+}
+
+
+def test_the_boundary_table_covers_every_numeric_sim_config_field():
+    hints = get_type_hints(SimConfig)
+    numeric = {f.name for f in fields(SimConfig) if hints[f.name] in (int, float)}
+    assert set(FIELD_BOUNDARIES) == numeric
+    assert set(SPEC_FIELD_OF) <= numeric
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_BOUNDARIES))
+def test_sim_config_and_spec_refuse_the_same_values_naming_the_field(name):
+    refused, accepted = FIELD_BOUNDARIES[name]
+    bad = [refused, True, False, math.nan, math.inf, -math.inf]
+    if isinstance(accepted, int):
+        bad += [float(accepted), accepted + 0.5]
+    else:
+        bad += [10**400, -(10**400)]
+    base = {"num_robots": 3, "num_targets": 8, "alpha": 1, "rounds": 3}
+    for value in bad:
+        with pytest.raises(ValueError, match=f"field '{name}'"):
+            SimConfig(**{**base, name: value})
+    assert getattr(SimConfig(**{**base, name: accepted}), name) == accepted
+    if name not in SPEC_FIELD_OF:
+        return
+    spec_name, hold = SPEC_FIELD_OF[name]
+    for value in bad:
+        with pytest.raises(SpecError, match=f"field '{spec_name}'"):
+            spec_from_dict(base_spec(protocol="multi-round", **{spec_name: hold(value)}))
+    spec_from_dict(base_spec(protocol="multi-round", **{spec_name: hold(accepted)}))
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"rounds": 2.5}, "rounds"),
+        ({"num_targets": 2.5}, "num_targets"),
+        ({"num_robots": 2.5, "alpha": 0}, "num_robots"),
+        ({"alpha": 1.5}, "alpha"),
+        ({"rng_seed": -1}, "rng_seed"),
+        ({"rng_seed": 1.5}, "rng_seed"),
+        # ran one round
+        ({"rounds": True}, "rounds"),
+    ],
+)
+def test_sim_config_refuses_at_construction_what_used_to_fail_mid_run(overrides, name):
+    # each was accepted, then ended in a TypeError or ValueError inside run_rounds
+    with pytest.raises(ValueError, match=f"field '{name}'"):
+        SimConfig(**overrides)
 
 
 def test_csv_round_trip(tmp_path):

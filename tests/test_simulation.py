@@ -313,6 +313,14 @@ def test_sim_config_validation():
         SimConfig(fly_length=-0.5)
 
 
+
+def test_sim_config_refuses_an_unhashable_planner_or_attacker_name():
+    # a dict lookup of an unhashable name raises TypeError, not KeyError
+    with pytest.raises(ValueError, match="unknown planner"):
+        SimConfig(planner=["resilient"])
+    with pytest.raises(ValueError, match="unknown attacker"):
+        SimConfig(attackers=(["optimal"],))
+
 @pytest.mark.parametrize(
     "overrides, field",
     [
