@@ -52,7 +52,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -67,7 +67,7 @@ from .geometry import Rect
 from .matroid import require_enumerable
 from .objectives import CoverageCount
 from .planners import PLANNER_NAMES, get_planner
-from .simulation import FIELD_RULES, SimConfig, require_int, require_number, run_rounds
+from .simulation import FIELD_RULES, SimConfig, require_int, require_number, run_rounds, shown
 from .worlds import DIRECTION_ORDER, sample_instance
 
 CSV_SCHEMA_VERSION = 1
@@ -98,13 +98,18 @@ _COLUMN_TYPES = tuple(get_type_hints(RecordRow)[name] for name in CSV_COLUMNS)
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated experiment description; see :func:`spec_from_dict`."""
+    """Validated experiment: sweep axes over one scenario; see :func:`spec_from_dict`.
+
+    ``scenario`` holds the world every cell shares (robots, field of view,
+    flight length, arena) and, for the multi-round protocol, the closed-loop
+    fields the spec sets; a one-step scenario is one unmoved round.  Its
+    target count, planner, attackers and seed are ``SimConfig``'s defaults
+    and its alpha is 0, which any robot count admits; every cell replaces
+    all five with its own.
+    """
 
     protocol: str
-    num_robots: int
-    fov_side: float
-    fly_length: float
-    arena: Rect
+    scenario: SimConfig
     num_targets: tuple[int, ...]
     alphas: tuple[int, ...]
     trials: int
@@ -112,8 +117,6 @@ class ExperimentSpec:
     attackers: tuple[str, ...]
     master_seed: int
     output: str | None = None
-    # multi-round SimConfig fields the spec sets; the rest keep SimConfig's defaults
-    simulation: dict = field(default_factory=dict)
 
 
 def _fail(field: str, problem: str):
@@ -122,21 +125,21 @@ def _fail(field: str, problem: str):
 
 def _require_choice(value, field, choices) -> str:
     if value not in choices:
-        _fail(field, f"expected one of {choices}, got {value!r}")
+        _fail(field, f"expected one of {choices}, got {shown(value)}")
     return value
 
 
 def _require_list(value, field, item) -> tuple:
     """A non-empty list whose every element passes ``item(element, field)``."""
     if not isinstance(value, list) or not value:
-        _fail(field, f"expected a non-empty list, got {value!r}")
+        _fail(field, f"expected a non-empty list, got {shown(value)}")
     return tuple(item(element, field) for element in value)
 
 
 def _require_arena(value, field) -> Rect:
-    # SimConfig, built for either protocol, refuses a flat arena
+    # the scenario's SimConfig refuses a flat arena
     if not isinstance(value, list) or len(value) != 4:
-        _fail(field, f"expected [x_min, x_max, y_min, y_max], got {value!r}")
+        _fail(field, f"expected [x_min, x_max, y_min, y_max], got {shown(value)}")
     bounds = [require_number(v, field) for v in value]
     try:
         return Rect(*bounds)
@@ -146,7 +149,7 @@ def _require_arena(value, field) -> Rect:
 
 def _optional_path(value, field) -> str | None:
     if value is not None and not isinstance(value, str):
-        _fail(field, f"expected a string path, got {value!r}")
+        _fail(field, f"expected a string path, got {shown(value)}")
     return value
 
 
@@ -166,21 +169,17 @@ def _require_targets(value, field) -> tuple[int, ...]:
         return (count(value, field),)
     start, stop = count(value["start"], field), count(value["stop"], field)
     if start > stop:
-        _fail(field, f"expected start <= stop, got {value!r}")
+        _fail(field, f"expected start <= stop, got {shown(value)}")
     # counted before it is listed
     _require_enumerable(field, "the target range", [stop - start + 1])
     return tuple(range(start, stop + 1))
 
 
-# Validators of the spec's fields, in ExperimentSpec's order; each takes the
-# field's value (None when it is missing) and its name.  A field that sets a
-# SimConfig field takes that field's rule.
+# Validators of the spec's own fields, in ExperimentSpec's order; each takes
+# the field's value (None when it is missing) and its name.  A field that
+# sets a SimConfig field in every cell takes that field's rule.
 _SPEC_FIELDS = {
     "protocol": partial(_require_choice, choices=("one-step", "multi-round")),
-    "num_robots": FIELD_RULES["num_robots"],
-    "fov_side": FIELD_RULES["fov_side"],
-    "fly_length": FIELD_RULES["fly_length"],
-    "arena": _require_arena,
     "num_targets": _require_targets,
     "alphas": partial(_require_list, item=FIELD_RULES["alpha"]),
     "trials": partial(require_int, minimum=1),
@@ -190,18 +189,17 @@ _SPEC_FIELDS = {
     "output": _optional_path,
 }
 
-# The optional multi-round fields, which are SimConfig fields.
-_SIMULATION_FIELDS = {
-    key: FIELD_RULES[key]
-    for key in (
-        "rounds",
-        "measurement_noise_std",
-        "process_noise",
-        "initial_variance",
-        "target_speed",
-        "velocity_jitter_std",
-    )
-}
+# The scenario's fields: the world, which every spec sets, and the optional
+# closed-loop fields, which only a multi-round spec may set.
+_WORLD_FIELDS = ("num_robots", "fov_side", "fly_length", "arena")
+_SIMULATION_FIELDS = (
+    "rounds",
+    "measurement_noise_std",
+    "process_noise",
+    "initial_variance",
+    "target_speed",
+    "velocity_jitter_std",
+)
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
@@ -209,48 +207,63 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     if not isinstance(data, dict):
         raise SpecError("spec must be a JSON object")
     for key in data:
-        if key not in _SPEC_FIELDS and key not in _SIMULATION_FIELDS:
+        if key not in (*_SPEC_FIELDS, *_WORLD_FIELDS, *_SIMULATION_FIELDS):
             _fail(key, "unknown field")
+    own = {key: check(data.get(key), key) for key, check in _SPEC_FIELDS.items()}
+    closed_loop = {key: data[key] for key in _SIMULATION_FIELDS if key in data}
+    if own["protocol"] == "one-step":
+        for key in closed_loop:
+            _fail(key, "a closed-loop field, which only a multi-round spec takes")
+        closed_loop = {"rounds": 1}
+    # SimConfig checks each world and closed-loop field, naming it, and
+    # refuses a flat arena and arithmetic that would overflow or zero the
+    # belief variance
     spec = ExperimentSpec(
-        **{key: check(data.get(key), key) for key, check in _SPEC_FIELDS.items()},
-        # validated for either protocol; only the multi-round protocol uses them
-        simulation={
-            key: check(data[key], key) for key, check in _SIMULATION_FIELDS.items() if key in data
-        },
+        scenario=SimConfig(
+            num_robots=data.get("num_robots"),
+            fov_side=data.get("fov_side"),
+            fly_length=data.get("fly_length"),
+            arena=_require_arena(data.get("arena"), "arena"),
+            alpha=0,
+            **closed_loop,
+        ),
+        **own,
     )
 
-    n = spec.num_robots
+    n = spec.scenario.num_robots
     for a in spec.alphas:
         if a > n:
-            _fail("alphas", f"each alpha must be in [0, {n}], got {a}")
+            _fail("alphas", f"each alpha must be in [0, {shown(n)}], got {shown(a)}")
         # the exact enumerations' own cap checks, made before any cell runs;
         # both protocols give every robot the full four-direction menu
         if "brute-force" in spec.planners:
             _require_enumerable(
                 "planners",
-                f"brute-force at alpha {a}: the attacked evaluations",
+                f"brute-force at alpha {shown(a)}: the attacked evaluations",
                 itertools.repeat(len(DIRECTION_ORDER), n),
                 (n, a),
             )
         if "optimal" in spec.attackers:
             _require_enumerable(
-                "attackers", f"the optimal attacker at alpha {a}: the removal sets", choose=(n, a)
+                "attackers",
+                f"the optimal attacker at alpha {shown(a)}: the removal sets",
+                choose=(n, a),
             )
     # the amount of work, counted before anything is listed or allocated:
     # the cells of the sweep, one world's targets and trajectories and,
     # for the closed loop, a round's grid; rounds are not bounded
     _require_enumerable(
         "trials",
-        f"the (m, alpha, trial) cells of {spec.trials} trials",
+        f"the (m, alpha, trial) cells of {shown(spec.trials)} trials",
         [len(spec.num_targets), len(spec.alphas), spec.trials],
     )
     _require_enumerable(
-        "num_robots", f"the trajectories of {n} robots", [len(DIRECTION_ORDER), n]
+        "num_robots", f"the trajectories of {shown(n)} robots", [len(DIRECTION_ORDER), n]
     )
     m = max(spec.num_targets)
     _require_enumerable(
         "num_targets",
-        f"the target-trajectory pairs of a world of {m} targets and {n} robots",
+        f"the target-trajectory pairs of a world of {shown(m)} targets and {shown(n)} robots",
         [m, len(DIRECTION_ORDER), n],
     )
     if spec.protocol == "multi-round":
@@ -259,20 +272,9 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         lines = len(DIRECTION_ORDER) * n - 1
         _require_enumerable(
             "num_robots",
-            f"the expected-detections grid cells of a round of {n} robots",
+            f"the expected-detections grid cells of a round of {shown(n)} robots",
             [lines, lines],
         )
-    # SimConfig refuses a flat arena and arithmetic that would overflow or
-    # zero the belief variance, naming the field; a one-step world is one
-    # unmoved round
-    SimConfig(
-        num_robots=n,
-        alpha=0,
-        fov_side=spec.fov_side,
-        fly_length=spec.fly_length,
-        arena=spec.arena,
-        **(spec.simulation if spec.protocol == "multi-round" else {"rounds": 1}),
-    )
     return spec
 
 
@@ -317,11 +319,11 @@ def _one_step_world(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[Record
     trial_seed = derive_trial_seed(spec.master_seed, trial)
     instance = sample_instance(
         _role_rng(trial_seed, 0),
-        num_robots=spec.num_robots,
+        num_robots=spec.scenario.num_robots,
         num_targets=m,
-        fov_side=spec.fov_side,
-        fly_length=spec.fly_length,
-        arena=spec.arena,
+        fov_side=spec.scenario.fov_side,
+        fly_length=spec.scenario.fly_length,
+        arena=spec.scenario.arena,
     )
     objective = CoverageCount(instance.targets, instance.ids, instance.bounds)
     # only the random planner, and the random attacker at alpha > 0, draw;
@@ -381,17 +383,13 @@ def _multi_round_cell(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[Reco
     trial_seed = derive_trial_seed(spec.master_seed, trial)
     rows = []
     for planner in spec.planners:
-        config = SimConfig(
-            num_robots=spec.num_robots,
+        config = replace(
+            spec.scenario,
             num_targets=m,
             alpha=alpha,
-            fov_side=spec.fov_side,
-            fly_length=spec.fly_length,
-            arena=spec.arena,
             planner=planner,
             attackers=spec.attackers,
             rng_seed=trial_seed,
-            **spec.simulation,
         )
         t0 = time.perf_counter_ns()
         records = run_rounds(config)

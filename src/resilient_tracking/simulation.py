@@ -58,25 +58,38 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def shown(value) -> str:
+    """``repr(value)`` for a validation message, or its type where it cannot print.
+
+    ``repr`` raises on an integer past Python's int-to-str digit limit,
+    alone or inside a container; every caller-supplied value in a message
+    goes through here, so the message still names its field.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def require_int(value, field: str, minimum=None) -> int:
     """``value`` if it is an integer of at least ``minimum``; else :class:`SpecError`."""
     if not _is_int(value):
-        raise SpecError(f"field {field!r}: expected an integer, got {value!r}")
+        raise SpecError(f"field {field!r}: expected an integer, got {shown(value)}")
     if minimum is not None and value < minimum:
-        raise SpecError(f"field {field!r}: must be at least {minimum}, got {value}")
+        raise SpecError(f"field {field!r}: must be at least {minimum}, got {shown(value)}")
     return value
 
 
 def require_number(value, field: str, minimum=None, strict=False) -> float:
     """``value`` as a finite float at least (``strict``: above) ``minimum``."""
     if not (isinstance(value, float) or _is_int(value)):
-        raise SpecError(f"field {field!r}: expected a number, got {value!r}")
+        raise SpecError(f"field {field!r}: expected a number, got {shown(value)}")
     # false for nan, infinities and integers past the float range
     if not abs(value) <= sys.float_info.max:
-        raise SpecError(f"field {field!r}: must be finite, got {value}")
+        raise SpecError(f"field {field!r}: must be finite, got {shown(value)}")
     if minimum is not None and (value <= minimum if strict else value < minimum):
         relation = "greater than" if strict else "at least"
-        raise SpecError(f"field {field!r}: must be {relation} {minimum}, got {value}")
+        raise SpecError(f"field {field!r}: must be {relation} {minimum}, got {shown(value)}")
     return float(value)
 
 
@@ -112,12 +125,15 @@ class SimConfig:
     Each numeric field must pass its rule in ``FIELD_RULES``, the rule an
     experiment spec applies to the same field, so a config refuses exactly
     what a spec refuses: a bool, a float for an integer field, a value that
-    is not finite or is below its minimum.  ``alpha`` may not exceed
-    ``num_robots``, the arena needs positive width and height, the planner
-    and every attacker must be registered, and ``attackers`` may not be
-    empty.  Every refusal is a :class:`SpecError`, a ``ValueError`` whose
-    message names the field, except an unknown planner or attacker, which
-    its registry lookup refuses with a ``ValueError`` naming it.
+    is not finite or is below its minimum.  A float field holds the float
+    its rule returns, so an integer given for it is stored as a float, as a
+    spec stores it.  ``alpha`` may not exceed
+    ``num_robots``, the arena must be a :class:`Rect` of positive width and
+    height, the planner and every attacker must be registered, and
+    ``attackers`` may not be empty.  Every refusal is a :class:`SpecError`,
+    a ``ValueError`` whose message names the field, except an unknown
+    planner or attacker, which its registry lookup refuses with a
+    ``ValueError`` naming it.
     """
 
     num_robots: int = 4
@@ -138,13 +154,17 @@ class SimConfig:
 
     def __post_init__(self):
         for name, rule in FIELD_RULES.items():
-            rule(getattr(self, name), name)
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if self.alpha > self.num_robots:
             raise SpecError(
-                f"field 'alpha': must be at most num_robots = {self.num_robots}, got {self.alpha}"
+                f"field 'alpha': must be at most num_robots = {shown(self.num_robots)}, "
+                f"got {shown(self.alpha)}"
             )
-        if not (self.arena.x_min < self.arena.x_max and self.arena.y_min < self.arena.y_max):
-            raise SpecError(f"field 'arena': width and height must be positive, got {self.arena}")
+        arena = self.arena
+        if not isinstance(arena, Rect) or arena.x_min >= arena.x_max or arena.y_min >= arena.y_max:
+            raise SpecError(
+                f"field 'arena': expected a Rect of positive width and height, got {shown(arena)}"
+            )
         get_planner(self.planner)
         if not self.attackers:
             raise SpecError("field 'attackers': expected at least one attacker")
@@ -209,7 +229,7 @@ def _arithmetic_problem(c: SimConfig) -> str | None:
         if not math.isfinite(2.0 * sum(terms.values())):
             return (
                 f"field {_largest(terms)!r}: {quantity} would leave the float range "
-                f"within {c.rounds} rounds"
+                f"within {shown(c.rounds)} rounds"
             )
     try:
         r = c.measurement_noise_std**2
@@ -235,7 +255,7 @@ def _arithmetic_problem(c: SimConfig) -> str | None:
     if r / (rounds + 1.0) < sys.float_info.min:
         return (
             f"field 'measurement_noise_std': measurement_noise_std**2 = {r:g} lets the "
-            f"belief variance underflow within {c.rounds} rounds"
+            f"belief variance underflow within {shown(c.rounds)} rounds"
         )
     return None
 

@@ -476,11 +476,11 @@ def one_step_rows_literal(spec):
                 trial_seed = int(root.generate_state(1, np.uint64)[0])
                 instance = sample_instance(
                     np.random.default_rng(np.random.SeedSequence([trial_seed, 0])),
-                    num_robots=spec.num_robots,
+                    num_robots=spec.scenario.num_robots,
                     num_targets=m,
-                    fov_side=spec.fov_side,
-                    fly_length=spec.fly_length,
-                    arena=spec.arena,
+                    fov_side=spec.scenario.fov_side,
+                    fly_length=spec.scenario.fly_length,
+                    arena=spec.scenario.arena,
                 )
                 objective = CoverageCount(instance.targets, instance.ids, instance.bounds)
                 for planner in spec.planners:

@@ -32,6 +32,7 @@ from resilient_tracking.experiments import (
     summarize_rows,
     write_csv,
 )
+from resilient_tracking.geometry import Rect
 from resilient_tracking.planners import PLANNER_NAMES
 from resilient_tracking.simulation import SimConfig
 
@@ -116,11 +117,10 @@ def test_spec_errors_name_the_field():
 
 
 def test_every_spec_field_is_required_and_checked():
-    # a missing field, or one of the wrong type, gets an error naming it
-    for spec_field in fields(ExperimentSpec):
-        name = spec_field.name
-        if name == "simulation":
-            continue
+    # a missing field, or one of the wrong type, gets an error naming it:
+    # the spec's own fields and its scenario's world
+    own = [f.name for f in fields(ExperimentSpec) if f.name != "scenario"]
+    for name in [*own, "num_robots", "fov_side", "fly_length", "arena"]:
         if name != "output":
             spec = base_spec()
             del spec[name]
@@ -129,9 +129,65 @@ def test_every_spec_field_is_required_and_checked():
         for wrong in ({"x": 1}, True):
             with pytest.raises(SpecError, match=f"field '{name}'"):
                 spec_from_dict(base_spec(**{name: wrong}))
+    # each closed-loop field's own rule, on a spec that may set it
     for name in experiments._SIMULATION_FIELDS:
-        with pytest.raises(SpecError, match=f"field '{name}'"):
-            spec_from_dict(base_spec(**{name: True}))
+        with pytest.raises(SpecError, match=f"field '{name}': expected"):
+            spec_from_dict(base_spec(protocol="multi-round", **{name: True}))
+
+
+@pytest.mark.parametrize("name", experiments._SIMULATION_FIELDS)
+def test_one_step_spec_refuses_each_closed_loop_field(name):
+    # SimConfig's own default, which a multi-round spec accepts: the refusal
+    # is the protocol's, not the field's rule
+    value = getattr(SimConfig(), name)
+    accepted = spec_from_dict(base_spec(protocol="multi-round", **{name: value}))
+    assert getattr(accepted.scenario, name) == value
+    with pytest.raises(SpecError, match=f"^field '{name}': a closed-loop field"):
+        spec_from_dict(base_spec(**{name: value}))
+
+
+def test_one_step_scenario_is_one_round_of_the_spec_world():
+    scenario = spec_from_dict(base_spec()).scenario
+    assert scenario.rounds == 1
+    assert (scenario.num_robots, scenario.fov_side, scenario.fly_length) == (3, 3.0, 7.0)
+    assert scenario.arena == Rect(0.0, 10.0, 0.0, 10.0)
+
+
+HUGE = 10**5000  # past Python's 4300-digit int-to-str limit
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: SimConfig(fly_length=HUGE), "fly_length"),
+        # rounds x fly_length leaves the float range, and the message shows rounds
+        (lambda: SimConfig(rounds=HUGE), "fly_length': .* within <int too long to print> rounds"),
+        (lambda: SimConfig(alpha=HUGE), "alpha"),
+        (lambda: spec_from_dict(base_spec(num_robots=HUGE, attackers=["greedy"])), "num_robots"),
+        (lambda: spec_from_dict(base_spec(trials=HUGE)), "trials"),
+        (lambda: spec_from_dict(base_spec(master_seed=-HUGE)), "master_seed"),
+        (lambda: spec_from_dict(base_spec(fly_length=HUGE)), "fly_length"),
+        (lambda: spec_from_dict(base_spec(num_targets={"start": HUGE, "stop": 1})), "num_targets"),
+        (lambda: spec_from_dict(base_spec(arena=[0, 10, HUGE])), "arena"),
+    ],
+    ids=[
+        "config-fly_length",
+        "config-rounds",
+        "config-alpha",
+        "num_robots",
+        "trials",
+        "master_seed",
+        "fly_length",
+        "num_targets",
+        "arena",
+    ],
+)
+def test_messages_show_integers_too_long_to_print(build, field):
+    # each raised a plain ValueError from formatting the value, naming no field
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match=f"^field '{field}"):
+        build()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_unknown_planner_or_attacker_names_the_value_and_the_choices():
@@ -153,7 +209,7 @@ def test_spec_just_inside_the_arithmetic_limits_runs():
     ):
         spec = spec_from_dict(base_spec(**overrides))
         rows = run_suite(spec)
-        assert len(rows) == len(spec.planners) * len(spec.attackers) * len(spec.alphas) * spec.trials * spec.simulation.get("rounds", 1)
+        assert len(rows) == len(spec.planners) * len(spec.attackers) * len(spec.alphas) * spec.trials * spec.scenario.rounds
         assert all(np.isfinite(row.f_full) for row in rows)
 
 
@@ -244,17 +300,18 @@ def test_multi_round_grid_bound_boundary_at_a_patched_cap(monkeypatch):
     # 2 robots: 8 trajectories and at most (4 * 2 - 1)^2 = 49 grid cells
     monkeypatch.setattr(matroid, "ENUMERATION_CAP", 49)
     two = {"num_robots": 2, "alphas": [0], "num_targets": [1], "trials": 1}
-    assert spec_from_dict(base_spec(**two, protocol="multi-round", rounds=1)).num_robots == 2
+    spec = spec_from_dict(base_spec(**two, protocol="multi-round", rounds=1))
+    assert spec.scenario.num_robots == 2
     monkeypatch.setattr(matroid, "ENUMERATION_CAP", 48)
     with pytest.raises(SpecError, match="'num_robots': the expected-detections grid.*cap of 48$"):
         spec_from_dict(base_spec(**two, protocol="multi-round", rounds=1))
     # a one-step world scores no grid
-    assert spec_from_dict(base_spec(**two)).num_robots == 2
+    assert spec_from_dict(base_spec(**two)).scenario.num_robots == 2
 
 
 def test_rounds_bound_no_work_and_documented_specs_pass_the_bound():
     spec = spec_from_dict(base_spec(protocol="multi-round", rounds=10**9))
-    assert spec.simulation["rounds"] == 10**9
+    assert spec.scenario.rounds == 10**9
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
     assert blocks
@@ -541,6 +598,42 @@ SIMULATION_FIELDS = (
     "target_speed",
     "velocity_jitter_std",
 )
+
+
+def test_each_multi_round_cell_replaces_the_scenario_cell_fields(monkeypatch):
+    configs = []
+    monkeypatch.setattr(
+        experiments,
+        "run_rounds",
+        lambda config: configs.append(config) or {name: [] for name in config.attackers},
+    )
+    spec = spec_from_dict(
+        base_spec(
+            protocol="multi-round",
+            num_targets=[4, 6],
+            alphas=[0, 2],
+            trials=2,
+            planners=["resilient", "random"],
+            attackers=["optimal", "none"],
+            rounds=3,
+            target_speed=0.5,
+        )
+    )
+    run_suite(spec)
+    assert configs == [
+        replace(
+            spec.scenario,
+            num_targets=m,
+            alpha=alpha,
+            planner=planner,
+            attackers=spec.attackers,
+            rng_seed=derive_trial_seed(spec.master_seed, trial),
+        )
+        for m in spec.num_targets
+        for alpha in spec.alphas
+        for trial in range(spec.trials)
+        for planner in spec.planners
+    ]
 
 
 def test_multi_round_spec_without_sim_fields_gets_sim_config_defaults(monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import helpers
 import oracles
 from resilient_tracking.adversary import ATTACKER_NAMES
+from resilient_tracking.errors import SpecError
 from resilient_tracking.geometry import Rect
 from resilient_tracking.planners import PLANNER_NAMES
 from resilient_tracking.simulation import (
@@ -307,11 +308,24 @@ def test_sim_config_validation():
     for flat in (Rect(0.0, 0.0, 0.0, 10.0), Rect(0.0, 10.0, 3.0, 3.0)):
         with pytest.raises(ValueError, match="arena"):
             SimConfig(arena=flat)
+    # not a Rect: used to end in an AttributeError on 'x_min'
+    for not_rect in ((0, 10, 0, 10), [0, 10, 0, 10], None):
+        with pytest.raises(SpecError, match="^field 'arena': expected a Rect"):
+            SimConfig(arena=not_rect)
     with pytest.raises(ValueError):
         SimConfig(fov_side=0.0)
     with pytest.raises(ValueError):
         SimConfig(fly_length=-0.5)
 
+
+
+def test_sim_config_holds_each_float_field_as_a_float():
+    # as a spec held its fields: an integer given for a float field is stored
+    # as the float its rule returns
+    config = SimConfig(fov_side=3, fly_length=7, target_speed=1)
+    assert [type(v) for v in (config.fov_side, config.fly_length, config.target_speed)] == [float] * 3
+    assert (config.fov_side, config.fly_length, config.target_speed) == (3.0, 7.0, 1.0)
+    assert type(config.num_robots) is int
 
 
 def test_sim_config_refuses_an_unhashable_planner_or_attacker_name():
