@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_choice, require_int
 from .matroid import require_enumerable
 from .objectives import evaluate_all
 
@@ -27,13 +28,6 @@ class AttackResult:
 
     removed: frozenset
     surviving_value: float
-
-
-def _removal_size(alpha: int, size: int) -> int:
-    """How many of ``size`` selected elements an attack removes: min(alpha, size)."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    return min(alpha, size)
 
 
 def attack_optimal(objective, members, alpha: int) -> AttackResult:
@@ -47,7 +41,7 @@ def attack_optimal(objective, members, alpha: int) -> AttackResult:
     """
     selected = frozenset(members)
     ordered = sorted(selected)
-    k = _removal_size(alpha, len(ordered))
+    k = min(require_int(alpha, "alpha", 0), len(ordered))
     require_enumerable("the removal sets", choose=(len(ordered), k))
     survivors = list(itertools.combinations(ordered, len(ordered) - k))[::-1]
     values = evaluate_all(objective, survivors)
@@ -62,7 +56,7 @@ def attack_greedy(objective, members, alpha: int) -> AttackResult:
     survivors = sorted(frozenset(members))
     removed = []
     value = None
-    for _ in range(_removal_size(alpha, len(survivors))):
+    for _ in range(min(require_int(alpha, "alpha", 0), len(survivors))):
         values = evaluate_all(
             objective, [survivors[:i] + survivors[i + 1 :] for i in range(len(survivors))]
         )
@@ -77,7 +71,7 @@ def attack_random(objective, members, alpha: int, rng_seed) -> AttackResult:
     """Uniformly random removal of min(alpha, |S|) distinct elements."""
     selected = frozenset(members)
     ordered = sorted(selected)
-    k = _removal_size(alpha, len(ordered))
+    k = min(require_int(alpha, "alpha", 0), len(ordered))
     removed = frozenset()
     if k:
         # nothing is drawn at k = 0, so no generator is built then
@@ -122,7 +116,4 @@ ATTACKER_NAMES = tuple(_ATTACKERS)
 
 def get_attacker(name: str):
     """The uniform adapter of attacker ``name``."""
-    try:
-        return _ATTACKERS[name]
-    except (KeyError, TypeError):  # an unhashable name is unknown too
-        raise ValueError(f"unknown attacker {name!r}; expected one of {ATTACKER_NAMES}") from None
+    return _ATTACKERS[require_choice(name, "attacker", ATTACKER_NAMES)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import attack_optimal
-from .errors import DegenerateObjective
+from .errors import DegenerateObjective, require_int
 from .matroid import PartitionMatroid, require_enumerable
 from .objectives import basis_grid
 from .planners import plan_bruteforce_maxmin, plan_resilient
@@ -117,10 +117,8 @@ def h_bound(n: int, alpha: int) -> float:
     Defined for n >= 1 and 0 <= alpha <= n-1 (at alpha = n the second term
     divides by zero and the guarantee is vacuous anyway).
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if alpha < 0 or alpha > n - 1:
-        raise ValueError(f"alpha must be in [0, {n - 1}], got {alpha}")
+    require_int(n, "n", 1)
+    require_int(alpha, "alpha", 0, n - 1)
     return max(1.0 / (1 + alpha), 1.0 / (n - alpha))
 
 

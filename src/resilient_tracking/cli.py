@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checks import run_bound_suite, run_property_suite
-from .errors import TrackingError
+from .errors import TrackingError, require_int
 from .experiments import (
     load_spec,
     objective_name,
@@ -50,8 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.jobs < 1:
-        raise TrackingError(f"--jobs must be at least 1, got {args.jobs}")
+    require_int(args.jobs, "--jobs", 1)
     spec = load_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, master_seed=FIELD_RULES["rng_seed"](args.seed, "master_seed"))
@@ -76,13 +75,9 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    for flag, value, minimum in (
-        ("--seed", args.seed, 0),
-        ("--instances", args.instances, 1),
-        ("--trials", args.trials, 1),
-    ):
-        if value < minimum:
-            raise TrackingError(f"{flag} must be at least {minimum}, got {value}")
+    require_int(args.seed, "--seed", 0)
+    require_int(args.instances, "--instances", 1)
+    require_int(args.trials, "--trials", 1)
     # the same bound on the amount of work as a spec's trials
     for flag, value in (("--instances", args.instances), ("--trials", args.trials)):
         require_enumerable(f"the checks of {flag} {value}", [value])

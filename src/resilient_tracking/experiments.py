@@ -62,12 +62,20 @@ from typing import get_type_hints
 import numpy as np
 
 from .adversary import ATTACKER_NAMES, get_attacker, score_attack
-from .errors import CsvFormatError, EnumerationCapExceeded, SpecError
+from .errors import (
+    CsvFormatError,
+    EnumerationCapExceeded,
+    SpecError,
+    require_choice,
+    require_int,
+    require_number,
+    shown,
+)
 from .geometry import Rect
 from .matroid import require_enumerable
 from .objectives import CoverageCount
 from .planners import PLANNER_NAMES, get_planner
-from .simulation import FIELD_RULES, SimConfig, require_int, require_number, run_rounds, shown
+from .simulation import FIELD_RULES, SimConfig, run_rounds
 from .worlds import DIRECTION_ORDER, sample_instance
 
 CSV_SCHEMA_VERSION = 1
@@ -123,12 +131,6 @@ def _fail(field: str, problem: str):
     raise SpecError(f"field {field!r}: {problem}")
 
 
-def _require_choice(value, field, choices) -> str:
-    if value not in choices:
-        _fail(field, f"expected one of {choices}, got {shown(value)}")
-    return value
-
-
 def _require_list(value, field, item) -> tuple:
     """A non-empty list whose every element passes ``item(element, field)``."""
     if not isinstance(value, list) or not value:
@@ -179,12 +181,12 @@ def _require_targets(value, field) -> tuple[int, ...]:
 # the field's value (None when it is missing) and its name.  A field that
 # sets a SimConfig field in every cell takes that field's rule.
 _SPEC_FIELDS = {
-    "protocol": partial(_require_choice, choices=("one-step", "multi-round")),
+    "protocol": partial(require_choice, choices=("one-step", "multi-round")),
     "num_targets": _require_targets,
     "alphas": partial(_require_list, item=FIELD_RULES["alpha"]),
     "trials": partial(require_int, minimum=1),
-    "planners": partial(_require_list, item=partial(_require_choice, choices=PLANNER_NAMES)),
-    "attackers": partial(_require_list, item=partial(_require_choice, choices=ATTACKER_NAMES)),
+    "planners": partial(_require_list, item=partial(require_choice, choices=PLANNER_NAMES)),
+    "attackers": partial(_require_list, item=partial(require_choice, choices=ATTACKER_NAMES)),
     "master_seed": FIELD_RULES["rng_seed"],
     "output": _optional_path,
 }
@@ -232,8 +234,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
 
     n = spec.scenario.num_robots
     for a in spec.alphas:
-        if a > n:
-            _fail("alphas", f"each alpha must be in [0, {shown(n)}], got {shown(a)}")
+        require_int(a, "alphas", maximum=n)
         # the exact enumerations' own cap checks, made before any cell runs;
         # both protocols give every robot the full four-direction menu
         if "brute-force" in spec.planners:

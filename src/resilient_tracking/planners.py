@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_choice, require_int
 from .matroid import PartitionMatroid, require_enumerable
 from .objectives import basis_grid, evaluate_extensions
 
@@ -41,8 +42,8 @@ class PlanResult:
     left open by the bait (all ``n`` for the greedy planner), the resilient
     and greedy planners make ``|T| + m * k(k-1)/2``: one per singleton, then
     the fill's rounds after its first, which reads the singletons.  For the
-    exhaustive planner it is the logical count ``bases * C(n, min(alpha,
-    n))`` of a per-basis optimal attack, not the grid evaluations it makes.
+    exhaustive planner it is the logical count ``bases * C(n, alpha)`` of a
+    per-basis optimal attack, not the grid evaluations it makes.
     ``maxmin_value`` is filled by the exhaustive planner (the worst-case
     surviving value of the returned basis) and None otherwise.
     """
@@ -51,15 +52,6 @@ class PlanResult:
     trace: AlgorithmTrace | None
     oracle_calls: int
     maxmin_value: float | None = None
-
-
-def _check_alpha(matroid: PartitionMatroid, alpha: int) -> None:
-    if not isinstance(alpha, (int, np.integer)):
-        raise ValueError(f"alpha must be an integer, got {alpha!r}")
-    if alpha < 0 or alpha > matroid.num_robots:
-        raise ValueError(
-            f"alpha must be in [0, {matroid.num_robots}], got {alpha}"
-        )
 
 
 def _singletons(matroid: PartitionMatroid, objective) -> dict:
@@ -148,7 +140,7 @@ def plan_resilient(matroid: PartitionMatroid, objective, alpha: int) -> PlanResu
     ``alpha`` may be any value in [0, number of robots]; at the upper end
     every selection can be wiped out and the guarantee is vacuous.
     """
-    _check_alpha(matroid, alpha)
+    require_int(alpha, "alpha", 0, matroid.num_robots)
     return _two_phase(matroid, objective, alpha)
 
 
@@ -175,21 +167,19 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
     subsets per basis must stay within ``ENUMERATION_CAP``.
 
     Every basis is scored at once on the basis grid (:func:`basis_grid`),
-    block by block: each block's worst case under removal of ``min(alpha,
-    n)`` robots comes from one keep/drop pass over the robots.  The grid's
+    block by block: each block's worst case under removal of ``alpha``
+    robots comes from one keep/drop pass over the robots.  The grid's
     C order is enumeration order, so the first ``argmax`` of each block and
     a strict running maximum across the blocks give the first maximizer,
     and its grid value is the worst case an optimal attack on it leaves.
     """
-    _check_alpha(matroid, alpha)
     n = matroid.num_robots
+    require_int(alpha, "alpha", 0, n)
     menus = [matroid.blocks[robot] for robot in matroid.robots]
-    work = require_enumerable(
-        "the max-min's attacked evaluations", map(len, menus), (n, min(alpha, n))
-    )
+    work = require_enumerable("the max-min's attacked evaluations", map(len, menus), (n, alpha))
     best = index = None
     for origin, block in basis_grid(objective, menus):
-        worst = block.worst_case(min(alpha, n))
+        worst = block.worst_case(alpha)
         at = np.unravel_index(int(np.argmax(worst)), worst.shape)
         if best is None or worst[at] > best:
             best, index = worst[at], np.add(origin, at)
@@ -217,7 +207,4 @@ PLANNER_NAMES = tuple(_PLANNERS)
 
 def get_planner(name: str):
     """The uniform adapter of planner ``name``."""
-    try:
-        return _PLANNERS[name]
-    except (KeyError, TypeError):  # an unhashable name is unknown too
-        raise ValueError(f"unknown planner {name!r}; expected one of {PLANNER_NAMES}") from None
+    return _PLANNERS[require_choice(name, "planner", PLANNER_NAMES)]

@@ -40,7 +40,7 @@ from functools import partial
 import numpy as np
 
 from .adversary import get_attacker, score_attack
-from .errors import SpecError
+from .errors import SpecError, require_int, require_number, shown
 from .geometry import Rect
 from .objectives import ExpectedDetections
 from .planners import get_planner
@@ -51,46 +51,6 @@ DEFAULT_ARENA = Rect(0.0, 10.0, 0.0, 10.0)
 # No standard normal draw of numpy's ziggurat sampler exceeds this in
 # magnitude: its tail draw r + x (r = 3.6542) needs x**2 < 2 * 53 * log(2).
 NORMAL_DRAW_BOUND = 12.3
-
-
-def _is_int(value) -> bool:
-    # JSON true and false load as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def shown(value) -> str:
-    """``repr(value)`` for a validation message, or its type where it cannot print.
-
-    ``repr`` raises on an integer past Python's int-to-str digit limit,
-    alone or inside a container; every caller-supplied value in a message
-    goes through here, so the message still names its field.
-    """
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to print>"
-
-
-def require_int(value, field: str, minimum=None) -> int:
-    """``value`` if it is an integer of at least ``minimum``; else :class:`SpecError`."""
-    if not _is_int(value):
-        raise SpecError(f"field {field!r}: expected an integer, got {shown(value)}")
-    if minimum is not None and value < minimum:
-        raise SpecError(f"field {field!r}: must be at least {minimum}, got {shown(value)}")
-    return value
-
-
-def require_number(value, field: str, minimum=None, strict=False) -> float:
-    """``value`` as a finite float at least (``strict``: above) ``minimum``."""
-    if not (isinstance(value, float) or _is_int(value)):
-        raise SpecError(f"field {field!r}: expected a number, got {shown(value)}")
-    # false for nan, infinities and integers past the float range
-    if not abs(value) <= sys.float_info.max:
-        raise SpecError(f"field {field!r}: must be finite, got {shown(value)}")
-    if minimum is not None and (value <= minimum if strict else value < minimum):
-        relation = "greater than" if strict else "at least"
-        raise SpecError(f"field {field!r}: must be {relation} {minimum}, got {shown(value)}")
-    return float(value)
 
 
 # The rule of each numeric SimConfig field, called as ``rule(value, field)``;
@@ -131,9 +91,7 @@ class SimConfig:
     ``num_robots``, the arena must be a :class:`Rect` of positive width and
     height, the planner and every attacker must be registered, and
     ``attackers`` may not be empty.  Every refusal is a :class:`SpecError`,
-    a ``ValueError`` whose message names the field, except an unknown
-    planner or attacker, which its registry lookup refuses with a
-    ``ValueError`` naming it.
+    a ``ValueError`` whose message names the field.
     """
 
     num_robots: int = 4
@@ -155,11 +113,7 @@ class SimConfig:
     def __post_init__(self):
         for name, rule in FIELD_RULES.items():
             object.__setattr__(self, name, rule(getattr(self, name), name))
-        if self.alpha > self.num_robots:
-            raise SpecError(
-                f"field 'alpha': must be at most num_robots = {shown(self.num_robots)}, "
-                f"got {shown(self.alpha)}"
-            )
+        require_int(self.alpha, "alpha", maximum=self.num_robots)
         arena = self.arena
         if not isinstance(arena, Rect) or arena.x_min >= arena.x_max or arena.y_min >= arena.y_max:
             raise SpecError(
@@ -208,18 +162,17 @@ def _arithmetic_problem(c: SimConfig) -> str | None:
     rounds = float(c.rounds) if c.rounds < 2**1023 else math.inf
     spread = 2.0 * rounds + 4.0
     noise = c.measurement_noise_std * NORMAL_DRAW_BOUND
+    # a zero rate adds nothing at any rounds, where inf * 0.0 would be nan
+    flown = rounds * c.fly_length if c.fly_length else 0.0
+    jitter = rounds * c.velocity_jitter_std * NORMAL_DRAW_BOUND if c.velocity_jitter_std else 0.0
     for quantity, terms in (
         (
             "coverage rectangles",
-            {"arena": reach, "fly_length": rounds * c.fly_length, "fov_side": c.fov_side / 2.0},
+            {"arena": reach, "fly_length": flown, "fov_side": c.fov_side / 2.0},
         ),
         (
             "target motion",
-            {
-                "arena": 7.0 * reach,
-                "target_speed": c.target_speed,
-                "velocity_jitter_std": rounds * c.velocity_jitter_std * NORMAL_DRAW_BOUND,
-            },
+            {"arena": 7.0 * reach, "target_speed": c.target_speed, "velocity_jitter_std": jitter},
         ),
         (
             "measurements and belief means",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_int
 from .geometry import Direction, Rect, UNIT_STEP
 from .matroid import PartitionMatroid
 
@@ -151,8 +152,8 @@ def sample_instance(
     robot draws its x, its y, its size and then (below four) its directions;
     the targets follow as x, y pairs.
     """
-    if any(size < 1 or size > len(DIRECTION_ORDER) for size in menu_sizes):
-        raise ValueError(f"menu sizes must be within 1..4, got {menu_sizes}")
+    for size in menu_sizes:
+        require_int(size, "menu_sizes", 1, len(DIRECTION_ORDER))
     positions, menus = [], []
     for _ in range(num_robots):
         positions.append(

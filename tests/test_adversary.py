@@ -155,9 +155,9 @@ def test_adapters_look_their_attack_up_on_the_module_when_called(monkeypatch):
 def test_every_attack_refuses_a_negative_alpha():
     f, members = cover_fixture()
     for attack in (attack_optimal, attack_greedy):
-        with pytest.raises(ValueError, match="alpha must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match="^field 'alpha': must be at least 0, got -1$"):
             attack(f, members, -1)
-    with pytest.raises(ValueError, match="alpha must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="^field 'alpha': must be at least 0, got -1$"):
         attack_random(f, members, -1, 0)
 
 

@@ -1,5 +1,7 @@
 """Planner behavior: bait phase, greedy fill, brute force, call budgets."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 import helpers
 import oracles
 from resilient_tracking import experiments, planners, simulation
-from resilient_tracking.adversary import attack_greedy, attack_optimal
+from resilient_tracking.adversary import attack_greedy, attack_optimal, attack_random
+from resilient_tracking.analysis import check_performance_bound, h_bound
+from resilient_tracking.errors import SpecError
 from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.planners import (
@@ -275,13 +279,38 @@ def test_random_planner_determinism_and_spread():
 
 
 def test_alpha_out_of_range_rejected():
+    # every entry point that takes alpha refuses a value the way a spec
+    # does: a SpecError naming the field, quickly, even for an integer
+    # too long to print
     matroid = PartitionMatroid({"r0": ["a"], "r1": ["b"]})
+    n = matroid.num_robots
     f = helpers.SetFunction(lambda s: float(len(s)))
-    for bad in (-1, 3, 0.5, "1"):
-        with pytest.raises((ValueError, TypeError)):
-            plan_resilient(matroid, f, bad)
-    with pytest.raises(ValueError):
-        plan_bruteforce_maxmin(matroid, f, -1)
+    members = frozenset(matroid.ground_set)
+    bounded = {
+        plan_resilient: lambda alpha: plan_resilient(matroid, f, alpha),
+        plan_bruteforce_maxmin: lambda alpha: plan_bruteforce_maxmin(matroid, f, alpha),
+        h_bound: lambda alpha: h_bound(n, alpha),
+        check_performance_bound: lambda alpha: check_performance_bound(matroid, f, alpha),
+    }
+    unbounded = {
+        attack_optimal: lambda alpha: attack_optimal(f, members, alpha),
+        attack_greedy: lambda alpha: attack_greedy(f, members, alpha),
+        attack_random: lambda alpha: attack_random(f, members, alpha, 0),
+    }
+    refused = (-1, 1.5, True, "1", np.int64(1), -(10**5000))
+    for entries, bad_values in ((bounded, (*refused, n + 1, 10**5000)), (unbounded, refused)):
+        for entry, call in entries.items():
+            for bad in bad_values:
+                start = time.perf_counter()
+                with pytest.raises(SpecError, match="^field 'alpha': "):
+                    call(bad)
+                assert time.perf_counter() - start < 0.5, (entry.__name__, type(bad))
+    # an attack has no upper bound: it removes min(alpha, |S|)
+    for call in unbounded.values():
+        assert call(10**5000).removed == members
+    for sizes in ((0,), (5,), (10**5000,)):
+        with pytest.raises(SpecError, match="^field 'menu_sizes': "):
+            sample_instance(np.random.default_rng(0), 2, 3, 3.0, 7.0, helpers.ARENA, sizes)
 
 
 def test_planner_registry():
