@@ -119,7 +119,8 @@ def h_bound(n: int, alpha: int) -> float:
     """
     require_int(n, "n", 1)
     require_int(alpha, "alpha", 0, n - 1)
-    return max(1.0 / (1 + alpha), 1.0 / (n - alpha))
+    # integer true division: correctly rounded for an n past the float range too
+    return max(1 / (1 + alpha), 1 / (n - alpha))
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,12 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from statistics import mean, pstdev
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -81,9 +81,12 @@ from .worlds import DIRECTION_ORDER, sample_instance
 CSV_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RecordRow:
-    """One scored (planner, attacker) outcome; the fields are the CSV columns."""
+class RecordRow(NamedTuple):
+    """One scored (planner, attacker) outcome; the fields are the CSV columns.
+
+    A named tuple, so a row costs what a tuple costs: immutable, hashable
+    and equal by value.  ``row._replace(field=value)`` gives an edited copy.
+    """
 
     trial: int
     round: int
@@ -99,7 +102,7 @@ class RecordRow:
     seed: int
 
 
-CSV_COLUMNS = tuple(column.name for column in fields(RecordRow))
+CSV_COLUMNS = RecordRow._fields
 _csv_values = attrgetter(*CSV_COLUMNS)
 _COLUMN_TYPES = tuple(get_type_hints(RecordRow)[name] for name in CSV_COLUMNS)
 
@@ -357,21 +360,10 @@ def _one_step_world(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[Record
                 attacked = get_attacker(attacker)(objective, result.selected, alpha, attacker_rng)
                 attack_ns = time.perf_counter_ns() - t1
                 f_att, rate = score_attack(f_full, attacked.surviving_value)
+                # by position, in the column order: half the cost of keywords
                 rows.append(
-                    RecordRow(
-                        trial=trial,
-                        round=1,
-                        planner=planner,
-                        attacker=attacker,
-                        m=m,
-                        alpha=alpha,
-                        f_full=f_full,
-                        f_attacked=f_att,
-                        attack_rate=rate,
-                        oracle_calls=result.oracle_calls,
-                        wall_time_micros=(plan_ns + attack_ns) // 1000,
-                        seed=trial_seed,
-                    )
+                    RecordRow(trial, 1, planner, attacker, m, alpha, f_full, f_att, rate,
+                              result.oracle_calls, (plan_ns + attack_ns) // 1000, trial_seed)
                 )
         keyed.append(((i, j, trial), rows))
     return keyed
@@ -398,20 +390,9 @@ def _multi_round_cell(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[Reco
         for attacker in spec.attackers:
             for record in records[attacker]:
                 rows.append(
-                    RecordRow(
-                        trial=trial,
-                        round=record.round_index,
-                        planner=planner,
-                        attacker=attacker,
-                        m=m,
-                        alpha=alpha,
-                        f_full=record.f_full,
-                        f_attacked=record.f_attacked,
-                        attack_rate=record.attack_rate,
-                        oracle_calls=record.oracle_calls,
-                        wall_time_micros=per_round_micros,
-                        seed=trial_seed,
-                    )
+                    RecordRow(trial, record.round_index, planner, attacker, m, alpha,
+                              record.f_full, record.f_attacked, record.attack_rate,
+                              record.oracle_calls, per_round_micros, trial_seed)
                 )
     return [((i, j, trial), rows)]
 
@@ -457,21 +438,20 @@ def objective_name(spec: ExperimentSpec) -> str:
 def write_csv(rows, path, objective: str = "coverage_count") -> None:
     """Write rows plus the completeness marker; str(value) round-trips floats.
 
-    The file is written under a temporary name in the same directory and
-    moved into place with ``os.replace``, so ``path`` never holds a
-    partial file.
+    The whole file is formatted first, so a row that cannot be formatted
+    fails before any file exists.  It is then written once under a
+    temporary name in the same directory and moved into place with
+    ``os.replace``, so ``path`` never holds a partial file.
     """
+    body = [",".join(map(str, _csv_values(row))) for row in rows]
+    marker = (
+        f"# status=complete schema={CSV_SCHEMA_VERSION} objective={objective} rows={len(rows)}"
+    )
+    text = "\n".join([",".join(CSV_COLUMNS), *body, marker, ""])
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in _csv_values(row)) + "\n")
-            fh.write(
-                f"# status=complete schema={CSV_SCHEMA_VERSION} "
-                f"objective={objective} rows={len(rows)}\n"
-            )
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -480,21 +460,23 @@ def write_csv(rows, path, objective: str = "coverage_count") -> None:
 
 _MARKER_ROWS = re.compile(r"^# status=complete .*\brows=(\d+)$")
 _MARKER_SCHEMA = re.compile(r" schema=(\S*)")
+_PLANNERS, _ATTACKERS = frozenset(PLANNER_NAMES), frozenset(ATTACKER_NAMES)
 
 
-def _impossible(row: RecordRow) -> str | None:
-    """Why ``write_csv`` could not have written ``row``, naming the field, or None.
+def _impossible(row: RecordRow) -> str:
+    """Why ``write_csv`` could not have written ``row``, naming the first bad field.
 
     An unknown planner or attacker, or a NaN or infinite value, so that a
-    summary never averages one.
+    summary never averages one; called only once ``read_csv`` has found one.
     """
     for name, names in (("planner", PLANNER_NAMES), ("attacker", ATTACKER_NAMES)):
         if getattr(row, name) not in names:
             return f"{name}: {getattr(row, name)!r} is not one of {names}"
-    for name in ("f_full", "f_attacked", "attack_rate"):
-        if not math.isfinite(getattr(row, name)):
-            return f"{name}: {getattr(row, name)!r} is not a finite number"
-    return None
+    name = next(
+        name for name in ("f_full", "f_attacked", "attack_rate")
+        if not math.isfinite(getattr(row, name))
+    )
+    return f"{name}: {getattr(row, name)!r} is not a finite number"
 
 
 def read_csv(path) -> list[RecordRow]:
@@ -535,12 +517,17 @@ def read_csv(path) -> list[RecordRow]:
                 f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}"
             )
         try:
-            row = RecordRow(*(parse(part) for parse, part in zip(_COLUMN_TYPES, parts)))
+            row = RecordRow._make([parse(part) for parse, part in zip(_COLUMN_TYPES, parts)])
         except ValueError as exc:
             raise CsvFormatError(f"line {lineno}: {exc}") from None
-        problem = _impossible(row)
-        if problem is not None:
-            raise CsvFormatError(f"line {lineno}: {problem}")
+        if not (
+            row.planner in _PLANNERS
+            and row.attacker in _ATTACKERS
+            and math.isfinite(row.f_full)
+            and math.isfinite(row.f_attacked)
+            and math.isfinite(row.attack_rate)
+        ):
+            raise CsvFormatError(f"line {lineno}: {_impossible(row)}")
         rows.append(row)
     if marker is None:
         raise CsvFormatError(

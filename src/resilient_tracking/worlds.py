@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_int
+from .errors import SpecError, require_int, shown
 from .geometry import Direction, Rect, UNIT_STEP
 from .matroid import PartitionMatroid
 
@@ -152,6 +152,8 @@ def sample_instance(
     robot draws its x, its y, its size and then (below four) its directions;
     the targets follow as x, y pairs.
     """
+    if len(menu_sizes) == 0:
+        raise SpecError(f"field 'menu_sizes': expected a size, got {shown(menu_sizes)}")
     for size in menu_sizes:
         require_int(size, "menu_sizes", 1, len(DIRECTION_ORDER))
     positions, menus = [], []

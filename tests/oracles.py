@@ -13,16 +13,23 @@ and scores with the package.  The world builders ``layout_reference``,
 ``build_instance_reference`` and ``sample_instance_reference`` are the
 package's builders as they were before sampled worlds were assembled from
 cached per-robot pieces: one loop over the robots per world, one row
-assignment per drawn position.
+assignment per drawn position.  ``read_csv_reference`` is the package's CSV
+reader as it was while rows were frozen dataclasses: it converts each field
+in a generator and checks a row's names and values one field at a time, and
+builds the package's ``RecordRow`` and ``CsvFormatError``.
 """
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from resilient_tracking.adversary import ATTACKER_NAMES, get_attacker, score_attack
+from resilient_tracking.errors import CsvFormatError
 from resilient_tracking.experiments import RecordRow
 from resilient_tracking.geometry import UNIT_STEP, Direction
 from resilient_tracking.matroid import PartitionMatroid
@@ -517,6 +524,73 @@ def one_step_rows_literal(spec):
                                 seed=trial_seed,
                             )
                         )
+    return rows
+
+
+def read_csv_reference(path):
+    """The rows of a results CSV, or :class:`CsvFormatError`, one field at a time."""
+    columns = RecordRow._fields
+    hints = get_type_hints(RecordRow)
+    column_types = [hints[name] for name in columns]
+
+    def impossible(row):
+        for name, names in (("planner", PLANNER_NAMES), ("attacker", ATTACKER_NAMES)):
+            if getattr(row, name) not in names:
+                return f"{name}: {getattr(row, name)!r} is not one of {names}"
+        for name in ("f_full", "f_attacked", "attack_rate"):
+            if not math.isfinite(getattr(row, name)):
+                return f"{name}: {getattr(row, name)!r} is not a finite number"
+        return None
+
+    rows = []
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise CsvFormatError(f"line {lineno}: not UTF-8: {exc}") from None
+    if not lines:
+        raise CsvFormatError("line 1: empty file, expected header")
+    if lines[0] != ",".join(columns):
+        raise CsvFormatError(f"line 1: bad header {lines[0]!r}")
+    marker = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        if marker is not None:
+            raise CsvFormatError(f"line {lineno}: content after the completeness marker")
+        if line.startswith("# status=complete"):
+            marker = (lineno, line)
+            continue
+        if line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise CsvFormatError(f"line {lineno}: expected {len(columns)} fields, got {len(parts)}")
+        try:
+            row = RecordRow(*(parse(part) for parse, part in zip(column_types, parts)))
+        except ValueError as exc:
+            raise CsvFormatError(f"line {lineno}: {exc}") from None
+        problem = impossible(row)
+        if problem is not None:
+            raise CsvFormatError(f"line {lineno}: {problem}")
+        rows.append(row)
+    if marker is None:
+        raise CsvFormatError(
+            f"line {len(lines) + 1}: no '# status=complete ... rows=N' marker; "
+            "the file is incomplete"
+        )
+    lineno, line = marker
+    schema = re.search(r" schema=(\S*)", line)
+    if schema is None or schema.group(1) != "1":
+        raise CsvFormatError(
+            f"line {lineno}: marker {line!r} is not schema 1; this reader reads no other"
+        )
+    match = re.match(r"^# status=complete .*\brows=(\d+)$", line)
+    if match is None or int(match.group(1)) != len(rows):
+        raise CsvFormatError(
+            f"line {lineno}: marker {line!r} does not match the {len(rows)} rows read"
+        )
     return rows
 
 

@@ -96,6 +96,16 @@ def test_h_bound_exact_as_fractions():
             assert h_bound(n, alpha) == pytest.approx(float(want), abs=1e-15)
 
 
+def test_h_bound_divides_integers_exactly_past_the_float_range():
+    # integer true division gives the floats of float division below 2**53
+    for n in range(1, 201):
+        for alpha in range(n):
+            assert h_bound(n, alpha) == max(1.0 / (1 + alpha), 1.0 / (n - alpha))
+    assert h_bound(10**400, 1) == 0.5
+    assert h_bound(10**400, 10**400 - 1) == 1.0
+    assert h_bound(10**400, 10**399) == 0.0
+
+
 def test_h_bound_domain_errors():
     for n, alpha in ((0, 0), (3, -1), (3, 3), (3, 7), (-1, 0)):
         with pytest.raises(ValueError):

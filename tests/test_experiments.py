@@ -1,16 +1,21 @@
 """Experiment specs, suite execution, CSV round trips, summaries."""
 
 import concurrent.futures
+import itertools
 import json
 import math
 import re
+import sys
 import time
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from resilient_tracking import experiments, matroid, simulation
@@ -377,14 +382,14 @@ def test_suite_rows_reproducible_modulo_wall_time():
     spec = spec_from_dict(base_spec())
     a = run_suite(spec)
     b = run_suite(spec)
-    strip = lambda r: replace(r, wall_time_micros=0)  # noqa: E731
+    strip = lambda r: r._replace(wall_time_micros=0)  # noqa: E731
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
 def test_early_trials_unchanged_when_trials_grow():
     small = run_suite(spec_from_dict(base_spec(trials=2)))
     large = run_suite(spec_from_dict(base_spec(trials=4)))
-    strip = lambda r: replace(r, wall_time_micros=0)  # noqa: E731
+    strip = lambda r: r._replace(wall_time_micros=0)  # noqa: E731
     assert [strip(r) for r in large if r.trial < 2] == [strip(r) for r in small]
 
 
@@ -392,7 +397,7 @@ def test_parallel_matches_serial():
     spec = spec_from_dict(base_spec(trials=4))
     serial = run_suite(spec, jobs=1)
     parallel = run_suite(spec, jobs=3)
-    strip = lambda r: replace(r, wall_time_micros=0)  # noqa: E731
+    strip = lambda r: r._replace(wall_time_micros=0)  # noqa: E731
     assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
 
@@ -417,7 +422,7 @@ def test_jobs_never_ask_for_more_workers_than_cells_or_cpus(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
     three_cells = spec_from_dict(base_spec(trials=3))
-    strip = lambda r: replace(r, wall_time_micros=0)  # noqa: E731
+    strip = lambda r: r._replace(wall_time_micros=0)  # noqa: E731
     serial = [strip(r) for r in run_suite(three_cells, jobs=1)]
     assert asked == []
     assert [strip(r) for r in run_suite(three_cells, jobs=5000)] == serial
@@ -442,7 +447,7 @@ def test_one_step_rows_match_the_literal_cell_loop(trials, jobs):
             attackers=list(ATTACKER_NAMES),
         )
     )
-    got = [replace(r, wall_time_micros=0) for r in run_suite(spec, jobs=jobs)]
+    got = [r._replace(wall_time_micros=0) for r in run_suite(spec, jobs=jobs)]
     assert got == oracles.one_step_rows_literal(spec)
 
 
@@ -783,6 +788,140 @@ def test_read_csv_rejects_malformed_files(tmp_path):
                 reader(impossible)
     impossible.write_text("\n".join([good_header, good, good, marker, ""]))
     assert len(read_csv(impossible)) == 2
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 0.1)
+
+
+def csv_rows():
+    """RecordRows write_csv can write: any integers, registered names, finite floats."""
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    return st.builds(
+        RecordRow,
+        trial=st.integers(),
+        round=st.integers(),
+        planner=st.sampled_from(PLANNER_NAMES),
+        attacker=st.sampled_from(ATTACKER_NAMES),
+        m=st.integers(),
+        alpha=st.integers(),
+        f_full=floats,
+        f_attacked=floats,
+        attack_rate=floats,
+        oracle_calls=st.integers(),
+        wall_time_micros=st.integers(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+
+
+# every registered planner against every registered attacker, each float
+# at an edge of the float range and the seed at the top of its 64 bits
+EDGE_ROWS = [
+    RecordRow(
+        k, 1, planner, attacker, 5, 1,
+        EDGE_FLOATS[k % 7], EDGE_FLOATS[(k + 1) % 7], EDGE_FLOATS[(k + 2) % 7],
+        k, 0, 2**64 - 1 - k,
+    )
+    for k, (planner, attacker) in enumerate(itertools.product(PLANNER_NAMES, ATTACKER_NAMES))
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(csv_rows(), max_size=12))
+@example(EDGE_ROWS)
+def test_csv_round_trip_keeps_every_value_and_its_repr(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("round_trip") / "rows.csv"
+    write_csv(rows, path)
+    loaded = read_csv(path)
+    assert loaded == rows
+    # -0.0 == 0.0, so equal rows could still differ in a float's sign
+    assert [list(map(repr, row)) for row in loaded] == [list(map(repr, row)) for row in rows]
+    assert all(type(row) is RecordRow for row in loaded)
+
+
+GOLDEN_CSVS = sorted((Path(__file__).parent / "data").glob("golden_*.csv"))
+
+
+def read_outcome(reader, path):
+    """The rows ``reader`` reads from ``path``, or its CsvFormatError's text."""
+    try:
+        return reader(path)
+    except CsvFormatError as exc:
+        return f"CsvFormatError: {exc}"
+
+
+def mutated(text, lineno, column=None, value=None):
+    """``text`` with line ``lineno`` (1-based) changed.
+
+    With a column, that field becomes ``value``, or is dropped when
+    ``value`` is None; without one the whole line becomes ``value``.
+    """
+    lines = text.splitlines()
+    if column is None:
+        lines[lineno - 1] = value
+    else:
+        parts = lines[lineno - 1].split(",")
+        if value is None:
+            del parts[column]
+        else:
+            parts[column] = value
+        lines[lineno - 1] = ",".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def edit(lineno, column, value):
+    return partial(mutated, lineno=lineno, column=CSV_COLUMNS.index(column), value=value)
+
+
+MUTATIONS = {
+    "unchanged": lambda text: text,
+    "short row": edit(3, "seed", None),
+    "bad number": edit(4, "oracle_calls", "1.5"),
+    **{f"non-finite {column}": edit(5, column, "-inf") for column in CSV_COLUMNS[6:9]},
+    **{f"unknown {column}": edit(2, column, "worst") for column in ("planner", "attacker")},
+    "bad marker": lambda text: mutated(
+        text, len(text.splitlines()), value=text.splitlines()[-1].replace("schema=1", "schema=2")
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("golden", GOLDEN_CSVS, ids=lambda path: path.stem)
+def test_read_csv_matches_the_per_field_reader(tmp_path, golden, mutation):
+    path = tmp_path / golden.name
+    path.write_text(MUTATIONS[mutation](golden.read_text()), encoding="utf-8")
+    got = read_outcome(read_csv, path)
+    assert got == read_outcome(oracles.read_csv_reference, path)
+    assert isinstance(got, list) == (mutation == "unchanged")
+
+
+# values of each kind the reader must take or refuse, in any column
+CSV_TOKENS = (
+    "", "x", "1.5", "-0.0", "5e-324", "1e400", "nan", "inf", "-inf", "0x10", "1_000",
+    " 7", "\u0661", "Greedy", "worst", "resilient", "optimal", "18446744073709551616",
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    golden=st.sampled_from(GOLDEN_CSVS),
+    edits=st.lists(
+        st.tuples(
+            st.integers(2, 30),
+            st.integers(0, len(CSV_COLUMNS) - 1),
+            st.sampled_from((None, *CSV_TOKENS)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_read_csv_matches_the_per_field_reader_on_random_edits(tmp_path_factory, golden, edits):
+    text = golden.read_text()
+    for lineno, column, value in edits:
+        lineno = min(lineno, len(text.splitlines()) - 1)
+        text = mutated(text, lineno, column, value)
+    path = tmp_path_factory.mktemp("edited") / golden.name
+    path.write_text(text, encoding="utf-8")
+    assert read_outcome(read_csv, path) == read_outcome(oracles.read_csv_reference, path)
 
 
 def test_read_csv_refuses_a_truncated_file(tmp_path):

@@ -308,9 +308,13 @@ def test_alpha_out_of_range_rejected():
     # an attack has no upper bound: it removes min(alpha, |S|)
     for call in unbounded.values():
         assert call(10**5000).removed == members
-    for sizes in ((0,), (5,), (10**5000,)):
+    for sizes in ((), (0,), (5,), (10**5000,), np.array([2, 3])):
+        rng = np.random.default_rng(0)
+        start = rng.bit_generator.state
         with pytest.raises(SpecError, match="^field 'menu_sizes': "):
-            sample_instance(np.random.default_rng(0), 2, 3, 3.0, 7.0, helpers.ARENA, sizes)
+            sample_instance(rng, 2, 3, 3.0, 7.0, helpers.ARENA, sizes)
+        # refused before any draw
+        assert rng.bit_generator.state == start
 
 
 def test_planner_registry():
