@@ -83,29 +83,30 @@ def _grid_witness(matroid, objective, singleton):
     """First (basis, element) with the smallest ratio, scored on the grid.
 
     Block by block, each basis's full value minus its value without each
-    robot is divided by the singletons; a strict running minimum over
-    robots keeps each basis's first minimal member, the first ``argmin``
-    keeps the block's first minimal basis (C order is enumeration order),
-    and a strict running minimum over the blocks in order keeps the first
-    minimal basis of the grid.
+    robot, divided by that robot's singleton, fills an ``(n, *block.shape)``
+    array, one contiguous slab per robot, with +inf where the singleton is
+    zero (an element that is skipped).  The first ``argmin`` of its minimum
+    over the robots is the block's first minimal basis (C order is
+    enumeration order), and the first ``argmin`` over the robots at that
+    basis its first minimal robot: the first pair in C order over (basis,
+    robot).  A strict running minimum over the blocks in order keeps the
+    first minimal basis of the grid.
     """
     menus = [matroid.blocks[robot] for robot in matroid.robots]
+    n = len(menus)
     witness = None
     for origin, block in basis_grid(objective, menus):
         full, without = block.leave_one_out()
-        best = np.full(block.shape, np.inf)
-        best_robot = np.zeros(block.shape, dtype=np.intp)
+        ratio = np.full((n, *block.shape), np.inf)
         for r, menu in enumerate(block.menus):
-            loss = full - without[r]
-            # a zero singleton is skipped: its NaN ratio never compares lower
-            single = np.array([singleton[tid] or np.nan for tid in menu], dtype=float)
-            ratio = loss / single.reshape([-1 if s == r else 1 for s in range(len(menus))])
-            lower = ratio < best
-            best = np.where(lower, ratio, best)
-            best_robot = np.where(lower, r, best_robot)
+            single = np.array([singleton[tid] for tid in menu], dtype=float)
+            single = single.reshape([-1 if s == r else 1 for s in range(n)])
+            np.divide(full - without[r], single, out=ratio[r], where=single != 0)
+        best = ratio.min(axis=0)
         at = np.unravel_index(int(np.argmin(best)), best.shape)
         if witness is None or best[at] < witness[0]:
-            witness = best[at], np.add(origin, at), int(best_robot[at])
+            robot = int(np.argmin(ratio[(slice(None), *at)]))
+            witness = best[at], np.add(origin, at), robot
     _, index, robot = witness
     basis = frozenset(menu[i] for menu, i in zip(menus, index))
     return basis, menus[robot][index[robot]]

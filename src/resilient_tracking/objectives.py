@@ -68,7 +68,11 @@ and every basis's full and leave-one-out values (prefix and suffix
 unions).  A :class:`CoverageCount` ORs and counts its packed masks there
 (``menu_tables``), sharing each OR among all the unions that contain it;
 any other objective scores every combination of the listed robots' menus
-with :func:`evaluate_all`.
+with :func:`evaluate_all`.  A :class:`CoverageCount` also keeps its last
+grid that fits in one block, keyed by the block cap and the menus, with
+the suffix unions built on it so far, read-only: one world's max-min at
+every alpha and its curvature share one layout, and the kept grid is no
+larger than one call's peak and lives as long as the objective.
 """
 
 from __future__ import annotations
@@ -160,6 +164,8 @@ class CoverageCount:
         self._masks = {
             tid: int.from_bytes(bytes(row), "little") for tid, row in zip(ids, packed)
         }
+        # basis_grid's last one-block grid: {(block cap, menus): block}
+        self._grids = {}
 
     def evaluate(self, members: Iterable[str]) -> int:
         return self.evaluate_all((members,))[0]
@@ -197,7 +203,8 @@ class CoverageCount:
         ``uint64`` words per trajectory, target ``j`` in bit ``j % 64`` of
         word ``j // 64``.  So a union of tables broadcasts to the grid
         points of its robots with the words outermost, and no operation's
-        innermost axis is the word axis.
+        innermost axis is the word axis.  The tables are read-only views
+        of one array.
         """
         words, masks = self._words, self._masks
         try:
@@ -208,6 +215,7 @@ class CoverageCount:
             raise _missing_rect(missing.args[0]) from None
         # (W, trajectories), one C-contiguous copy when there is more than one word
         rows = np.ascontiguousarray(np.frombuffer(packed, dtype="<u8").reshape(-1, words).T)
+        rows.flags.writeable = False
         tables, stop = [], 0
         for r, menu in enumerate(menus):
             start, stop = stop, stop + len(menu)
@@ -294,6 +302,8 @@ class _CoverageBlock(_GridBlock):
 
     ``finish`` ORs the prefix with the suffix ``tables[r:]``; the suffixes
     are built from the last robot back, once, as far as they are asked for.
+    Tables and suffixes are read-only, since ``basis_grid`` may hand one
+    block to many calls.
     """
 
     def __init__(self, objective: CoverageCount, menus):
@@ -320,7 +330,9 @@ class _CoverageBlock(_GridBlock):
                 return np.zeros((1,) * n, dtype=np.uint8)
             return _count(prefix)
         while len(suffixes) < n - r:
-            suffixes.append(self.tables[n - 1 - len(suffixes)] | suffixes[-1])
+            suffix = self.tables[n - 1 - len(suffixes)] | suffixes[-1]
+            suffix.flags.writeable = False
+            suffixes.append(suffix)
         suffix = suffixes[n - 1 - r]
         return _count(suffix if prefix is None else prefix | suffix)
 
@@ -386,9 +398,29 @@ def basis_grid(objective, menus: Sequence[Sequence[str]]):
     other objective.  A caller that keeps a strict running maximum or
     minimum over the blocks in order breaks ties as one pass over the whole
     grid would, by the first basis in C order.
+
+    A :class:`CoverageCount` keeps the grid when it fits in one block, keyed
+    by ``(block cap, menus as tuples)``, and hands the same block to every
+    later call with that key, so the max-min at each alpha and the
+    curvature of one world lay its tables out once, and the suffix unions
+    one call built serve the next.  Only the last such grid is kept: the
+    cache holds no more than one call holds at its peak, and it lives as
+    long as the objective.  Its tables and suffixes are read-only, and no
+    block refers back to the objective.  The kept block adds suffixes as
+    calls ask for them, so two threads must not enumerate on one objective
+    at once.  A grid of several blocks, and any other objective's grid, is
+    built anew on every call.
     """
     if isinstance(objective, CoverageCount):
         kind, cap = _CoverageBlock, BLOCK_CELLS // objective._words
+        if math.prod(map(len, menus)) <= cap:
+            key = (cap, tuple(map(tuple, menus)))
+            grids = objective._grids
+            if key not in grids:
+                grids.clear()
+                grids[key] = _CoverageBlock(objective, key[1])
+            yield (0,) * len(menus), grids[key]
+            return
     else:
         kind, cap = _SetBlock, BLOCK_CELLS
     for origin, run in _block_menus(menus, cap):

@@ -11,7 +11,9 @@ of a per-basis optimal attack.  The max-min value is read off the grid and
 must be, bit for bit, what ``attack_optimal`` leaves of the chosen basis.
 The grid comes in blocks of at most about ``objectives.BLOCK_CELLS`` words;
 shrinking that constant to a few words must change no selection, witness
-or value, ties included.
+or value, ties included.  A ``CoverageCount`` keeps its last one-block grid,
+so one objective asked again, at any alpha and cap, must answer as a fresh
+one does.
 """
 
 import gc
@@ -256,6 +258,19 @@ def assert_grid_paths_match_the_oracles(matroid, cov, alphas):
         )
 
 
+def assert_blocks_cut_c_order(objective, menus, cap):
+    """The blocks cut C order into consecutive runs of at most ``max(1, cap)`` bases."""
+    bases = list(itertools.product(*menus))
+    start = 0
+    for origin, block in objectives.basis_grid(objective, menus):
+        run = list(itertools.product(*block.menus))
+        assert 1 <= len(run) <= max(1, cap)
+        assert bases[start : start + len(run)] == run
+        assert bases.index(tuple(m[i] for m, i in zip(menus, origin))) == start
+        start += len(run)
+    assert start == len(bases)
+
+
 @PROPERTY_SETTINGS
 @given(
     instance=instances,
@@ -273,17 +288,8 @@ def test_chunked_grid_matches_the_whole_grid_and_the_oracles(instance, block_cel
 
     with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
         for objective in (cov, helpers.SetFunction(cov.evaluate)):
-            # the blocks cut C order into consecutive runs of bounded size
             cap = block_cells // cov._words if objective is cov else block_cells
-            bases = list(itertools.product(*menus))
-            start = 0
-            for origin, block in objectives.basis_grid(objective, menus):
-                run = list(itertools.product(*block.menus))
-                assert 1 <= len(run) <= max(1, cap)
-                assert bases[start : start + len(run)] == run
-                assert bases.index(tuple(m[i] for m, i in zip(menus, origin))) == start
-                start += len(run)
-            assert start == len(bases)
+            assert_blocks_cut_c_order(objective, menus, cap)
 
             chunked = plan_bruteforce_maxmin(matroid, objective, alpha)
             assert chunked.selected == whole.selected
@@ -349,13 +355,115 @@ def test_one_robot_single_item_menus_and_every_robot_removed(menu_sizes):
 
 
 def test_exact_enumerations_leave_no_reference_cycles():
-    # a cycle would hold the masks until the cyclic collector runs
+    # a cycle would hold the masks until the cyclic collector runs; each
+    # call runs twice, the second one on the grid the first one kept
     matroid, cov = random_coverage(5, [4, 3, 4, 2], num_targets=100)
     gc.collect()
     gc.disable()
     try:
-        plan_bruteforce_maxmin(matroid, cov, 2)
-        constrained_curvature(matroid, cov)
+        for _ in range(2):
+            plan_bruteforce_maxmin(matroid, cov, 2)
+        for _ in range(2):
+            constrained_curvature(matroid, cov)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def exact_answer(matroid, objective, call):
+    """What the max-min at alpha ``call``, or the curvature, reports."""
+    if call == "curvature":
+        try:
+            return constrained_curvature(matroid, objective)
+        except DegenerateObjective:
+            return "degenerate"
+    plan = plan_bruteforce_maxmin(matroid, objective, call)
+    return plan.selected, repr(plan.maxmin_value), plan.oracle_calls
+
+
+@PROPERTY_SETTINGS
+@given(
+    instance=instances,
+    block_cells=st.sampled_from([1, 3, 8, 40, 1 << 12]),
+    data=st.data(),
+)
+def test_one_objective_asked_again_answers_as_a_fresh_one(instance, block_cells, data):
+    seed, menu_sizes, num_targets, spread = instance
+    matroid, cov = random_coverage(seed, menu_sizes, num_targets, spread)
+    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    alphas = range(matroid.num_robots + 1)
+    calls = data.draw(st.permutations([*alphas, "curvature", "curvature"]))
+
+    def assert_each_call_matches_a_fresh_objective():
+        for call in calls:
+            fresh = random_coverage(seed, menu_sizes, num_targets, spread)[1]
+            assert exact_answer(matroid, cov, call) == exact_answer(matroid, fresh, call)
+
+    assert_each_call_matches_a_fresh_objective()
+    # a smaller cap after a grid kept at the default one: the blocks still
+    # respect it and the answers do not change
+    with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+        assert_blocks_cut_c_order(cov, menus, block_cells // cov._words)
+        assert_each_call_matches_a_fresh_objective()
+    assert_blocks_cut_c_order(cov, menus, objectives.BLOCK_CELLS // cov._words)
+    assert_each_call_matches_a_fresh_objective()
+
+
+def test_a_one_block_grid_is_laid_out_once_per_cap():
+    matroid, cov = random_coverage(6, [3, 2, 4], num_targets=60)
+    laid_out = mock.Mock(wraps=cov.menu_tables)
+    with mock.patch.object(cov, "menu_tables", laid_out):
+        for alpha in range(4):
+            plan_bruteforce_maxmin(matroid, cov, alpha)
+        constrained_curvature(matroid, cov)
+        assert laid_out.call_count == 1
+        # a cap that still holds the grid in one block is a new key
+        with mock.patch.object(objectives, "BLOCK_CELLS", 24):
+            plan_bruteforce_maxmin(matroid, cov, 1)
+            constrained_curvature(matroid, cov)
+        assert laid_out.call_count == 2
+        # a grid of several blocks is laid out anew, block by block, each call
+        with mock.patch.object(objectives, "BLOCK_CELLS", 8):
+            plan_bruteforce_maxmin(matroid, cov, 1)
+            assert laid_out.call_count == 5
+            plan_bruteforce_maxmin(matroid, cov, 1)
+            assert laid_out.call_count == 8
+        # only the last one-block grid is kept
+        plan_bruteforce_maxmin(matroid, cov, 1)
+        assert laid_out.call_count == 9
+
+
+def test_a_kept_grid_cannot_be_written():
+    matroid, cov = random_coverage(7, [3, 2, 4, 2], num_targets=100)
+    plan_bruteforce_maxmin(matroid, cov, 1)
+    constrained_curvature(matroid, cov)
+    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    ((_, block),) = objectives.basis_grid(cov, menus)
+    assert len(block._suffixes) == 3
+    for array in (*block.tables, *block._suffixes):
+        with pytest.raises(ValueError):
+            array[...] = 0
+        with pytest.raises(ValueError):
+            np.bitwise_or(array, array, out=array)
+
+
+def test_witness_skips_a_robot_of_zero_singletons_and_breaks_ties_in_order():
+    # r0 covers nothing; every other trajectory covers two targets of its
+    # own, so every ratio outside r0 is 1 and the first basis's r1 member
+    # is the witness.  A zero singleton left as NaN would be argmin's pick.
+    blocks = {"r0": ["a", "b"], "r1": ["c", "d", "e"], "r2": ["f", "g"]}
+    matroid = PartitionMatroid(blocks)
+    rects, targets = {"a": Rect(50, 51, 50, 51), "b": Rect(60, 61, 60, 61)}, []
+    for k, tid in enumerate("cdefg"):
+        rects[tid] = Rect(2 * k, 2 * k + 1, 0, 1)
+        targets += [(2 * k + 0.25, 0.5), (2 * k + 0.75, 0.5)]
+    cov = helpers.coverage(targets, rects)
+    ratio, basis, member = oracles.curvature_witness_bruteforce(blocks, cov.evaluate)
+    assert (ratio, basis, member) == (1.0, frozenset("acf"), "c")
+    for block_cells in (objectives.BLOCK_CELLS, 1, 5):
+        with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+            for objective in (cov, helpers.SetFunction(cov.evaluate)):
+                report = constrained_curvature(matroid, objective)
+                assert (report.witness_set, report.witness_element) == (basis, member)
+                assert report.value == 0.0
+                assert report.skipped_zero_elements == ("a", "b")
