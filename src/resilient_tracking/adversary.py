@@ -4,10 +4,12 @@ An attack removes trajectories from a selection; the attacked value is the
 objective on the survivors.  ``attack_optimal`` is the exact worst case,
 ``attack_greedy`` a myopic approximation, ``attack_random`` a baseline.
 Ties break lexicographically on sorted trajectory ids (for the exhaustive
-search: combination order), first winner kept.  The exact and greedy
-attacks score their candidate removals with ``objectives.evaluate_all``,
-and the surviving value is the chosen removal's score.  ``score_attack``
-turns an attack into the recorded attacked value and attack rate.
+search: combination order), first winner kept.  The exact attack scores
+its candidate removals with ``objectives.evaluate_all``; the greedy attack
+asks ``objectives.best_removal`` for each round's choice, the first
+minimum over the survivors less one member in sorted order.  Either way the
+surviving value is the chosen removal's score.  ``score_attack`` turns an
+attack into the recorded attacked value and attack rate.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import require_choice, require_int
 from .matroid import require_enumerable
-from .objectives import evaluate_all
+from .objectives import best_removal, evaluate_all
 
 
 @dataclass(frozen=True)
@@ -52,16 +54,21 @@ def attack_optimal(objective, members, alpha: int) -> AttackResult:
 
 
 def attack_greedy(objective, members, alpha: int) -> AttackResult:
-    """Myopic attack: repeatedly remove the single most damaging element."""
+    """Myopic attack: repeatedly remove the single most damaging element.
+
+    Each round is one ``best_removal`` call on the survivors in sorted
+    order, which removes the first member whose loss leaves the least.  A
+    :class:`~.objectives.CoverageCount` answers it with prefix and suffix
+    ORs, O(k) for k survivors, so an attack on a basis of n robots costs
+    O(alpha * n) ORs; any other objective scores every leave-one-out list
+    with ``evaluate_all``, as one round always did.
+    """
     survivors = sorted(frozenset(members))
     removed = []
     value = None
     for _ in range(min(require_int(alpha, "alpha", 0), len(survivors))):
-        values = evaluate_all(
-            objective, [survivors[:i] + survivors[i + 1 :] for i in range(len(survivors))]
-        )
-        value = min(values)
-        removed.append(survivors.pop(values.index(value)))
+        position, value = best_removal(objective, survivors)
+        removed.append(survivors.pop(position))
     if value is None:
         value = objective.evaluate(frozenset(survivors))
     return AttackResult(removed=frozenset(removed), surviving_value=float(value))

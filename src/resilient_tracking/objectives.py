@@ -30,29 +30,42 @@ Objective protocol
 ------------------
 An objective is any object with ``evaluate(members) -> float``.  Choices
 are scored with :func:`evaluate_all`, which takes a list of sets and
-returns their values in order: the attacks' candidate removals (an
-attack's surviving value is its chosen set's score) and the exhaustive
+returns their values in order: the optimal attack's candidate removals
+(its surviving value is its chosen set's score) and the exhaustive
 enumerations of any objective but :class:`CoverageCount`.  An object with
 an ``evaluate_all`` method scores the sets itself; any other object is
 evaluated one set at a time through ``evaluate``.  The planners' singleton
-pass and fill rounds score one-element extensions of a kept set with
+pass scores one-element extensions of a kept set with
 :func:`evaluate_extensions`: ``base`` plus each candidate, in order.  An
 object with an ``evaluate_extensions`` method scores them itself; any
 other object falls back to ``evaluate_all`` of the sets ``(*base, t)``.
 
+Two calls ask for a choice, not for every value, and return the
+``(position, value)`` of the first optimum: :func:`best_extension`, the
+first maximum over ``base`` plus each candidate (a greedy-fill round), and
+:func:`best_removal`, the first minimum over the members less one member
+(a greedy-attack round).  An object with the method of that name chooses
+itself; any other object takes the first maximum of
+:func:`evaluate_extensions`, or the first minimum of :func:`evaluate_all`
+on the leave-one-out lists in member order, so it scores and counts
+exactly the sets it did before.  No candidate or member raises ValueError,
+as ``max()`` and ``min()`` of nothing do.
+
 Each objective class has one union rule, so a set's value is the same bit
 for bit however it is asked for.  :class:`CoverageCount` counts the bits
 of the OR of its members' masks: ``evaluate_all`` takes that union per
-set, and ``evaluate_extensions`` takes the base's union once and ORs each
-candidate into it.  :class:`ExpectedDetections` paints its members' cells
-in ``evaluate_all`` and has no ``evaluate_extensions``.  Each class's
-``evaluate`` is the one-set case of its ``evaluate_all``.  ``evaluate``
-serves the values reported on their own: a selection's full value, the
-curvature, the property checks.  The objective classes are deliberately not
-callable: the benchmark's tracer and its ``--fault perturb`` control
-replace ``evaluate`` on the class, so a value that bypassed the method
-would go unseen by both.  They therefore see reported values only, not
-the scoring of choices.
+set; ``evaluate_extensions`` and ``best_extension`` take the base's union
+once and OR each candidate into it; ``best_removal`` ORs the suffixes once
+from the back and grows a prefix, so it costs O(k) ORs for k members where
+scoring every leave-one-out set costs k(k-1).  :class:`ExpectedDetections`
+paints its members' cells in ``evaluate_all`` and has no method of the
+other three.  Each class's ``evaluate`` is the one-set case of its
+``evaluate_all``.  ``evaluate`` serves the values reported on their own: a
+selection's full value, the curvature, the property checks.  The objective
+classes are deliberately not callable: the benchmark's tracer and its
+``--fault perturb`` control replace ``evaluate`` on the class, so a value
+that bypassed the method would go unseen by both.  They therefore see
+reported values only, not the scoring of choices.
 
 ``check_monotone`` and ``check_submodular`` are seeded sampling drivers that
 hunt for violations of the two properties over the whole power set of the
@@ -80,6 +93,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -192,6 +206,54 @@ class CoverageCount:
             return [(union | masks[tid]).bit_count() for tid in candidates]
         except KeyError as missing:
             raise _missing_rect(missing.args[0]) from None
+
+    def best_extension(self, base: Iterable[str], candidates: Iterable[str]) -> tuple[int, int]:
+        """``(position, value)`` of the first maximum of ``evaluate_extensions``.
+
+        The base is ORed once, and a candidate replaces the kept one only
+        when its count is strictly larger, so the first maximum wins.  No
+        candidate raises ValueError, as ``max()`` of nothing does.
+        """
+        masks = self._masks
+        position, best = -1, -1
+        try:
+            union = _union(masks, base)
+            for i, tid in enumerate(candidates):
+                value = (union | masks[tid]).bit_count()
+                if value > best:
+                    position, best = i, value
+        except KeyError as missing:
+            raise _missing_rect(missing.args[0]) from None
+        if position < 0:
+            raise ValueError("best_extension() of no candidates")
+        return position, best
+
+    def best_removal(self, members: Iterable[str]) -> tuple[int, int]:
+        """``(position, value)`` of the first minimum over ``members`` less one member.
+
+        Member ``i``'s leave-one-out value is the count of the OR of the
+        members before it (a prefix, grown one member per step) and those
+        after it (a suffix, all built once from the back), so a call costs
+        O(k) ORs for k members.  A member replaces the kept one only when
+        its value is strictly smaller, so the first minimum wins.  No member
+        raises ValueError, as ``min()`` of nothing does.
+        """
+        try:
+            held = [self._masks[tid] for tid in members]
+        except KeyError as missing:
+            raise _missing_rect(missing.args[0]) from None
+        if not held:
+            raise ValueError("best_removal() of no members")
+        # suffixes[j] is the OR of the last j members
+        suffixes = list(itertools.accumulate(reversed(held), operator.or_, initial=0))
+        last = len(held) - 1
+        position, best, prefix = 0, suffixes[last].bit_count(), held[0]
+        for i in range(1, len(held)):
+            value = (prefix | suffixes[last - i]).bit_count()
+            if value < best:
+                position, best = i, value
+            prefix |= held[i]
+        return position, best
 
     def menu_tables(self, menus: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Packed coverage masks of each menu, laid out on the basis grid.
@@ -454,6 +516,41 @@ def evaluate_extensions(objective, base: Sequence[str], candidates: Iterable[str
     if extend is not None:
         return extend(base, candidates)
     return evaluate_all(objective, [(*base, tid) for tid in candidates])
+
+
+def best_extension(objective, base: Sequence[str], candidates: Iterable[str]) -> tuple:
+    """``(position, value)`` of the first maximum over ``base`` plus each of ``candidates``.
+
+    The value is bit for bit :func:`evaluate_all`'s on ``(*base, t)`` of the
+    candidate ``t`` at that position.  An objective with a
+    ``best_extension`` method chooses itself; any other object takes the
+    first maximum of :func:`evaluate_extensions`, so it scores and counts
+    exactly the sets that call scores.  No candidate raises ValueError.
+    """
+    choose = getattr(objective, "best_extension", None)
+    if choose is not None:
+        return choose(base, candidates)
+    values = evaluate_extensions(objective, base, candidates)
+    best = max(values)
+    return values.index(best), best
+
+
+def best_removal(objective, members: Sequence[str]) -> tuple:
+    """``(position, value)`` of the first minimum over ``members`` less one member.
+
+    The value is bit for bit :func:`evaluate_all`'s on the members without
+    the one at that position.  An objective with a ``best_removal`` method
+    chooses itself; any other object takes the first minimum of
+    :func:`evaluate_all` on the leave-one-out lists in member order, so it
+    scores and counts exactly those sets.  No member raises ValueError.
+    """
+    choose = getattr(objective, "best_removal", None)
+    if choose is not None:
+        return choose(members)
+    members = list(members)
+    values = evaluate_all(objective, [members[:i] + members[i + 1 :] for i in range(len(members))])
+    best = min(values)
+    return values.index(best), best
 
 
 class ExpectedDetections:

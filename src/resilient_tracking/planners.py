@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import require_choice, require_int
 from .matroid import PartitionMatroid, require_enumerable
-from .objectives import basis_grid, evaluate_extensions
+from .objectives import basis_grid, best_extension, evaluate_extensions
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class PlanResult:
 
     ``oracle_calls`` counts objective evaluations made by this call only,
     one per set scored, whether a batched call (``evaluate_all`` or
-    ``evaluate_extensions``) scored it with others or ``evaluate`` scored
-    it alone.
+    ``evaluate_extensions``) or a choice (``best_extension``) scored it
+    with others or ``evaluate`` scored it alone.
     With every robot's menu of size ``m``, ground set ``T`` and ``k`` robots
     left open by the bait (all ``n`` for the greedy planner), the resilient
     and greedy planners make ``|T| + m * k(k-1)/2``: one per singleton, then
@@ -63,36 +63,43 @@ def _singletons(matroid: PartitionMatroid, objective) -> dict:
 def _greedy_fill(matroid, objective, used_robots: set, singleton: dict):
     """Greedy phase: fill the robots the bait left open, by marginal gain.
 
-    Each round scores ``fill | {t}`` for every trajectory ``t`` of a robot
-    that is still open, in one ``evaluate_extensions`` call, and admits the
-    first maximum in canonical ground order; the admitted robot's other
-    trajectories then leave the candidates, and the fill stops when none is
+    Each round asks ``best_extension`` for the first maximum of ``fill |
+    {t}`` over every trajectory ``t`` of a robot that is still open, in
+    canonical ground order, and admits it; the admitted robot's menu then
+    leaves the candidates as one slice, and the fill stops when none is
     left.  The first round's sets are the singletons, so it reads
     ``singleton`` and evaluations start at the second round.  Marginals are
     measured on the fill set only, not on bait + fill.  Only an open
     robot's trajectory keeps bait + fill independent, so this admits
     exactly what scanning all of T \\ bait and rejecting dependent
-    elements would.  Returns (fill, evaluations made).
+    elements would.  Returns (fill, evaluations made), one evaluation per
+    candidate scored.
 
-    A round costs one union of the fill and then one operation per
-    candidate (for a :class:`~.objectives.CoverageCount`, one OR and one
-    bit count), so a plan over ``n`` robots does O(|T| n) of them, as
-    plain greedy does.  An objective without ``evaluate_extensions``
-    scores each ``fill | {t}`` whole.
+    A :class:`~.objectives.CoverageCount` answers a round with one union
+    of the fill and then one OR and one bit count per candidate, so a plan
+    over ``n`` robots does O(|T| n) of them, as plain greedy does.  Any
+    other objective takes the first maximum of ``evaluate_extensions``,
+    which scores each ``fill | {t}`` whole unless the objective extends a
+    kept set itself.
     """
     owner = matroid.owner
     candidates = [tid for tid in matroid.ground_set if owner[tid] not in used_robots]
-    values = [singleton[tid] for tid in candidates]
     fill: list[str] = []
     calls = 0
     while candidates:
-        best = candidates[values.index(max(values))]
+        if fill:
+            position, _ = best_extension(objective, fill, candidates)
+            calls += len(candidates)
+        else:
+            values = [singleton[tid] for tid in candidates]
+            position = values.index(max(values))
+        best = candidates[position]
         fill.append(best)
-        robot = owner[best]
-        candidates = [tid for tid in candidates if owner[tid] != robot]
-        if candidates:
-            values = evaluate_extensions(objective, fill, candidates)
-            calls += len(values)
+        # the ground set runs robot by robot and each round drops one whole
+        # menu, so the admitted robot's menu is one run of the candidates
+        menu = matroid.blocks[owner[best]]
+        start = position - menu.index(best)
+        del candidates[start : start + len(menu)]
     return tuple(fill), calls
 
 

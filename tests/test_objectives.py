@@ -17,6 +17,8 @@ from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import (
     CoverageCount,
     ExpectedDetections,
+    best_extension,
+    best_removal,
     check_monotone,
     check_submodular,
     evaluate_all,
@@ -126,8 +128,14 @@ def test_missing_rect_raises():
         for base, candidates in ((("a", "zzz"), ["b"]), (("a",), ["b", "zzz", "c"])):
             with pytest.raises(MissingCoverageRect, match="zzz"):
                 evaluate_extensions(objective, base, candidates)
+            with pytest.raises(MissingCoverageRect, match="zzz"):
+                best_extension(objective, base, candidates)
+        with pytest.raises(MissingCoverageRect, match="zzz"):
+            best_removal(objective, ["a", "zzz", "b"])
     with pytest.raises(MissingCoverageRect, match="zzz"):
         cov.evaluate_extensions(("zzz",), [])
+    with pytest.raises(MissingCoverageRect, match="zzz"):
+        cov.best_extension(("zzz",), [])
 
 
 def test_counting_oracle_counts_every_call():
@@ -350,6 +358,94 @@ def test_evaluate_extensions_equals_evaluate_all_of_each_extension(box_list, bel
             assert [repr(v) for v in evaluate_extensions(objective, base, candidates)] == batched
             assert [repr(v) for v in evaluate_extensions(counting, base, candidates)] == batched
             assert counting.evaluated == [frozenset(members) for members in sets]
+
+
+def assert_first_best(choose, objective, args, sets, optimum):
+    """``choose(f, *args)``, for the objective and a ``CountingOracle`` of
+    it, is the position of the first ``optimum`` (``max`` or ``min``) of
+    ``evaluate_all`` on ``sets`` and the ``repr`` of its value; the oracle,
+    which has no method of its own, evaluates exactly ``sets``, in order.
+    """
+    values = evaluate_all(objective, sets)
+    first = optimum(range(len(values)), key=values.__getitem__)
+    counting = helpers.CountingOracle(objective)
+    for f in (objective, counting):
+        position, value = choose(f, *args)
+        assert (position, repr(value)) == (first, repr(values[first]))
+    assert counting.evaluated == [frozenset(members) for members in sets]
+
+
+def assert_best_extension(objective, base, candidates):
+    sets = [(*base, tid) for tid in candidates]
+    assert_first_best(best_extension, objective, (base, candidates), sets, max)
+
+
+def assert_best_removal(objective, members):
+    sets = [members[:i] + members[i + 1 :] for i in range(len(members))]
+    assert_first_best(best_removal, objective, (members,), sets, min)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(edge_boxes(), min_size=1, max_size=8), wide_beliefs, st.data())
+def test_best_choices_are_the_first_optimum_of_evaluate_all(box_list, beliefs, data):
+    # best_extension and best_removal, through CoverageCount's methods and
+    # through the fallback (ExpectedDetections and every CountingOracle),
+    # against the first maximum or minimum of evaluate_all on the sets
+    # (*base, t) and on the leave-one-out lists.  Repeated ids tie exactly,
+    # so a choice that kept the last optimum would differ; candidates
+    # already in the base, one candidate, one member
+    ids, args, targets, _ = edge_world(box_list, beliefs)
+    ids_drawn = st.lists(st.sampled_from(ids), min_size=1, max_size=10)
+    extensions = [((), ids), (tuple(ids), ids + ids), (tuple(ids[:1] * 3), ids[:1])]
+    extensions.append((tuple(data.draw(ids_drawn)), data.draw(ids_drawn)))
+    removals = [ids, ids + ids, ids[::-1] + ids, ids[:1], ids[:1] * 3, data.draw(ids_drawn)]
+    for objective in (CoverageCount(targets, ids, args[-1]), ExpectedDetections(*args)):
+        for base, candidates in extensions:
+            assert_best_extension(objective, base, candidates)
+        for members in removals:
+            assert_best_removal(objective, members)
+
+
+def test_best_choices_break_exact_ties_by_first_position():
+    # duplicate rectangles (a, b) tie exactly and z covers no target, so
+    # its mask is zero; the coverage positions are worked out by hand
+    rects = {
+        "a": Rect(0.0, 2.0, 0.0, 2.0),
+        "b": Rect(0.0, 2.0, 0.0, 2.0),
+        "c": Rect(5.0, 6.0, 5.0, 6.0),
+        "d": Rect(1.0, 6.0, 1.0, 1.5),
+        "z": Rect(8.0, 9.0, 8.0, 9.0),
+    }
+    targets = [(1.0, 1.0), (5.5, 5.5), (3.0, 1.2)]
+    cov = helpers.coverage(targets, rects)
+    exp = helpers.expected([(x, y, 0.5, 0.5) for x, y in targets], rects)
+    for objective in (cov, exp):
+        for base, candidates in (
+            ((), ["z", "a", "b", "c"]),
+            (("a",), ["b", "z", "c", "d"]),
+            (("z",), ["z"]),
+            (("a", "c", "d"), ["z", "b", "a"]),
+        ):
+            assert_best_extension(objective, base, candidates)
+        for members in (["a", "b", "c", "z"], ["z", "a", "b"], ["a"], ["a", "d", "c", "b"]):
+            assert_best_removal(objective, members)
+    assert cov.best_extension((), ["z", "a", "b", "c"]) == (1, 1)
+    assert cov.best_extension(("a", "c", "d"), ["z", "b", "a"]) == (0, 3)
+    assert cov.best_removal(["a", "b", "c", "z"]) == (2, 1)
+    assert cov.best_removal(["z", "a", "b"]) == (0, 1)
+    assert cov.best_removal(["a", "d", "c", "b"]) == (1, 2)
+    assert cov.best_removal(["a"]) == (0, 0)
+
+
+def test_best_choices_of_nothing_raise_value_error():
+    # as max() and min() of nothing do, through the methods and the fallback
+    cov = helpers.coverage([(0.5, 0.5)], simple_rects())
+    exp = helpers.expected([(0.5, 0.5, 1.0, 1.0)], simple_rects())
+    for objective in (cov, exp, helpers.CountingOracle(cov), helpers.CountingOracle(exp)):
+        with pytest.raises(ValueError):
+            best_extension(objective, ("a",), iter([]))
+        with pytest.raises(ValueError):
+            best_removal(objective, [])
 
 
 def test_vecdot_rows_equal_one_dot_per_row():

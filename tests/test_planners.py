@@ -235,6 +235,31 @@ def test_batched_choices_match_one_evaluate_per_set(instance):
             assert (got.surviving_value, got.removed) == (value, removed)
 
 
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instance=planning_instances())
+def test_one_removal_is_the_same_under_both_attacks(instance):
+    # at alpha 1 the optimal attack scores the leave-one-out sets in
+    # combination order and the greedy attack asks best_removal in sorted
+    # member order; both keep the first minimum, so they remove the same
+    # trajectory and report the same value bit for bit, through
+    # CoverageCount's own best_removal and through the fallback
+    matroid, objective = instance
+    selections = [frozenset()]
+    for alpha in range(matroid.num_robots + 1):
+        selections.append(plan_resilient(matroid, objective, alpha).selected)
+        selections.append(plan_random(matroid, alpha).selected)
+    for selected in selections:
+        for f in (objective, helpers.CountingOracle(objective)):
+            optimal, greedy = attack_optimal(f, selected, 1), attack_greedy(f, selected, 1)
+            assert optimal == greedy
+            assert repr(optimal.surviving_value) == repr(greedy.surviving_value)
+
+
 def test_greedy_half_approximation_over_bases():
     rng = np.random.default_rng(23)
     for _ in range(25):
