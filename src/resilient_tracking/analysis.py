@@ -85,12 +85,13 @@ def _grid_witness(matroid, objective, singleton):
     Block by block, each basis's full value minus its value without each
     robot, divided by that robot's singleton, fills an ``(n, *block.shape)``
     array, one contiguous slab per robot, with +inf where the singleton is
-    zero (an element that is skipped).  The first ``argmin`` of its minimum
-    over the robots is the block's first minimal basis (C order is
-    enumeration order), and the first ``argmin`` over the robots at that
-    basis its first minimal robot: the first pair in C order over (basis,
-    robot).  A strict running minimum over the blocks in order keeps the
-    first minimal basis of the grid.
+    zero (an element that is skipped).  The block's singletons are one
+    array in menu order, and robot ``r``'s are a view of its menu's run.
+    The first ``argmin`` of its minimum over the robots is the block's
+    first minimal basis (C order is enumeration order), and the first
+    ``argmin`` over the robots at that basis its first minimal robot: the
+    first pair in C order over (basis, robot).  A strict running minimum
+    over the blocks in order keeps the first minimal basis of the grid.
     """
     menus = [matroid.blocks[robot] for robot in matroid.robots]
     n = len(menus)
@@ -98,15 +99,19 @@ def _grid_witness(matroid, objective, singleton):
     for origin, block in basis_grid(objective, menus):
         full, without = block.leave_one_out()
         ratio = np.full((n, *block.shape), np.inf)
-        for r, menu in enumerate(block.menus):
-            single = np.array([singleton[tid] for tid in menu], dtype=float)
-            single = single.reshape([-1 if s == r else 1 for s in range(n)])
+        singles = np.array([singleton[tid] for menu in block.menus for tid in menu], dtype=float)
+        stop = 0
+        for r, size in enumerate(block.shape):
+            start, stop = stop, stop + size
+            single = singles[start:stop].reshape((1,) * r + (size,) + (1,) * (n - r - 1))
             np.divide(full - without[r], single, out=ratio[r], where=single != 0)
         best = ratio.min(axis=0)
-        at = np.unravel_index(int(np.argmin(best)), best.shape)
-        if witness is None or best[at] < witness[0]:
-            robot = int(np.argmin(ratio[(slice(None), *at)]))
-            witness = best[at], np.add(origin, at), robot
+        at = best.argmin()
+        value = best.item(at)
+        if witness is None or value < witness[0]:
+            robot = int(ratio.reshape(n, -1)[:, at].argmin())
+            index = [o + int(i) for o, i in zip(origin, np.unravel_index(at, best.shape))]
+            witness = value, index, robot
     _, index, robot = witness
     basis = frozenset(menu[i] for menu, i in zip(menus, index))
     return basis, menus[robot][index[robot]]

@@ -57,11 +57,12 @@ of the OR of its members' masks: ``evaluate_all`` takes that union per
 set; ``evaluate_extensions`` and ``best_extension`` take the base's union
 once and OR each candidate into it; ``best_removal`` ORs the suffixes once
 from the back and grows a prefix, so it costs O(k) ORs for k members where
-scoring every leave-one-out set costs k(k-1).  :class:`ExpectedDetections`
-paints its members' cells in ``evaluate_all`` and has no method of the
-other three.  Each class's ``evaluate`` is the one-set case of its
-``evaluate_all``.  ``evaluate`` serves the values reported on their own: a
-selection's full value, the curvature, the property checks.  The objective
+scoring every leave-one-out set costs k(k-1); ``evaluate`` counts its one
+union directly.  :class:`ExpectedDetections` paints its members' cells in
+``evaluate_all``, has no method of the other three, and its ``evaluate``
+is the one-set case of its ``evaluate_all``.  ``evaluate`` serves the
+values reported on their own: a selection's full value, the curvature,
+the property checks.  The objective
 classes are deliberately not callable: the benchmark's tracer and its
 ``--fault perturb`` control replace ``evaluate`` on the class, so a value
 that bypassed the method would go unseen by both.  They therefore see
@@ -78,7 +79,10 @@ yields the grid in C-order blocks of at most about ``BLOCK_CELLS`` words,
 and each block gives two things: every basis's worst case under removal
 of a fixed number of robots (one keep/drop recursion over the robots),
 and every basis's full and leave-one-out values (prefix and suffix
-unions).  A :class:`CoverageCount` ORs and counts its packed masks there
+unions).  The worst case is the keep/drop grid as built, not broadcast:
+it has the block's shape unless every robot is removed, is a size-1 grid
+only then, and its first ``argmax`` is the first of its broadcast.  A
+:class:`CoverageCount` ORs and counts its packed masks there
 (``menu_tables``), sharing each OR among all the unions that contain it;
 any other objective scores every combination of the listed robots' menus
 with :func:`evaluate_all`.  A :class:`CoverageCount` also keeps its last
@@ -161,7 +165,9 @@ class CoverageCount:
     """Number of targets covered by the union of selected rectangles.
 
     Deterministic and integer valued; precomputes one coverage bitmask per
-    trajectory so evaluation is O(|S|) regardless of the target count.
+    trajectory so evaluation is O(|S|) regardless of the target count:
+    ``evaluate`` counts the bits of one union of its members' masks
+    directly, the rule every other method applies to its sets.
     ``menu_tables`` packs the same bitmasks into ``uint64`` words for the
     batched exact enumerations.  ``targets`` is ``(m, 2)``, and ``bounds``
     holds the rectangle ``(x_min, x_max, y_min, y_max)`` of ``ids[g]`` in
@@ -182,7 +188,11 @@ class CoverageCount:
         self._grids = {}
 
     def evaluate(self, members: Iterable[str]) -> int:
-        return self.evaluate_all((members,))[0]
+        """The covered-target count of ``members``: the bit count of their union."""
+        try:
+            return _union(self._masks, members).bit_count()
+        except KeyError as missing:
+            raise _missing_rect(missing.args[0]) from None
 
     def evaluate_all(self, sets: Iterable[Iterable[str]]) -> list[int]:
         """The covered-target count of each of ``sets``, in order."""
@@ -338,9 +348,16 @@ class _GridBlock:
         self.shape = tuple(map(len, menus))
 
     def worst_case(self, removals: int) -> np.ndarray:
-        """Every basis's least value once any ``removals`` robots are removed."""
-        worst = _keep_or_drop(self, 0, self.empty, removals)
-        return np.broadcast_to(worst, self.shape)
+        """Every basis's least value once any ``removals`` robots are removed.
+
+        The keep/drop grid as built, not broadcast: below ``removals == n``
+        some branch keeps each robot, so the grid has the block's shape;
+        at ``removals == n`` every robot is dropped and it is the value of
+        no robots on a grid of size 1.  Either way its first ``argmax`` is
+        the first maximum of its broadcast over the block, since a
+        length-1 axis repeats one value.
+        """
+        return _keep_or_drop(self, 0, self.empty, removals)
 
     def leave_one_out(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Every basis's value, and its value without robot ``r`` for each ``r``.
@@ -455,8 +472,11 @@ def basis_grid(objective, menus: Sequence[Sequence[str]]):
     in C order: ``block.menus`` are the menu runs whose bases the block
     holds, its first basis sits at grid index ``origin``, and
     ``block.worst_case(removals)`` and ``block.leave_one_out()`` score its
-    bases.  A block holds at most about ``BLOCK_CELLS`` words: bases times
-    the packed words per mask for a :class:`CoverageCount`, bases for any
+    bases.  The worst case comes as built: the block's shape, or a size-1
+    grid when every robot is removed; a caller reads its first maximum,
+    which is its broadcast's, and adds that position to ``origin``.  A
+    block holds at most about ``BLOCK_CELLS`` words: bases times the
+    packed words per mask for a :class:`CoverageCount`, bases for any
     other objective.  A caller that keeps a strict running maximum or
     minimum over the blocks in order breaks ties as one pass over the whole
     grid would, by the first basis in C order.

@@ -179,6 +179,10 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
     C order is enumeration order, so the first ``argmax`` of each block and
     a strict running maximum across the blocks give the first maximizer,
     and its grid value is the worst case an optimal attack on it leaves.
+    A block's worst case may keep length-1 axes (all of them at ``alpha
+    == n``); its first maximum is the first of its broadcast, so the
+    winner's grid index is its origin plus its position in the grid as
+    built.
     """
     n = matroid.num_robots
     require_int(alpha, "alpha", 0, n)
@@ -187,9 +191,11 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
     best = index = None
     for origin, block in basis_grid(objective, menus):
         worst = block.worst_case(alpha)
-        at = np.unravel_index(int(np.argmax(worst)), worst.shape)
-        if best is None or worst[at] > best:
-            best, index = worst[at], np.add(origin, at)
+        at = worst.argmax()
+        value = worst.item(at)
+        if best is None or value > best:
+            best = value
+            index = [o + int(i) for o, i in zip(origin, np.unravel_index(at, worst.shape))]
     return PlanResult(
         selected=frozenset(menu[i] for menu, i in zip(menus, index)),
         trace=None,

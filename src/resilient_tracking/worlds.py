@@ -149,8 +149,9 @@ def sample_instance(
 
     ``menu_sizes`` holds the allowed per-robot menu sizes (1 to 4); each
     robot draws a size and keeps that many directions in menu order.  Each
-    robot draws its x, its y, its size and then (below four) its directions;
-    the targets follow as x, y pairs.
+    robot draws its x, its y, its size (when more than one is allowed) and
+    then (below four) its directions; the targets follow as x, y pairs.  A
+    draw from one size would leave the stream as it is, so it is skipped.
     """
     if len(menu_sizes) == 0:
         raise SpecError(f"field 'menu_sizes': expected a size, got {shown(menu_sizes)}")
@@ -161,7 +162,9 @@ def sample_instance(
         positions.append(
             (rng.uniform(arena.x_min, arena.x_max), rng.uniform(arena.y_min, arena.y_max))
         )
-        size = menu_sizes[int(rng.integers(len(menu_sizes)))]
+        size = menu_sizes[0]
+        if len(menu_sizes) > 1:
+            size = menu_sizes[int(rng.integers(len(menu_sizes)))]
         if size == len(DIRECTION_ORDER):
             menus.append(DIRECTION_ORDER)
         else:

@@ -193,19 +193,27 @@ def test_menu_tables_put_the_words_first():
 
 @pytest.mark.parametrize("alpha", [0, 1, 3])
 def test_batched_maxmin_edge_alphas_and_single_item_menus(alpha):
-    # alpha 3 removes every robot: all bases tie at 0 and the first one wins
-    matroid, cov = random_coverage(11, [1, 4, 1], num_targets=90)
-    batched = plan_bruteforce_maxmin(matroid, cov, alpha)
-    generic = plan_bruteforce_maxmin(matroid, helpers.SetFunction(cov.evaluate), alpha)
-    assert (batched.selected, batched.maxmin_value, batched.oracle_calls) == (
-        generic.selected,
-        generic.maxmin_value,
-        4 * math.comb(3, alpha),
-    )
-    assert generic.oracle_calls == batched.oracle_calls
-    if alpha == matroid.num_robots:
-        assert batched.maxmin_value == 0.0
-        assert batched.selected == next(matroid.enumerate_bases())
+    # alpha 3 removes every robot: all bases tie at 0 and the first one
+    # wins, though the worst-case grid then has one point, not the block's
+    # shape; in one block or in blocks of a few bases, on single-item or
+    # multi-item menus
+    for menu_sizes in ([1, 4, 1], [3, 2, 4]):
+        matroid, cov = random_coverage(11, menu_sizes, num_targets=90)
+        for block_cells in (objectives.BLOCK_CELLS, 5):
+            with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+                batched = plan_bruteforce_maxmin(matroid, cov, alpha)
+                generic = plan_bruteforce_maxmin(
+                    matroid, helpers.SetFunction(cov.evaluate), alpha
+                )
+            assert (batched.selected, batched.maxmin_value, batched.oracle_calls) == (
+                generic.selected,
+                generic.maxmin_value,
+                math.prod(menu_sizes) * math.comb(3, alpha),
+            )
+            assert generic.oracle_calls == batched.oracle_calls
+            if alpha == matroid.num_robots:
+                assert batched.maxmin_value == 0.0
+                assert batched.selected == next(matroid.enumerate_bases())
 
 
 def test_batched_curvature_on_all_zero_coverage_is_degenerate():
@@ -302,7 +310,7 @@ def test_chunked_grid_matches_the_whole_grid_and_the_oracles(instance, block_cel
         assert_grid_paths_match_the_oracles(matroid, cov, [alpha])
 
 
-@pytest.mark.parametrize("block_cells", [1, 2, 5])
+@pytest.mark.parametrize("block_cells", [1, 2, 5, objectives.BLOCK_CELLS])
 def test_chunked_ties_go_to_the_first_basis(block_cells):
     # every basis ties: nothing is covered, or every rectangle covers
     # everything; the first basis of the first block must win
@@ -321,6 +329,21 @@ def test_chunked_ties_go_to_the_first_basis(block_cells):
             if spot == 0.0:
                 report = constrained_curvature(matroid, cov)
                 assert (report.witness_set, report.witness_element) == (first, "a")
+
+    # ties whose first maximizer is not the first basis: a and d cover
+    # nothing and every other rectangle covers everything, so the basis
+    # must keep alpha + 1 covering robots, and the first such basis wins
+    rects = {tid: Rect(0.0, 1.0, 0.0, 1.0) for tid in matroid.ground_set}
+    rects["a"] = rects["d"] = Rect(500.0, 501.0, 500.0, 501.0)
+    cov = helpers.coverage(targets, rects)
+    want = ["adf", "aef", "bef", "adf"]
+    with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+        for alpha in range(4):
+            for objective in (cov, helpers.SetFunction(cov.evaluate)):
+                plan = plan_bruteforce_maxmin(matroid, objective, alpha)
+                assert plan.selected == frozenset(want[alpha])
+                assert plan.maxmin_value == (3.0 if alpha < 3 else 0.0)
+        assert_grid_paths_match_the_oracles(matroid, cov, range(4))
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 2, 4])
@@ -460,9 +483,12 @@ def test_witness_skips_a_robot_of_zero_singletons_and_breaks_ties_in_order():
     cov = helpers.coverage(targets, rects)
     ratio, basis, member = oracles.curvature_witness_bruteforce(blocks, cov.evaluate)
     assert (ratio, basis, member) == (1.0, frozenset("acf"), "c")
+    # singletons as Python ints (the count itself) and as floats
+    assert type(cov.evaluate({"c"})) is int
+    as_float = helpers.SetFunction(lambda members: float(cov.evaluate(members)))
     for block_cells in (objectives.BLOCK_CELLS, 1, 5):
         with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
-            for objective in (cov, helpers.SetFunction(cov.evaluate)):
+            for objective in (cov, helpers.SetFunction(cov.evaluate), as_float):
                 report = constrained_curvature(matroid, objective)
                 assert (report.witness_set, report.witness_element) == (basis, member)
                 assert report.value == 0.0

@@ -63,6 +63,19 @@ def test_coverage_count_basics():
     assert cov.evaluate({"a", "b"}) == 3  # shared target counted once
     assert cov.evaluate({"a", "b", "c"}) == 4
     assert cov.evaluate({"a", "c"}) == 3
+    # evaluate takes the union of its members directly; whatever iterable
+    # they come in, the count is evaluate_all's on the one set
+    for make in (
+        lambda: (tid for tid in "cab"),
+        lambda: ["a", "b", "a", "a"],
+        lambda: frozenset({"b", "c"}),
+        lambda: set(),
+        lambda: (),
+    ):
+        value = cov.evaluate(make())
+        assert type(value) is int
+        assert value == cov.evaluate_all((make(),))[0] == evaluate_all(cov, [make()])[0]
+    assert [cov.evaluate(m) for m in ((tid for tid in "cab"), ["a", "b", "a"], set())] == [4, 3, 0]
 
 
 def test_coverage_count_boundary_is_inclusive():
@@ -118,6 +131,9 @@ def test_missing_rect_raises():
     cov = helpers.coverage([(0, 0)], simple_rects())
     with pytest.raises(MissingCoverageRect):
         cov.evaluate({"zzz"})
+    # after known ids, from a generator
+    with pytest.raises(MissingCoverageRect, match="zzz"):
+        cov.evaluate(tid for tid in ("a", "b", "zzz", "c"))
     exp = helpers.expected([(0, 0, 1.0, 1.0)], simple_rects())
     with pytest.raises(MissingCoverageRect):
         exp.evaluate({"zzz"})

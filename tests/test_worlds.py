@@ -1,5 +1,7 @@
 """Instance assembly: menus, id scheme, coverage bounds, random world sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -92,15 +94,18 @@ def test_sample_instance_respects_menu_sizes_and_arena():
 
 def test_sample_instance_draws_in_the_literal_order():
     # robot by robot: x, y, menu size and, below four, its directions; then
-    # the targets' x, y pairs
-    for seed in range(20):
-        inst = sample_instance(np.random.default_rng(seed), 4, 7, 3.0, 7.0, helpers.ARENA, (2, 4))
+    # the targets' x, y pairs.  The literal loop draws a size from one
+    # allowed size too, which leaves the stream as it is
+    for menu_sizes, seed in itertools.product([(2, 4), (3,), (4,)], range(20)):
+        rng = np.random.default_rng(seed)
+        inst = sample_instance(rng, 4, 7, 3.0, 7.0, helpers.ARENA, menu_sizes)
+        state = rng.bit_generator.state
         rng = np.random.default_rng(seed)
         want_rects = {}
         for i in range(4):
             x = float(rng.uniform(0.0, 10.0))
             y = float(rng.uniform(0.0, 10.0))
-            size = (2, 4)[int(rng.integers(2))]
+            size = menu_sizes[int(rng.integers(len(menu_sizes)))]
             keep = range(4) if size == 4 else sorted(rng.choice(4, size=size, replace=False))
             for k in keep:
                 d = DIRECTION_ORDER[int(k)]
@@ -111,6 +116,7 @@ def test_sample_instance_draws_in_the_literal_order():
         assert inst.ids == tuple(want_rects)
         assert [tuple(row) for row in inst.bounds.tolist()] == list(want_rects.values())
         assert [tuple(t) for t in inst.targets.tolist()] == want_targets
+        assert state == rng.bit_generator.state
 
 
 def test_sample_instance_is_seed_deterministic():
