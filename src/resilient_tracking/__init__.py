@@ -38,6 +38,7 @@ from .matroid import ENUMERATION_CAP, PartitionMatroid
 from .objectives import (
     CoverageCount,
     ExpectedDetections,
+    Objective,
     PropertyViolation,
     check_monotone,
     check_submodular,

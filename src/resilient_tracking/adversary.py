@@ -5,8 +5,8 @@ objective on the survivors.  ``attack_optimal`` is the exact worst case,
 ``attack_greedy`` a myopic approximation, ``attack_random`` a baseline.
 Ties break lexicographically on sorted trajectory ids (for the exhaustive
 search: combination order), first winner kept.  The exact attack scores
-its candidate removals with ``objectives.evaluate_all``; the greedy attack
-asks ``objectives.best_removal`` for each round's choice, the first
+its candidate removals with the objective's ``evaluate_all``; the greedy
+attack asks its ``best_removal`` for each round's choice, the first
 minimum over the survivors less one member in sorted order.  Either way the
 surviving value is the chosen removal's score.  ``score_attack`` turns an
 attack into the recorded attacked value and attack rate.
@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import require_choice, require_int
 from .matroid import require_enumerable
-from .objectives import best_removal, evaluate_all
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ def attack_optimal(objective, members, alpha: int) -> AttackResult:
     k = min(require_int(alpha, "alpha", 0), len(ordered))
     require_enumerable("the removal sets", choose=(len(ordered), k))
     survivors = list(itertools.combinations(ordered, len(ordered) - k))[::-1]
-    values = evaluate_all(objective, survivors)
+    values = objective.evaluate_all(survivors)
     best = min(values)
     return AttackResult(
         removed=selected.difference(survivors[values.index(best)]), surviving_value=float(best)
@@ -56,18 +55,19 @@ def attack_optimal(objective, members, alpha: int) -> AttackResult:
 def attack_greedy(objective, members, alpha: int) -> AttackResult:
     """Myopic attack: repeatedly remove the single most damaging element.
 
-    Each round is one ``best_removal`` call on the survivors in sorted
-    order, which removes the first member whose loss leaves the least.  A
-    :class:`~.objectives.CoverageCount` answers it with prefix and suffix
-    ORs, O(k) for k survivors, so an attack on a basis of n robots costs
-    O(alpha * n) ORs; any other objective scores every leave-one-out list
-    with ``evaluate_all``, as one round always did.
+    Each round is one ``objective.best_removal`` call on the survivors in
+    sorted order, which removes the first member whose loss leaves the
+    least.  A :class:`~.objectives.CoverageCount` answers it with prefix
+    and suffix ORs, O(k) for k survivors, so an attack on a basis of n
+    robots costs O(alpha * n) ORs; any other objective inherits
+    :class:`~.objectives.Objective`'s rule, which scores every
+    leave-one-out list with ``evaluate_all``.
     """
     survivors = sorted(frozenset(members))
     removed = []
     value = None
     for _ in range(min(require_int(alpha, "alpha", 0), len(survivors))):
-        position, value = best_removal(objective, survivors)
+        position, value = objective.best_removal(survivors)
         removed.append(survivors.pop(position))
     if value is None:
         value = objective.evaluate(frozenset(survivors))

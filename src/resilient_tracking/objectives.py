@@ -28,45 +28,37 @@ deviations) as ``(m, 2)`` arrays.
 
 Objective protocol
 ------------------
-An objective is any object with ``evaluate(members) -> float``.  Choices
-are scored with :func:`evaluate_all`, which takes a list of sets and
-returns their values in order: the optimal attack's candidate removals
-(its surviving value is its chosen set's score) and the exhaustive
-enumerations of any objective but :class:`CoverageCount`.  An object with
-an ``evaluate_all`` method scores the sets itself; any other object is
-evaluated one set at a time through ``evaluate``.  The planners' singleton
-pass scores one-element extensions of a kept set with
-:func:`evaluate_extensions`: ``base`` plus each candidate, in order.  An
-object with an ``evaluate_extensions`` method scores them itself; any
-other object falls back to ``evaluate_all`` of the sets ``(*base, t)``.
+An objective subclasses :class:`Objective` and defines ``evaluate(members)
+-> float``.  Every other question is a method of the base with a generic
+answer from ``evaluate``, and a subclass may override any of them with a
+faster rule that returns the same values:
 
-Two calls ask for a choice, not for every value, and return the
-``(position, value)`` of the first optimum: :func:`best_extension`, the
-first maximum over ``base`` plus each candidate (a greedy-fill round), and
-:func:`best_removal`, the first minimum over the members less one member
-(a greedy-attack round).  An object with the method of that name chooses
-itself; any other object takes the first maximum of
-:func:`evaluate_extensions`, or the first minimum of :func:`evaluate_all`
-on the leave-one-out lists in member order, so it scores and counts
-exactly the sets it did before.  No candidate or member raises ValueError,
-as ``max()`` and ``min()`` of nothing do.
+- ``evaluate_all(sets)``, the value of each set in order: the optimal
+  attack's candidate removals and the exhaustive enumerations of any
+  objective but :class:`CoverageCount`;
+- ``evaluate_extensions(base, candidates)``, ``base`` plus each candidate
+  in order: the planners' singleton pass;
+- ``best_extension(base, candidates)`` and ``best_removal(members)``, the
+  ``(position, value)`` of the first maximum over ``base`` plus each
+  candidate (a greedy-fill round) and of the first minimum over the
+  members less one member (a greedy-attack round).  No candidate or member
+  raises ValueError, as ``max()`` and ``min()`` of nothing do.
 
 Each objective class has one union rule, so a set's value is the same bit
 for bit however it is asked for.  :class:`CoverageCount` counts the bits
-of the OR of its members' masks: ``evaluate_all`` takes that union per
-set; ``evaluate_extensions`` and ``best_extension`` take the base's union
-once and OR each candidate into it; ``best_removal`` ORs the suffixes once
-from the back and grows a prefix, so it costs O(k) ORs for k members where
-scoring every leave-one-out set costs k(k-1); ``evaluate`` counts its one
-union directly.  :class:`ExpectedDetections` paints its members' cells in
-``evaluate_all``, has no method of the other three, and its ``evaluate``
-is the one-set case of its ``evaluate_all``.  ``evaluate`` serves the
-values reported on their own: a selection's full value, the curvature,
-the property checks.  The objective
-classes are deliberately not callable: the benchmark's tracer and its
-``--fault perturb`` control replace ``evaluate`` on the class, so a value
-that bypassed the method would go unseen by both.  They therefore see
-reported values only, not the scoring of choices.
+of the OR of its members' masks and overrides all four:
+``evaluate_extensions`` and ``best_extension`` take the base's union once
+and OR each candidate into it; ``best_removal`` ORs the suffixes once from
+the back and grows a prefix, so it costs O(k) ORs for k members where
+scoring every leave-one-out set costs k(k-1).  :class:`ExpectedDetections`
+paints its members' cells in ``evaluate_all``, its ``evaluate`` is the
+one-set case of it, and it inherits the other three.  ``evaluate`` serves
+the values reported on their own: a selection's full value, the
+curvature, the property checks.  The objective classes are deliberately
+not callable: the benchmark's tracer and its ``--fault perturb`` control
+replace ``evaluate`` on the class, so a value that bypassed the method
+would go unseen by both.  They therefore see reported values only, not the
+scoring of choices.
 
 ``check_monotone`` and ``check_submodular`` are seeded sampling drivers that
 hunt for violations of the two properties over the whole power set of the
@@ -85,7 +77,7 @@ only then, and its first ``argmax`` is the first of its broadcast.  A
 :class:`CoverageCount` ORs and counts its packed masks there
 (``menu_tables``), sharing each OR among all the unions that contain it;
 any other objective scores every combination of the listed robots' menus
-with :func:`evaluate_all`.  A :class:`CoverageCount` also keeps its last
+with its ``evaluate_all``.  A :class:`CoverageCount` also keeps its last
 grid that fits in one block, keyed by the block cap and the menus, with
 the suffix unions built on it so far, read-only: one world's max-min at
 every alpha and its curvature share one layout, and the kept grid is no
@@ -137,11 +129,16 @@ def _missing_rect(tid: str) -> MissingCoverageRect:
 def _bounds(ids: Sequence[str], bounds) -> np.ndarray:
     """``bounds`` as a ``(T, 4)`` array with one row per id.
 
-    Infinite edges are allowed; a NaN edge is refused, naming its trajectory.
+    A repeated id is refused, naming the first one, since each objective
+    keeps one rectangle per id.  Infinite edges are allowed; a NaN edge is
+    refused, naming its trajectory.
     """
     bounds = np.asarray(bounds, dtype=float).reshape(-1, 4)
     if len(bounds) != len(ids):
         raise ValueError(f"{len(ids)} trajectory ids but {len(bounds)} coverage rectangles")
+    if len(set(ids)) < len(ids):
+        tid = next(tid for i, tid in enumerate(ids) if tid in ids[:i])
+        raise ValueError(f"trajectory id {tid!r} is repeated")
     nan = np.isnan(bounds)
     if nan.any():
         tid = ids[int(nan.any(axis=1).argmax())]
@@ -161,7 +158,45 @@ def _union(masks: dict, members: Iterable[str]) -> int:
     return union
 
 
-class CoverageCount:
+class Objective:
+    """A set function on trajectory ids, asked every question through ``evaluate``.
+
+    A subclass defines ``evaluate(members)``.  Each other method answers
+    from ``evaluate`` of exactly the sets it names, in order, and a
+    subclass may override it with a faster rule that returns the same
+    values, so a caller keeping the first optimum breaks ties alike.
+    """
+
+    def evaluate(self, members: Iterable[str]) -> float:
+        raise NotImplementedError
+
+    def evaluate_all(self, sets: Iterable[Iterable[str]]) -> list:
+        """The value of each of ``sets``, in order: one ``evaluate`` per set, on a frozenset."""
+        return [self.evaluate(frozenset(members)) for members in sets]
+
+    def evaluate_extensions(self, base: Sequence[str], candidates: Iterable[str]) -> list:
+        """The value of ``base`` plus each of ``candidates``: ``evaluate_all`` of ``(*base, t)``."""
+        return self.evaluate_all([(*base, tid) for tid in candidates])
+
+    def best_extension(self, base: Sequence[str], candidates: Iterable[str]) -> tuple:
+        """``(position, value)`` of the first maximum of ``evaluate_extensions``."""
+        values = self.evaluate_extensions(base, candidates)
+        best = max(values)
+        return values.index(best), best
+
+    def best_removal(self, members: Iterable[str]) -> tuple:
+        """``(position, value)`` of the first minimum over ``members`` less one member.
+
+        The values are ``evaluate_all``'s on the leave-one-out lists in
+        member order.
+        """
+        members = list(members)
+        values = self.evaluate_all([members[:i] + members[i + 1 :] for i in range(len(members))])
+        best = min(values)
+        return values.index(best), best
+
+
+class CoverageCount(Objective):
     """Number of targets covered by the union of selected rectangles.
 
     Deterministic and integer valued; precomputes one coverage bitmask per
@@ -433,7 +468,7 @@ class _SetBlock(_GridBlock):
         shape = [1] * len(self.menus)
         for q in robots:
             shape[q] = self.shape[q]
-        values = evaluate_all(self.objective, itertools.product(*(self.menus[q] for q in robots)))
+        values = self.objective.evaluate_all(itertools.product(*(self.menus[q] for q in robots)))
         return np.array(values, dtype=float).reshape(shape)
 
 
@@ -509,71 +544,7 @@ def basis_grid(objective, menus: Sequence[Sequence[str]]):
         yield origin, kind(objective, run)
 
 
-def evaluate_all(objective, sets: Iterable[Iterable[str]]) -> list:
-    """The objective on each of ``sets``, in order, bit for bit ``evaluate``'s.
-
-    An objective with an ``evaluate_all`` method scores the sets itself;
-    any other object gets one ``evaluate`` call per set, on a ``frozenset``
-    of it.  Values come back in the order of ``sets``, so a caller that
-    keeps the first maximum or minimum breaks ties as a loop over
-    ``evaluate`` would.
-    """
-    batched = getattr(objective, "evaluate_all", None)
-    if batched is not None:
-        return batched(sets)
-    return [objective.evaluate(frozenset(members)) for members in sets]
-
-
-def evaluate_extensions(objective, base: Sequence[str], candidates: Iterable[str]) -> list:
-    """The objective on ``base`` plus each of ``candidates``, in order.
-
-    Each value is bit for bit :func:`evaluate_all`'s on ``(*base, t)``.  An
-    objective with an ``evaluate_extensions`` method scores them itself;
-    any other object gets ``evaluate_all`` of those sets, so it scores and
-    counts exactly the sets it would be asked for one at a time.
-    """
-    extend = getattr(objective, "evaluate_extensions", None)
-    if extend is not None:
-        return extend(base, candidates)
-    return evaluate_all(objective, [(*base, tid) for tid in candidates])
-
-
-def best_extension(objective, base: Sequence[str], candidates: Iterable[str]) -> tuple:
-    """``(position, value)`` of the first maximum over ``base`` plus each of ``candidates``.
-
-    The value is bit for bit :func:`evaluate_all`'s on ``(*base, t)`` of the
-    candidate ``t`` at that position.  An objective with a
-    ``best_extension`` method chooses itself; any other object takes the
-    first maximum of :func:`evaluate_extensions`, so it scores and counts
-    exactly the sets that call scores.  No candidate raises ValueError.
-    """
-    choose = getattr(objective, "best_extension", None)
-    if choose is not None:
-        return choose(base, candidates)
-    values = evaluate_extensions(objective, base, candidates)
-    best = max(values)
-    return values.index(best), best
-
-
-def best_removal(objective, members: Sequence[str]) -> tuple:
-    """``(position, value)`` of the first minimum over ``members`` less one member.
-
-    The value is bit for bit :func:`evaluate_all`'s on the members without
-    the one at that position.  An objective with a ``best_removal`` method
-    chooses itself; any other object takes the first minimum of
-    :func:`evaluate_all` on the leave-one-out lists in member order, so it
-    scores and counts exactly those sets.  No member raises ValueError.
-    """
-    choose = getattr(objective, "best_removal", None)
-    if choose is not None:
-        return choose(members)
-    members = list(members)
-    values = evaluate_all(objective, [members[:i] + members[i + 1 :] for i in range(len(members))])
-    best = min(values)
-    return values.index(best), best
-
-
-class ExpectedDetections:
+class ExpectedDetections(Objective):
     """Expected number of targets inside the union of selected rectangles.
 
     The union mass is exact on a coordinate-compressed grid.  Every menu

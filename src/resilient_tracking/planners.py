@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import require_choice, require_int
 from .matroid import PartitionMatroid, require_enumerable
-from .objectives import basis_grid, best_extension, evaluate_extensions
+from .objectives import basis_grid
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class PlanResult:
     """Outcome of one planning call.
 
     ``oracle_calls`` counts objective evaluations made by this call only,
-    one per set scored, whether a batched call (``evaluate_all`` or
-    ``evaluate_extensions``) or a choice (``best_extension``) scored it
-    with others or ``evaluate`` scored it alone.
+    one per set scored, whether one of the objective's batched methods
+    (``evaluate_extensions``, ``evaluate_all``) or its ``best_extension``
+    scored it with others or ``evaluate`` scored it alone.
     With every robot's menu of size ``m``, ground set ``T`` and ``k`` robots
     left open by the bait (all ``n`` for the greedy planner), the resilient
     and greedy planners make ``|T| + m * k(k-1)/2``: one per singleton, then
@@ -57,19 +57,19 @@ class PlanResult:
 def _singletons(matroid: PartitionMatroid, objective) -> dict:
     """Every trajectory's own value: the extensions of the empty set, in one call."""
     ground = matroid.ground_set
-    return dict(zip(ground, evaluate_extensions(objective, (), ground)))
+    return dict(zip(ground, objective.evaluate_extensions((), ground)))
 
 
 def _greedy_fill(matroid, objective, used_robots: set, singleton: dict):
     """Greedy phase: fill the robots the bait left open, by marginal gain.
 
-    Each round asks ``best_extension`` for the first maximum of ``fill |
-    {t}`` over every trajectory ``t`` of a robot that is still open, in
-    canonical ground order, and admits it; the admitted robot's menu then
-    leaves the candidates as one slice, and the fill stops when none is
-    left.  The first round's sets are the singletons, so it reads
-    ``singleton`` and evaluations start at the second round.  Marginals are
-    measured on the fill set only, not on bait + fill.  Only an open
+    Each round asks the objective's ``best_extension`` for the first
+    maximum of ``fill | {t}`` over every trajectory ``t`` of a robot that
+    is still open, in canonical ground order, and admits it; the admitted
+    robot's menu then leaves the candidates as one slice, and the fill
+    stops when none is left.  The first round's sets are the singletons,
+    so it reads ``singleton`` and evaluations start at the second round.
+    Marginals are measured on the fill set only, not on bait + fill.  Only an open
     robot's trajectory keeps bait + fill independent, so this admits
     exactly what scanning all of T \\ bait and rejecting dependent
     elements would.  Returns (fill, evaluations made), one evaluation per
@@ -78,9 +78,9 @@ def _greedy_fill(matroid, objective, used_robots: set, singleton: dict):
     A :class:`~.objectives.CoverageCount` answers a round with one union
     of the fill and then one OR and one bit count per candidate, so a plan
     over ``n`` robots does O(|T| n) of them, as plain greedy does.  Any
-    other objective takes the first maximum of ``evaluate_extensions``,
-    which scores each ``fill | {t}`` whole unless the objective extends a
-    kept set itself.
+    other objective inherits :class:`~.objectives.Objective`'s first
+    maximum of ``evaluate_extensions``, which scores each ``fill | {t}``
+    whole unless the objective overrides it.
     """
     owner = matroid.owner
     candidates = [tid for tid in matroid.ground_set if owner[tid] not in used_robots]
@@ -88,7 +88,7 @@ def _greedy_fill(matroid, objective, used_robots: set, singleton: dict):
     calls = 0
     while candidates:
         if fill:
-            position, _ = best_extension(objective, fill, candidates)
+            position, _ = objective.best_extension(fill, candidates)
             calls += len(candidates)
         else:
             values = [singleton[tid] for tid in candidates]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from resilient_tracking.geometry import Rect
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import CoverageCount, ExpectedDetections
+from resilient_tracking.objectives import CoverageCount, ExpectedDetections, Objective
 
 ARENA = Rect(0.0, 10.0, 0.0, 10.0)
 
@@ -74,7 +74,7 @@ def record_dict(record) -> dict:
     }
 
 
-class SetCover:
+class SetCover(Objective):
     """Test-local coverage objective over explicit per-trajectory target sets.
 
     Independent of the package's CoverageCount: no rectangles, no bitmasks,
@@ -91,19 +91,22 @@ class SetCover:
         return len(covered)
 
 
-class SetFunction:
-    """A bare ``set -> value`` function given the objective protocol."""
+class SetFunction(Objective):
+    """A bare ``set -> value`` function as an ``Objective`` that overrides nothing."""
 
     def __init__(self, fn):
         self.evaluate = fn
 
 
-class CountingOracle:
+class CountingOracle(Objective):
     """Wraps an objective and counts evaluations.
 
     An audit counter independent of the planners' own ``oracle_calls``
     tally: ``eval_count`` increments by exactly one per ``evaluate`` call,
-    and ``evaluated`` lists the sets in call order.
+    and ``evaluated`` lists the sets in call order.  It inherits every
+    other question from ``Objective`` rather than forwarding it to the
+    wrapped objective, so each set scored, however it was asked for, is
+    one ``evaluate`` call here.
     """
 
     def __init__(self, objective):

@@ -1,6 +1,10 @@
 """Coverage counting, Gaussian expected detections, property checkers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,12 +21,8 @@ from resilient_tracking.matroid import PartitionMatroid
 from resilient_tracking.objectives import (
     CoverageCount,
     ExpectedDetections,
-    best_extension,
-    best_removal,
     check_monotone,
     check_submodular,
-    evaluate_all,
-    evaluate_extensions,
     normal_cdf,
 )
 from resilient_tracking.simulation import SimConfig, run_rounds
@@ -44,6 +44,31 @@ def test_normal_cdf_accuracy_against_mpmath():
     for z, got in zip(zs, ours):
         want = float(mpmath.ncdf(mpmath.mpf(float(z))))
         assert abs(got - want) <= 1e-12
+
+
+def test_scipy_is_imported_only_by_expected_detections():
+    # scipy.special is most of the package's import time, so a one-step
+    # suite and the bound suite, which score only coverage, never load it;
+    # the first ExpectedDetections does, so the check is not vacuous
+    script = """
+import sys
+import resilient_tracking, resilient_tracking.cli
+from resilient_tracking.checks import run_bound_suite
+from resilient_tracking.experiments import run_suite, spec_from_dict
+spec = spec_from_dict({
+    "protocol": "one-step", "num_robots": 3, "fov_side": 3.0, "fly_length": 7.0,
+    "arena": [0, 10, 0, 10], "num_targets": [8], "alphas": [1], "trials": 1,
+    "planners": ["resilient", "greedy"], "attackers": ["optimal", "greedy"],
+    "master_seed": 42,
+})
+assert run_suite(spec) and len(run_bound_suite(5)) == 5
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+resilient_tracking.ExpectedDetections([[0.0, 0.0]], [[1.0, 1.0]], ["a"], [[0, 1, 0, 1]])
+assert "scipy.special" in sys.modules
+"""
+    paths = [str(Path(objectives.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
 
 def simple_rects():
@@ -74,7 +99,7 @@ def test_coverage_count_basics():
     ):
         value = cov.evaluate(make())
         assert type(value) is int
-        assert value == cov.evaluate_all((make(),))[0] == evaluate_all(cov, [make()])[0]
+        assert value == cov.evaluate_all((make(),))[0]
     assert [cov.evaluate(m) for m in ((tid for tid in "cab"), ["a", "b", "a"], set())] == [4, 3, 0]
 
 
@@ -140,14 +165,15 @@ def test_missing_rect_raises():
     for objective in (cov, exp):
         with pytest.raises(MissingCoverageRect, match="zzz"):
             objective.evaluate_all([("a",), ("a", "zzz")])
-        # in the base or among the candidates, through the method or the fallback
+        # in the base or among the candidates, through CoverageCount's own
+        # methods or those ExpectedDetections inherits from Objective
         for base, candidates in ((("a", "zzz"), ["b"]), (("a",), ["b", "zzz", "c"])):
             with pytest.raises(MissingCoverageRect, match="zzz"):
-                evaluate_extensions(objective, base, candidates)
+                objective.evaluate_extensions(base, candidates)
             with pytest.raises(MissingCoverageRect, match="zzz"):
-                best_extension(objective, base, candidates)
+                objective.best_extension(base, candidates)
         with pytest.raises(MissingCoverageRect, match="zzz"):
-            best_removal(objective, ["a", "zzz", "b"])
+            objective.best_removal(["a", "zzz", "b"])
     with pytest.raises(MissingCoverageRect, match="zzz"):
         cov.evaluate_extensions(("zzz",), [])
     with pytest.raises(MissingCoverageRect, match="zzz"):
@@ -162,6 +188,13 @@ def test_counting_oracle_counts_every_call():
     oracle.evaluate({"a"})
     oracle.evaluate(frozenset())
     assert oracle.eval_count == 3
+    # the inherited questions are one evaluate per set they score
+    oracle.evaluate_all([("b", "a"), ()])
+    oracle.evaluate_extensions(("a",), ["b", "c"])
+    oracle.best_extension(("c",), ["a"])
+    oracle.best_removal(["c", "a"])
+    assert oracle.eval_count == 10
+    assert oracle.evaluated[3:] == [frozenset(s) for s in ("ab", "", "ab", "ac", "ca", "a", "c")]
 
 
 def test_expected_detections_empty_and_order_invariance():
@@ -316,8 +349,9 @@ def edge_world(box_list, beliefs):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(edge_boxes(), min_size=1, max_size=8), wide_beliefs, st.data())
 def test_evaluate_all_is_bit_identical_to_evaluate(box_list, beliefs, data):
-    # evaluate, the method evaluate_all and the module's evaluate_all against
-    # independent references: the literal construction for expected
+    # evaluate, evaluate_all on a list and on an iterator, and the generic
+    # evaluate_all of a CountingOracle, against independent references: the
+    # literal construction for expected
     # detections and a plain set-union count for coverage.  The same edges
     # and beliefs as the literal-construction test; targets at the belief
     # means and on shared edge values.  The empty set, sets with repeated
@@ -335,23 +369,34 @@ def test_evaluate_all_is_bit_identical_to_evaluate(box_list, beliefs, data):
         with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
             assert [repr(objective.evaluate(members)) for members in sets] == want
             assert [repr(v) for v in objective.evaluate_all(sets)] == want
-            assert [repr(v) for v in evaluate_all(objective, iter(sets))] == want
+            assert [repr(v) for v in objective.evaluate_all(iter(sets))] == want
+            counting = helpers.CountingOracle(objective)
+            assert [repr(v) for v in counting.evaluate_all(iter(sets))] == want
+            assert counting.evaluated == [frozenset(members) for members in sets]
 
 
 def test_evaluate_all_falls_back_to_one_evaluate_per_frozenset():
+    # Objective's generic questions hand evaluate a frozenset of each set
+    # they score, in order, whatever iterable the set came in
     seen = []
     objective = helpers.SetFunction(lambda s: seen.append(s) or len(s))
-    assert evaluate_all(objective, [("a", "b", "a"), (), ["c"]]) == [2, 0, 1]
+    assert objective.evaluate_all([("a", "b", "a"), (), ["c"]]) == [2, 0, 1]
     assert seen == [frozenset("ab"), frozenset(), frozenset("c")]
+    seen.clear()
+    assert objective.evaluate_extensions(("a", "a"), iter("ab")) == [1, 2]
+    assert objective.best_extension(["b"], ["b", "a", "c"]) == (1, 2)
+    assert objective.best_removal(iter("aab")) == (2, 1)
+    assert seen == [frozenset(s) for s in ("a", "ab", "b", "ab", "bc", "ab", "ab", "a")]
+    assert all(type(members) is frozenset for members in seen)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(edge_boxes(), min_size=1, max_size=8), wide_beliefs, st.data())
 def test_evaluate_extensions_equals_evaluate_all_of_each_extension(box_list, beliefs, data):
     # CoverageCount's own extensions against a plain set-union count of
-    # (*base, t), and every objective's extensions, through the method or
-    # the fallback, against evaluate_all of those sets; the fallback scores
-    # exactly them, in order.  Empty bases and candidate lists, candidates
+    # (*base, t), and every objective's extensions, its own or Objective's
+    # generic ones, against evaluate_all of those sets; a CountingOracle,
+    # which inherits the generic rule, scores exactly them, in order.  Empty bases and candidate lists, candidates
     # already in the base and ids repeated in either
     ids, args, targets, covers = edge_world(box_list, beliefs)
     coverage = CoverageCount(targets, ids, args[-1])
@@ -370,42 +415,44 @@ def test_evaluate_extensions_equals_evaluate_all_of_each_extension(box_list, bel
         assert [repr(v) for v in coverage.evaluate_extensions(base, iter(candidates))] == want
         for objective in (coverage, expected):
             counting = helpers.CountingOracle(objective)
-            batched = [repr(v) for v in evaluate_all(objective, sets)]
-            assert [repr(v) for v in evaluate_extensions(objective, base, candidates)] == batched
-            assert [repr(v) for v in evaluate_extensions(counting, base, candidates)] == batched
+            batched = [repr(v) for v in objective.evaluate_all(sets)]
+            assert [repr(v) for v in objective.evaluate_extensions(base, candidates)] == batched
+            assert [repr(v) for v in counting.evaluate_extensions(base, candidates)] == batched
             assert counting.evaluated == [frozenset(members) for members in sets]
 
 
-def assert_first_best(choose, objective, args, sets, optimum):
-    """``choose(f, *args)``, for the objective and a ``CountingOracle`` of
-    it, is the position of the first ``optimum`` (``max`` or ``min``) of
+def assert_first_best(choose, objective, sets, optimum):
+    """``choose(f)``, for the objective and a ``CountingOracle`` of it, is
+    the position of the first ``optimum`` (``max`` or ``min``) of
     ``evaluate_all`` on ``sets`` and the ``repr`` of its value; the oracle,
-    which has no method of its own, evaluates exactly ``sets``, in order.
+    which inherits ``Objective``'s generic rule, evaluates exactly
+    ``sets``, in order.
     """
-    values = evaluate_all(objective, sets)
+    values = objective.evaluate_all(sets)
     first = optimum(range(len(values)), key=values.__getitem__)
     counting = helpers.CountingOracle(objective)
     for f in (objective, counting):
-        position, value = choose(f, *args)
+        position, value = choose(f)
         assert (position, repr(value)) == (first, repr(values[first]))
     assert counting.evaluated == [frozenset(members) for members in sets]
 
 
 def assert_best_extension(objective, base, candidates):
     sets = [(*base, tid) for tid in candidates]
-    assert_first_best(best_extension, objective, (base, candidates), sets, max)
+    assert_first_best(lambda f: f.best_extension(base, candidates), objective, sets, max)
 
 
 def assert_best_removal(objective, members):
     sets = [members[:i] + members[i + 1 :] for i in range(len(members))]
-    assert_first_best(best_removal, objective, (members,), sets, min)
+    assert_first_best(lambda f: f.best_removal(members), objective, sets, min)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(edge_boxes(), min_size=1, max_size=8), wide_beliefs, st.data())
 def test_best_choices_are_the_first_optimum_of_evaluate_all(box_list, beliefs, data):
     # best_extension and best_removal, through CoverageCount's methods and
-    # through the fallback (ExpectedDetections and every CountingOracle),
+    # through Objective's generic ones (ExpectedDetections and every
+    # CountingOracle),
     # against the first maximum or minimum of evaluate_all on the sets
     # (*base, t) and on the leave-one-out lists.  Repeated ids tie exactly,
     # so a choice that kept the last optimum would differ; candidates
@@ -454,14 +501,18 @@ def test_best_choices_break_exact_ties_by_first_position():
 
 
 def test_best_choices_of_nothing_raise_value_error():
-    # as max() and min() of nothing do, through the methods and the fallback
+    # as max() and min() of nothing do, through CoverageCount's methods and
+    # Objective's generic ones
     cov = helpers.coverage([(0.5, 0.5)], simple_rects())
     exp = helpers.expected([(0.5, 0.5, 1.0, 1.0)], simple_rects())
-    for objective in (cov, exp, helpers.CountingOracle(cov), helpers.CountingOracle(exp)):
+    bare = helpers.SetFunction(len)
+    for objective in (cov, exp, bare, helpers.CountingOracle(cov), helpers.CountingOracle(exp)):
         with pytest.raises(ValueError):
-            best_extension(objective, ("a",), iter([]))
+            objective.best_extension(("a",), iter([]))
         with pytest.raises(ValueError):
-            best_removal(objective, [])
+            objective.best_removal([])
+        with pytest.raises(ValueError):
+            objective.best_removal(iter([]))
 
 
 def test_vecdot_rows_equal_one_dot_per_row():
@@ -485,6 +536,28 @@ def test_nan_coverage_bounds_are_refused_by_both_objectives():
             ExpectedDetections([[0.5, 0.5]], [[1.0, 1.0]], ids, bounds)
         with pytest.raises(ValueError, match="trajectory 'b'"):
             CoverageCount([[0.5, 0.5]], ids, bounds)
+
+
+def test_repeated_trajectory_ids_are_refused_by_both_objectives():
+    # each objective keeps one rectangle per id, so a repeated id would
+    # silently drop one of its rectangles: coverage of {'a'} below read 1
+    # target, not 2, and the expected detections of a belief at (1, 1)
+    # read 9.7e-19, not about 0.91
+    with pytest.raises(ValueError, match="trajectory id 'a' is repeated"):
+        CoverageCount([(1, 1), (5, 5)], ["a", "a"], [(0, 2, 0, 2), (4, 6, 4, 6)])
+    with pytest.raises(ValueError, match="trajectory id 'a' is repeated"):
+        ExpectedDetections([(1, 1)], [(1, 1)], ["a", "a"], [(0, 2, 0, 2), (4, 6, 4, 6)])
+    # the first position whose id came before, in a list or a tuple
+    bounds = np.array([[0.0, 1.0, 0.0, 1.0]] * 4)
+    for ids, repeated in (
+        (["b", "a", "a", "b"], "a"),
+        (("a", "b", "c", "b"), "b"),
+        (["c", "a", "b", "c"], "c"),
+    ):
+        with pytest.raises(ValueError, match=f"trajectory id '{repeated}' is repeated"):
+            CoverageCount([[0.5, 0.5]], ids, bounds)
+        with pytest.raises(ValueError, match=f"trajectory id '{repeated}' is repeated"):
+            ExpectedDetections([[0.5, 0.5]], [[1.0, 1.0]], ids, bounds)
 
 
 def test_infinite_coverage_bounds_still_evaluate():

@@ -247,7 +247,7 @@ def test_one_removal_is_the_same_under_both_attacks(instance):
     # combination order and the greedy attack asks best_removal in sorted
     # member order; both keep the first minimum, so they remove the same
     # trajectory and report the same value bit for bit, through
-    # CoverageCount's own best_removal and through the fallback
+    # CoverageCount's own best_removal and through Objective's generic one
     matroid, objective = instance
     selections = [frozenset()]
     for alpha in range(matroid.num_robots + 1):
