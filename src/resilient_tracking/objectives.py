@@ -42,23 +42,31 @@ faster rule that returns the same values:
   ``(position, value)`` of the first maximum over ``base`` plus each
   candidate (a greedy-fill round) and of the first minimum over the
   members less one member (a greedy-attack round).  No candidate or member
-  raises ValueError, as ``max()`` and ``min()`` of nothing do.
+  raises ValueError, as ``max()`` and ``min()`` of nothing do;
+- ``curvature_sandwich(menus)``, a basis and a member certified in
+  polynomial time to attain the least curvature ratio, or None: the bound
+  check's curvature, which scores every basis on the grid on None.  The
+  base answers None, since ``evaluate`` alone certifies nothing, and an
+  override may answer None where its bounds do not meet.
 
 Each objective class has one union rule, so a set's value is the same bit
 for bit however it is asked for.  :class:`CoverageCount` counts the bits
-of the OR of its members' masks and overrides all four:
+of the OR of its members' masks and overrides all five:
 ``evaluate_extensions`` and ``best_extension`` take the base's union once
 and OR each candidate into it; ``best_removal`` ORs the suffixes once from
 the back and grows a prefix, so it costs O(k) ORs for k members where
-scoring every leave-one-out set costs k(k-1).  :class:`ExpectedDetections`
-paints its members' cells in ``evaluate_all``, its ``evaluate`` is the
-one-set case of it, and it inherits the other three.  ``evaluate`` serves
-the values reported on their own: a selection's full value, the
-curvature, the property checks.  The objective classes are deliberately
-not callable: the benchmark's tracer and its ``--fault perturb`` control
-replace ``evaluate`` on the class, so a value that bypassed the method
-would go unseen by both.  They therefore see reported values only, not the
-scoring of choices.
+scoring every leave-one-out set costs k(k-1); ``curvature_sandwich``
+encloses the least ratio between two bounds on the masks, O(T^2) ANDs for
+T trajectories.  :class:`ExpectedDetections` paints its members' cells in
+``evaluate_all``, its ``evaluate`` is the one-set case of it, and it
+inherits the other four (a sandwich like :class:`CoverageCount`'s seldom
+closes on it: Gaussian tails make every pair of rectangles overlap).
+``evaluate`` serves the values reported on their own: a selection's full
+value, the curvature, the property checks.  The objective classes are
+deliberately not callable: the benchmark's tracer and its ``--fault
+perturb`` control replace ``evaluate`` on the class, so a value that
+bypassed the method would go unseen by both.  They therefore see reported
+values only, not the scoring of choices.
 
 ``check_monotone`` and ``check_submodular`` are seeded sampling drivers that
 hunt for violations of the two properties over the whole power set of the
@@ -195,6 +203,14 @@ class Objective:
         best = min(values)
         return values.index(best), best
 
+    def curvature_sandwich(self, menus: Sequence[Sequence[str]]) -> tuple[frozenset, str] | None:
+        """A basis and member certified to attain the least curvature ratio, or None.
+
+        None says that the objective has no polynomial certificate, so the
+        caller scores every basis on the grid.
+        """
+        return None
+
 
 class CoverageCount(Objective):
     """Number of targets covered by the union of selected rectangles.
@@ -299,6 +315,70 @@ class CoverageCount(Objective):
                 position, best = i, value
             prefix |= held[i]
         return position, best
+
+    def curvature_sandwich(self, menus: Sequence[Sequence[str]]) -> tuple[frozenset, str] | None:
+        """``(B_s, s)`` attaining the least ``(f(S) - f(S - s)) / f(s)`` over the bases, or None.
+
+        ``menus`` are the robots' menus in robot order.  For each member s of
+        robot r with ``f(s) > 0``, two bounds enclose its least gain
+        ``f(S) - f(S - s)`` over the bases S that hold it:
+
+        - a floor, ``max(|s - U|, |s| - sum over r' != r of the largest
+          |s & t| for t in menu(r'))``, where U is the union of every other
+          robot's menu: every ``S - s`` lies inside U, and covers at most the
+          sum of its members' overlaps with s (the total curvature of
+          Conforti and Cornuejols, 1984, restricted to the partition);
+        - an attained gain ``|s - union(B_s - s)|`` on a real basis ``B_s``,
+          where each other robot flies its first trajectory of largest
+          overlap with s.
+
+        The least floor ratio is at most the least ratio over every basis and
+        the least attained ratio at least it.  When the two are equal, the
+        member ``s`` first in ground order whose attained ratio is that
+        minimum is returned with its basis; otherwise None.  The ratios are
+        compared as integers by cross-multiplication, never as floats.  It
+        costs O(T^2) mask ANDs for T trajectories, however many bases there
+        are.
+        """
+        masks = self._masks
+        try:
+            held = [[(masks[tid], tid) for tid in menu] for menu in menus]
+        except KeyError as missing:
+            raise _missing_rect(missing.args[0]) from None
+        unions = [_union(masks, menu) for menu in menus]
+        # suffixes[j] is the union of the last j robots' menus
+        suffixes = list(itertools.accumulate(reversed(unions), operator.or_, initial=0))
+        last = len(held) - 1
+        floor = attained = witness = None  # (gain, f(s)) pairs, and [s, *(B_s - s)]
+        prefix = 0
+        for r, menu in enumerate(held):
+            others = prefix | suffixes[last - r]
+            prefix |= unions[r]
+            rivals = held[:r] + held[r + 1 :]
+            for s, sid in menu:
+                single = s.bit_count()
+                if not single:
+                    continue
+                shared = rest = 0
+                basis = [sid]
+                for rival in rivals:
+                    most = -1
+                    for t, tid in rival:
+                        overlap = (s & t).bit_count()
+                        if overlap > most:
+                            most, pick, picked = overlap, t, tid
+                    shared += most
+                    rest |= pick
+                    basis.append(picked)
+                low = max((s & ~others).bit_count(), single - shared)
+                gain = (s & ~rest).bit_count()
+                if floor is None or low * floor[1] < floor[0] * single:
+                    floor = low, single
+                if attained is None or gain * attained[1] < attained[0] * single:
+                    attained, witness = (gain, single), basis
+        if attained is None or floor[0] * attained[1] != attained[0] * floor[1]:
+            return None
+        return frozenset(witness), witness[0]
 
     def menu_tables(self, menus: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Packed coverage masks of each menu, laid out on the basis grid.
