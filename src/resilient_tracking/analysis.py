@@ -30,7 +30,7 @@ import numpy as np
 from .adversary import attack_optimal
 from .errors import DegenerateObjective, require_int
 from .matroid import PartitionMatroid, require_enumerable
-from .objectives import basis_grid
+from .objectives import basis_grid, grid_index
 from .planners import plan_bruteforce_maxmin, plan_resilient
 
 BOUND_SLACK = 1e-9
@@ -82,7 +82,7 @@ def _curvature(matroid, objective, find_witness) -> CurvatureReport:
     it would move none, and that negative control could no longer fail.
     """
     evaluate = objective.evaluate
-    singleton = {tid: evaluate(frozenset({tid})) for tid in matroid.ground_set}
+    singleton = {tid: evaluate((tid,)) for tid in matroid.ground_set}
     skipped = tuple(
         tid for tid in matroid.ground_set if singleton[tid] == 0
     )
@@ -117,36 +117,41 @@ def _sandwich_or_grid(matroid, objective, singleton):
 def _grid_witness(matroid, objective, singleton):
     """First (basis, element) with the smallest ratio, scored on the grid.
 
-    Block by block, each basis's full value minus its value without each
-    robot, divided by that robot's singleton, fills an ``(n, *block.shape)``
-    array, one contiguous slab per robot, with +inf where the singleton is
-    zero (an element that is skipped).  The block's singletons are one
-    array in menu order, and robot ``r``'s are a view of its menu's run.
-    The first ``argmin`` of its minimum over the robots is the block's
-    first minimal basis (C order is enumeration order), and the first
-    ``argmin`` over the robots at that basis its first minimal robot: the
-    first pair in C order over (basis, robot).  A strict running minimum
-    over the blocks in order keeps the first minimal basis of the grid.
+    Block by block, each basis's full value minus its value without robot
+    ``r``, divided by that robot's singleton, is robot ``r``'s ratio, +inf
+    where the singleton is zero (an element that is skipped).  The block's
+    singletons are one array in menu order, and robot ``r``'s are a view of
+    its menu's run.  A running per-basis least ratio keeps, with a strict
+    ``<``, the first robot that attains it, so the work space is a few
+    arrays of the block's shape whatever the robot count.  The first
+    ``argmin`` of the least ratios is the block's first minimal basis (C
+    order is enumeration order), and the robot kept there its first minimal
+    robot: the first pair in C order over (basis, robot).  A strict running
+    minimum over the blocks in order keeps the first minimal basis of the
+    grid.
     """
     menus = [matroid.blocks[robot] for robot in matroid.robots]
     n = len(menus)
     witness = None
     for origin, block in basis_grid(objective, menus):
         full, without = block.leave_one_out()
-        ratio = np.full((n, *block.shape), np.inf)
+        best = np.full(block.shape, np.inf)
+        first = np.zeros(block.shape, dtype=np.intp)
+        ratio = np.empty(block.shape)
         singles = np.array([singleton[tid] for menu in block.menus for tid in menu], dtype=float)
         stop = 0
         for r, size in enumerate(block.shape):
             start, stop = stop, stop + size
             single = singles[start:stop].reshape((1,) * r + (size,) + (1,) * (n - r - 1))
-            np.divide(full - without[r], single, out=ratio[r], where=single != 0)
-        best = ratio.min(axis=0)
+            ratio.fill(np.inf)
+            np.divide(full - without[r], single, out=ratio, where=single != 0)
+            lower = ratio < best
+            np.copyto(best, ratio, where=lower)
+            np.copyto(first, r, where=lower)
         at = best.argmin()
         value = best.item(at)
         if witness is None or value < witness[0]:
-            robot = int(ratio.reshape(n, -1)[:, at].argmin())
-            index = [o + int(i) for o, i in zip(origin, np.unravel_index(at, best.shape))]
-            witness = value, index, robot
+            witness = value, grid_index(origin, at, block.shape), first.item(at)
     _, index, robot = witness
     basis = frozenset(menu[i] for menu, i in zip(menus, index))
     return basis, menus[robot][index[robot]]

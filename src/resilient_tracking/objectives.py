@@ -215,14 +215,15 @@ class Objective:
 class CoverageCount(Objective):
     """Number of targets covered by the union of selected rectangles.
 
-    Deterministic and integer valued; precomputes one coverage bitmask per
-    trajectory so evaluation is O(|S|) regardless of the target count:
-    ``evaluate`` counts the bits of one union of its members' masks
-    directly, the rule every other method applies to its sets.
-    ``menu_tables`` packs the same bitmasks into ``uint64`` words for the
-    batched exact enumerations.  ``targets`` is ``(m, 2)``, and ``bounds``
-    holds the rectangle ``(x_min, x_max, y_min, y_max)`` of ``ids[g]`` in
-    row ``g``.
+    Deterministic and integer valued; packs its coverage once into a
+    read-only ``(W, T)`` table of ``uint64`` words, one column per
+    trajectory, and keeps each column as an integer bitmask so evaluation
+    is O(|S|) regardless of the target count: ``evaluate`` counts the bits
+    of one union of its members' masks directly, the rule every other
+    method applies to its sets.  ``menu_tables`` gathers the table's
+    columns for the batched exact enumerations.  ``targets`` is ``(m,
+    2)``, and ``bounds`` holds the rectangle ``(x_min, x_max, y_min,
+    y_max)`` of ``ids[g]`` in row ``g``.
     """
 
     def __init__(self, targets, ids: Sequence[str], bounds):
@@ -230,11 +231,20 @@ class CoverageCount(Objective):
         x_min, x_max, y_min, y_max = _bounds(ids, bounds).T[:, :, None]
         # (rects, targets): closed rectangles, boundary points covered
         inside = (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
-        packed = np.packbits(inside, axis=1, bitorder="little").tolist()
-        self._words = max(1, -(-len(x) // 64))
-        self._masks = {
-            tid: int.from_bytes(bytes(row), "little") for tid, row in zip(ids, packed)
-        }
+        words = self._words = max(1, -(-len(x) // 64))
+        bits = np.zeros((len(inside), 64 * words), dtype=bool)
+        bits[:, : len(x)] = inside
+        # (rects, W): target j in bit j % 64 of word j // 64; a mask is its row
+        rows = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        if words == 1:
+            masks = rows[:, 0].tolist()
+        else:
+            masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        self._masks = dict(zip(ids, masks))
+        self._columns = {tid: g for g, tid in enumerate(ids)}
+        # (W, rects), read-only: menu_tables gathers its columns
+        self._table = np.ascontiguousarray(rows.T)
+        self._table.flags.writeable = False
         # basis_grid's last one-block grid: {(block cap, menus): block}
         self._grids = {}
 
@@ -391,17 +401,15 @@ class CoverageCount(Objective):
         word ``j // 64``.  So a union of tables broadcasts to the grid
         points of its robots with the words outermost, and no operation's
         innermost axis is the word axis.  The tables are read-only views
-        of one array.
+        of one array, the word table's columns gathered in menu order.
         """
-        words, masks = self._words, self._masks
+        columns, words = self._columns, self._words
         try:
-            packed = b"".join(
-                masks[tid].to_bytes(8 * words, "little") for menu in menus for tid in menu
-            )
+            order = [columns[tid] for menu in menus for tid in menu]
         except KeyError as missing:
             raise _missing_rect(missing.args[0]) from None
-        # (W, trajectories), one C-contiguous copy when there is more than one word
-        rows = np.ascontiguousarray(np.frombuffer(packed, dtype="<u8").reshape(-1, words).T)
+        # (W, trajectories), C-contiguous: one take from the word table
+        rows = self._table.take(order, axis=1)
         rows.flags.writeable = False
         tables, stop = [], 0
         for r, menu in enumerate(menus):
@@ -576,6 +584,19 @@ def _block_menus(menus: Sequence[Sequence[str]], cap: int):
         for start in range(0, len(menus[axis]), step):
             origin = (*lead, start) + (0,) * len(rest)
             yield origin, fixed + [menus[axis][start : start + step]] + rest
+
+
+def grid_index(origin: Sequence[int], at, shape: Sequence[int]) -> list[int]:
+    """The grid index of C-order position ``at`` of a block laid out from ``origin``.
+
+    ``np.unravel_index`` in Python ints: ``divmod`` from the last axis back,
+    each axis's position added to the block's origin on that axis.
+    """
+    at, index = int(at), [0] * len(shape)
+    for axis in range(len(shape) - 1, -1, -1):
+        at, index[axis] = divmod(at, shape[axis])
+        index[axis] += origin[axis]
+    return index
 
 
 def basis_grid(objective, menus: Sequence[Sequence[str]]):

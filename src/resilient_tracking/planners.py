@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import require_choice, require_int
 from .matroid import PartitionMatroid, require_enumerable
-from .objectives import basis_grid
+from .objectives import basis_grid, grid_index
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
         value = worst.item(at)
         if best is None or value > best:
             best = value
-            index = [o + int(i) for o, i in zip(origin, np.unravel_index(at, worst.shape))]
+            index = grid_index(origin, at, worst.shape)
     return PlanResult(
         selected=frozenset(menu[i] for menu, i in zip(menus, index)),
         trace=None,

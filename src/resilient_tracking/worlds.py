@@ -20,6 +20,7 @@ boundary (``spec_from_dict``, ``SimConfig``), not here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,16 +153,26 @@ def sample_instance(
     robot draws its x, its y, its size (when more than one is allowed) and
     then (below four) its directions; the targets follow as x, y pairs.  A
     draw from one size would leave the stream as it is, so it is skipped.
+
+    A coordinate is ``low + (high - low) * rng.random()``, which is what
+    ``rng.uniform(low, high)`` computes from the same draw, bit for bit,
+    without its per-call argument handling; the targets are one
+    ``rng.random((m, 2))`` scaled the same way.  Like ``uniform``, an arena
+    whose width or height overflows is refused with ``OverflowError``.
     """
     if len(menu_sizes) == 0:
         raise SpecError(f"field 'menu_sizes': expected a size, got {shown(menu_sizes)}")
     for size in menu_sizes:
         require_int(size, "menu_sizes", 1, len(DIRECTION_ORDER))
+    # in doubles, as uniform takes them
+    x_min, y_min = float(arena.x_min), float(arena.y_min)
+    width, height = float(arena.x_max) - x_min, float(arena.y_max) - y_min
+    if not math.isfinite(width) or not math.isfinite(height):
+        raise OverflowError("high - low range exceeds valid bounds")
+    random = rng.random
     positions, menus = [], []
     for _ in range(num_robots):
-        positions.append(
-            (rng.uniform(arena.x_min, arena.x_max), rng.uniform(arena.y_min, arena.y_max))
-        )
+        positions.append((x_min + width * random(), y_min + height * random()))
         size = menu_sizes[0]
         if len(menu_sizes) > 1:
             size = menu_sizes[int(rng.integers(len(menu_sizes)))]
@@ -170,7 +181,5 @@ def sample_instance(
         else:
             keep = sorted(rng.choice(len(DIRECTION_ORDER), size=size, replace=False).tolist())
             menus.append(tuple(DIRECTION_ORDER[k] for k in keep))
-    targets = rng.uniform(
-        (arena.x_min, arena.y_min), (arena.x_max, arena.y_max), size=(num_targets, 2)
-    )
+    targets = np.array((x_min, y_min)) + np.array((width, height)) * random((num_targets, 2))
     return build_instance(positions, targets, fov_side, fly_length, menus)

@@ -17,6 +17,10 @@ assignment per drawn position.  ``read_csv_reference`` is the package's CSV
 reader as it was while rows were frozen dataclasses: it converts each field
 in a generator and checks a row's names and values one field at a time, and
 builds the package's ``RecordRow`` and ``CsvFormatError``.
+``sample_instance_reference`` draws every coordinate with
+``Generator.uniform``.  ``grid_witness_stacked`` is the package's curvature
+witness as it was while it stacked every robot's ratios into one ``(n,
+*block)`` array per block; it scores on the package's ``basis_grid``.
 """
 
 import itertools
@@ -33,7 +37,12 @@ from resilient_tracking.errors import CsvFormatError
 from resilient_tracking.experiments import RecordRow
 from resilient_tracking.geometry import UNIT_STEP, Direction
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import CoverageCount, ExpectedDetections, normal_cdf
+from resilient_tracking.objectives import (
+    CoverageCount,
+    ExpectedDetections,
+    basis_grid,
+    normal_cdf,
+)
 from resilient_tracking.planners import PLANNER_NAMES, get_planner
 from resilient_tracking.simulation import RoundRecord
 from resilient_tracking.worlds import (
@@ -162,6 +171,35 @@ def curvature_witness_bruteforce(blocks, f):
             if witness is None or ratio < witness[0]:
                 witness = (ratio, basis, member)
     return witness
+
+
+def grid_witness_stacked(matroid, objective, singleton):
+    """First (basis, element) of smallest ratio from one stacked ratio array per block.
+
+    Each robot's ratios fill its slab of an ``(n, *block.shape)`` array,
+    +inf where the singleton is zero; the block's first minimal basis is
+    the first ``argmin`` of the minimum over the robots, and its robot the
+    first ``argmin`` at that basis.  A strict running minimum over the
+    blocks keeps the first minimal basis of the grid.
+    """
+    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    n = len(menus)
+    witness = None
+    for origin, block in basis_grid(objective, menus):
+        full, without = block.leave_one_out()
+        ratio = np.full((n, *block.shape), np.inf)
+        for r, menu in enumerate(block.menus):
+            single = np.array([singleton[tid] for tid in menu], dtype=float)
+            single = single.reshape((1,) * r + (len(menu),) + (1,) * (n - r - 1))
+            np.divide(full - without[r], single, out=ratio[r], where=single != 0)
+        best = ratio.min(axis=0)
+        at = best.argmin()
+        if witness is None or best.flat[at] < witness[0]:
+            robot = int(ratio.reshape(n, -1)[:, at].argmin())
+            index = [o + int(i) for o, i in zip(origin, np.unravel_index(at, best.shape))]
+            witness = best.flat[at], index, robot
+    _, index, robot = witness
+    return frozenset(menu[i] for menu, i in zip(menus, index)), menus[robot][index[robot]]
 
 
 def curvature_bruteforce(blocks, f):

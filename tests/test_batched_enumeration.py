@@ -19,6 +19,7 @@ one does.
 import gc
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
-from resilient_tracking import objectives
+from resilient_tracking import analysis, objectives
 from resilient_tracking.adversary import attack_optimal
 from resilient_tracking.analysis import constrained_curvature
 from resilient_tracking.errors import DegenerateObjective, EnumerationCapExceeded
@@ -493,3 +494,36 @@ def test_witness_skips_a_robot_of_zero_singletons_and_breaks_ties_in_order():
                 assert (report.witness_set, report.witness_element) == (basis, member)
                 assert report.value == 0.0
                 assert report.skipped_zero_elements == ("a", "b")
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances, block_cells=st.sampled_from([1, 2, 5, 40, objectives.BLOCK_CELLS]))
+def test_grid_witness_is_the_stacked_ratio_rule(instance, block_cells):
+    # a running per-basis least ratio with a strict < keeps the first robot
+    # on ties, as the first argmin over the stacked (n, *block) ratios does;
+    # integer counts tie often, and a wide spread leaves zero singletons
+    seed, menu_sizes, num_targets, spread = instance
+    matroid, cov = random_coverage(seed, menu_sizes, num_targets, spread)
+    singleton = {tid: cov.evaluate((tid,)) for tid in matroid.ground_set}
+    if not any(singleton.values()):
+        return
+    as_float = helpers.SetFunction(lambda members: float(cov.evaluate(members)))
+    with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+        for objective in (cov, helpers.SetFunction(cov.evaluate), as_float):
+            want = oracles.grid_witness_stacked(matroid, objective, singleton)
+            assert analysis._grid_witness(matroid, objective, singleton) == want
+
+
+def test_grid_witness_work_space_does_not_grow_with_the_robots():
+    # 18 robots of two trajectories: one block of 2**18 bases, where the
+    # stacked ratios alone took 18 floats per basis (36 MiB, a 42.5 MiB peak)
+    matroid, cov = random_coverage(1, [2] * 18, 60)
+    singleton = {tid: cov.evaluate((tid,)) for tid in matroid.ground_set}
+    tracemalloc.start()
+    try:
+        witness = analysis._grid_witness(matroid, cov, singleton)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert witness == oracles.grid_witness_stacked(matroid, cov, singleton)

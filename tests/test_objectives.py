@@ -134,6 +134,57 @@ def test_coverage_masks_match_the_literal_contains_loop():
     assert any(0 < mask for mask in cov._masks.values())
 
 
+def literal_menu_tables(masks, words, menus):
+    """Each menu's masks as ``words`` little-endian uint64 words, word axis first."""
+    packed = b"".join(masks[tid].to_bytes(8 * words, "little") for menu in menus for tid in menu)
+    rows = np.frombuffer(packed, dtype="<u8").reshape(-1, words).T
+    tables, stop = [], 0
+    for r, menu in enumerate(menus):
+        start, stop = stop, stop + len(menu)
+        shape = (words,) + (1,) * r + (len(menu),) + (1,) * (len(menus) - r - 1)
+        tables.append(rows[:, start:stop].reshape(shape))
+    return tables
+
+
+@pytest.mark.parametrize("num_targets", [1, 63, 64, 65, 130])
+def test_packed_word_table_is_the_literal_int_packing(num_targets):
+    # one to three words, a word filled exactly, and a last word holding
+    # one target; menus in ground order, out of it, and over part of the
+    # ground set, all gathered from the one (W, T) table
+    rng = np.random.default_rng(num_targets)
+    rects = {}
+    for k in range(9):
+        lo = 0.5 * rng.integers(0, 12, size=2)
+        size = 0.5 * rng.integers(0, 8, size=2)
+        rects[f"t{k}"] = Rect(lo[0], lo[0] + size[0], lo[1], lo[1] + size[1])
+    targets = [tuple(0.5 * rng.integers(-1, 14, size=2)) for _ in range(num_targets)]
+    # the last target, on a corner of t0, sets a bit of the last word
+    targets[-1] = (rects["t0"].x_min, rects["t0"].y_min)
+    cov = helpers.coverage(targets, rects)
+    masks = literal_masks(targets, rects)
+    words = -(-num_targets // 64)
+    assert cov._masks == masks
+    assert cov._words == words
+    assert any(mask >> (64 * (words - 1)) for mask in masks.values())
+    ids = list(rects)
+    for menus in (
+        [ids[0:3], ids[3:5], ids[5:9]],
+        [ids[7:4:-1], [ids[0]], [ids[8], ids[2]]],
+        [ids[4:6]],
+    ):
+        tables = cov.menu_tables(menus)
+        want = literal_menu_tables(masks, words, menus)
+        assert [t.shape for t in tables] == [t.shape for t in want]
+        for table, literal in zip(tables, want):
+            assert table.dtype == np.uint64
+            assert table.tolist() == literal.tolist()
+            with pytest.raises(ValueError):
+                table[...] = 0
+    with pytest.raises(ValueError):
+        cov._table[...] = 0
+    assert cov._masks == masks
+
+
 def test_coverage_masks_with_no_targets_or_no_rects():
     cov = helpers.coverage([], simple_rects())
     assert cov._masks == {"a": 0, "b": 0, "c": 0}

@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 import oracles
-from resilient_tracking.geometry import Direction
+from resilient_tracking.geometry import Direction, Rect
 from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.worlds import DIRECTION_ORDER, build_instance, sample_instance
 
@@ -161,3 +161,44 @@ def test_full_menu_worlds_match_the_one_pass_builder():
             got = build_instance(positions, targets, 3.0, fly_length)
             want = oracles.build_instance_reference(positions, targets, 3.0, fly_length)
             _same_world(got, want)
+
+
+# the origin, negative and far-offset origins, and a sliver of an arena: a
+# coordinate is low + span * draw, and its round-off must be uniform's
+SAMPLER_ARENAS = (
+    helpers.ARENA,
+    Rect(-7.5, 2.25, -30.0, -1.0),
+    Rect(1e6, 1e6 + 3.3, -2e-3, 5.0),
+    Rect(-1e-9, 0.0, 123.456, 789.0),
+)
+
+
+@pytest.mark.parametrize("menu_sizes", [(1,), (2, 3), (4,)])
+def test_sample_instance_draws_what_uniform_draws(menu_sizes):
+    # against the sampler that calls Generator.uniform per coordinate and
+    # once for the targets: the same worlds bit for bit, and the generator
+    # left where it leaves it, since the bound suite draws alpha next
+    for seed in range(60):
+        arena = SAMPLER_ARENAS[seed % len(SAMPLER_ARENAS)]
+        shape = (1 + seed % 6, 1 + seed % 15, 3.0, 7.0)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_instance(rng, *shape, arena, menu_sizes)
+        want = oracles.sample_instance_reference(ref_rng, *shape, arena, menu_sizes)
+        _same_world(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize(
+    "arena", [Rect(-1e308, 1e308, 0.0, 10.0), Rect(0.0, 10.0, -1e308, 1e308)]
+)
+def test_sample_instance_refuses_an_arena_whose_span_overflows(arena):
+    # uniform refuses a width or height past the float range, rather than
+    # scaling its draws to inf
+    for num_robots in (1, 3):
+        with pytest.raises(OverflowError, match="high - low range exceeds valid bounds"):
+            sample_instance(np.random.default_rng(0), num_robots, 4, 3.0, 7.0, arena)
+        with pytest.raises(OverflowError):
+            oracles.sample_instance_reference(
+                np.random.default_rng(0), num_robots, 4, 3.0, 7.0, arena
+            )
