@@ -57,9 +57,12 @@ and OR each candidate into it; ``best_removal`` ORs the suffixes once from
 the back and grows a prefix, so it costs O(k) ORs for k members where
 scoring every leave-one-out set costs k(k-1); ``curvature_sandwich``
 encloses the least ratio between two bounds on the masks, O(T^2) ANDs for
-T trajectories.  :class:`ExpectedDetections` paints its members' cells in
-``evaluate_all``, its ``evaluate`` is the one-set case of it, and it
-inherits the other four (a sandwich like :class:`CoverageCount`'s seldom
+T trajectories.  :class:`ExpectedDetections` paints its members' cells
+into a zero grid and dots it with its weights: ``evaluate`` paints one
+grid, ``evaluate_all`` one row per set, and ``evaluate_extensions`` paints
+the base once into every row and each candidate into its own.  It inherits
+``best_extension`` and ``best_removal``, and the base's None for
+``curvature_sandwich`` (a sandwich like :class:`CoverageCount`'s seldom
 closes on it: Gaussian tails make every pair of rectangles overlap).
 ``evaluate`` serves the values reported on their own: a selection's full
 value, the curvature, the property checks.  The objective classes are
@@ -117,17 +120,34 @@ BLOCK_CELLS = 1 << 18
 _SQRT2 = math.sqrt(2.0)
 
 
-def normal_cdf(z):
-    """Standard normal CDF via the complementary error function.
+@functools.cache
+def _erfc():
+    """scipy's ``erfc``, imported on first use.
 
-    Accepts scalars or numpy arrays; absolute error is far below 1e-12 over
-    the |z| <= 8 range the rectangle masses ever see.  scipy is imported on
-    first use: it is most of the package's import time, and only
+    scipy is most of the package's import time, and only
     :class:`ExpectedDetections` needs it.
     """
     from scipy.special import erfc
 
-    return 0.5 * erfc(-z / _SQRT2)
+    return erfc
+
+
+def _cdf_in_place(z: np.ndarray) -> np.ndarray:
+    """``0.5 * erfc(-z / sqrt(2))`` written over the float array ``z``, which is returned."""
+    np.negative(z, out=z)
+    z /= _SQRT2
+    _erfc()(z, out=z)
+    z *= 0.5
+    return z
+
+
+def normal_cdf(z):
+    """Standard normal CDF via the complementary error function.
+
+    Accepts scalars or numpy arrays; absolute error is far below 1e-12 over
+    the |z| <= 8 range the rectangle masses ever see.
+    """
+    return _cdf_in_place(np.array(z, dtype=float))[()]
 
 
 def _missing_rect(tid: str) -> MissingCoverageRect:
@@ -660,8 +680,9 @@ class ExpectedDetections(Objective):
     Construction is one pass.  The grid lines of an axis are its sorted
     distinct edge values, and a rectangle's cell span is the positions of
     its edges among them, looked up in a dict.  One normal CDF call covers
-    every belief at every line of both axes, an ``(m, nx + ny)`` array,
-    and each axis' cell differences are slices of it.  Every weight is bit
+    every belief at every line of both axes, an ``(m, nx + ny)`` array
+    written over the standardized lines in their own buffer, and each
+    axis' cell differences are slices of it.  Every weight is bit
     for bit the one the literal construction in ``tests/oracles.py``
     (``np.unique``, ``searchsorted``, a CDF pass per axis and ``np.diff``)
     gives: the same CDF values, the same differences and the same matrix
@@ -675,7 +696,10 @@ class ExpectedDetections(Objective):
     makes the same BLAS call per row that ``ndarray.dot`` makes on the row
     alone, so a set's value does not depend on the block it was scored in
     (a matrix product ``block @ weights`` would not promise that).
-    ``evaluate`` is the one-set case of ``evaluate_all``.
+    ``evaluate`` paints one grid and takes that ``ndarray.dot`` itself, and
+    ``evaluate_extensions`` paints the base once into every row of a block
+    and each candidate into its own row, so every way of asking for a set
+    paints the same cells and makes the same dot product.
 
     ``means`` and ``stds`` are ``(m, 2)``: one belief per row, its mean and
     standard deviation per axis.  ``bounds`` holds the coverage rectangle of
@@ -700,11 +724,13 @@ class ExpectedDetections(Objective):
             tid: (slice(x_line[x0], x_line[x1]), slice(y_line[y0], y_line[y1]))
             for tid, x0, x1, y0, y1 in zip(ids, x_min, x_max, y_min, y_max)
         }
-        # every belief's CDF at every line of both axes: (beliefs, nx + ny)
+        # every belief's CDF at every line of both axes, (beliefs, nx + ny),
+        # in one buffer: the standardized lines, then their CDF over them
         nx = len(xs)
         axes = (nx, len(ys))
-        lines = np.array(xs + ys)
-        cdf = normal_cdf((lines - np.repeat(means, axes, axis=1)) / np.repeat(stds, axes, axis=1))
+        cdf = np.array(xs + ys) - np.repeat(means, axes, axis=1)
+        cdf /= np.repeat(stds, axes, axis=1)
+        _cdf_in_place(cdf)
         # per-belief CDF differences across each axis' cells: (beliefs, cells)
         dpx = cdf[:, 1:nx] - cdf[:, : nx - 1]
         dpy = cdf[:, nx + 1 :] - cdf[:, nx:-1]
@@ -712,7 +738,15 @@ class ExpectedDetections(Objective):
         self._weights = (dpx.T @ dpy).ravel()
 
     def evaluate(self, members: Iterable[str]) -> float:
-        return self.evaluate_all((members,))[0]
+        """The expected detections of ``members``: one painted grid dotted with the weights."""
+        spans = self._spans
+        covered = np.zeros(self._shape)
+        try:
+            for tid in members:
+                covered[spans[tid]] = 1.0
+        except KeyError as missing:
+            raise _missing_rect(missing.args[0]) from None
+        return float(covered.ravel().dot(self._weights))
 
     def evaluate_all(self, sets: Iterable[Iterable[str]]) -> list[float]:
         """The expected detections of each of ``sets``, in order, one row per set.
@@ -731,6 +765,37 @@ class ExpectedDetections(Objective):
                     for tid in members:
                         span_x, span_y = spans[tid]
                         covered[row, span_x, span_y] = 1.0
+            except KeyError as missing:
+                raise _missing_rect(missing.args[0]) from None
+            values += np.vecdot(covered.reshape(len(block), weights.size), weights).tolist()
+        return values
+
+    def evaluate_extensions(self, base: Iterable[str], candidates: Iterable[str]) -> list[float]:
+        """The expected detections of ``base`` plus each of ``candidates``, in order.
+
+        The base's spans are looked up first, so an unknown base id raises
+        even with no candidates.  The candidates are taken in blocks of at
+        most ``BLOCK_CELLS`` cells, as in ``evaluate_all``; the base is
+        painted once into every row of a block and each candidate into its
+        own row.  Each row covers the cells of ``(*base, t)``, so each value
+        is bit for bit ``evaluate_all``'s on that set.
+        """
+        spans, weights = self._spans, self._weights
+        try:
+            painted = [(slice(None), *spans[tid]) for tid in base]
+        except KeyError as missing:
+            raise _missing_rect(missing.args[0]) from None
+        candidates = iter(candidates)
+        rows = max(1, BLOCK_CELLS // max(1, weights.size))
+        values = []
+        while block := list(itertools.islice(candidates, rows)):
+            covered = np.zeros((len(block), *self._shape))
+            for span in painted:
+                covered[span] = 1.0
+            try:
+                for row, tid in enumerate(block):
+                    span_x, span_y = spans[tid]
+                    covered[row, span_x, span_y] = 1.0
             except KeyError as missing:
                 raise _missing_rect(missing.args[0]) from None
             values += np.vecdot(covered.reshape(len(block), weights.size), weights).tolist()

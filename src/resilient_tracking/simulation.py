@@ -36,6 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -306,13 +307,14 @@ def kalman_update(state: TargetState, z: np.ndarray, config: SimConfig):
     return state
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """Scores for one planning round under one attacker.
 
     ``f_full``/``f_attacked`` are expected detections on beliefs (the
     planning objective).  ``attack_rate`` is the relative loss under the
-    attacker (0 when nothing was removed or the full value is zero).
+    attacker (0 when nothing was removed or the full value is zero).  A
+    named tuple, built by position once per round and attacker, as
+    ``experiments.RecordRow`` is per result row.
     """
 
     round_index: int
@@ -392,15 +394,8 @@ def run_rounds(config: SimConfig) -> dict[str, list[RoundRecord]]:
             attacked = attack(objective, result.selected, config.alpha, attacker_rng)
             f_att, rate = score_attack(f_full, attacked.surviving_value)
             records[name].append(
-                RoundRecord(
-                    round_index=round_index,
-                    selected=selected,
-                    removed=tuple(sorted(attacked.removed)),
-                    f_full=f_full,
-                    f_attacked=f_att,
-                    attack_rate=rate,
-                    oracle_calls=result.oracle_calls,
-                )
+                RoundRecord(round_index, selected, tuple(sorted(attacked.removed)), f_full,
+                            f_att, rate, result.oracle_calls)
             )
 
         # every menu is full, so a trajectory's menu position is its

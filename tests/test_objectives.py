@@ -216,8 +216,8 @@ def test_missing_rect_raises():
     for objective in (cov, exp):
         with pytest.raises(MissingCoverageRect, match="zzz"):
             objective.evaluate_all([("a",), ("a", "zzz")])
-        # in the base or among the candidates, through CoverageCount's own
-        # methods or those ExpectedDetections inherits from Objective
+        # in the base or among the candidates, through each objective's own
+        # methods or those it inherits from Objective
         for base, candidates in ((("a", "zzz"), ["b"]), (("a",), ["b", "zzz", "c"])):
             with pytest.raises(MissingCoverageRect, match="zzz"):
                 objective.evaluate_extensions(base, candidates)
@@ -225,10 +225,11 @@ def test_missing_rect_raises():
                 objective.best_extension(base, candidates)
         with pytest.raises(MissingCoverageRect, match="zzz"):
             objective.best_removal(["a", "zzz", "b"])
-    with pytest.raises(MissingCoverageRect, match="zzz"):
-        cov.evaluate_extensions(("zzz",), [])
-    with pytest.raises(MissingCoverageRect, match="zzz"):
-        cov.best_extension(("zzz",), [])
+        # an unknown base id raises even with no candidates to score
+        with pytest.raises(MissingCoverageRect, match="zzz"):
+            objective.evaluate_extensions(("zzz",), [])
+        with pytest.raises(MissingCoverageRect, match="zzz"):
+            objective.best_extension(("zzz",), [])
 
 
 def test_counting_oracle_counts_every_call():
@@ -470,6 +471,37 @@ def test_evaluate_extensions_equals_evaluate_all_of_each_extension(box_list, bel
             assert [repr(v) for v in objective.evaluate_extensions(base, candidates)] == batched
             assert [repr(v) for v in counting.evaluate_extensions(base, candidates)] == batched
             assert counting.evaluated == [frozenset(members) for members in sets]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(edge_boxes(), min_size=1, max_size=8), wide_beliefs, st.data())
+def test_expected_extensions_are_bit_identical_to_the_literal_construction(
+    box_list, beliefs, data
+):
+    # ExpectedDetections paints the base into every row of a block and each
+    # candidate into its own: its extensions and its best extension against
+    # the literal construction's evaluate of each (*base, t), by repr.  The
+    # empty base, a base with repeated ids and one of every id; candidate
+    # lists with repeats and candidates already in the base; blocks of one
+    # row, a few rows or the default size
+    ids, args, _, _ = edge_world(box_list, beliefs)
+    objective = ExpectedDetections(*args)
+    reference = oracles.LiteralExpectedDetections(*args)
+    drawn = st.lists(st.sampled_from(ids), max_size=10)
+    bases = [(), tuple(ids[:1] * 3 + ids[1:2]), tuple(ids), tuple(data.draw(drawn))]
+    candidates = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))
+    block_cells = data.draw(st.sampled_from([1, 40, objectives.BLOCK_CELLS]))
+    for base in bases:
+        values = [reference.evaluate((*base, tid)) for tid in candidates]
+        want = [repr(v) for v in values]
+        first = values.index(max(values))
+        with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+            assert [repr(v) for v in objective.evaluate_extensions(base, candidates)] == want
+            assert [repr(v) for v in objective.evaluate_extensions(base, iter(ids))] == [
+                repr(reference.evaluate((*base, tid))) for tid in ids
+            ]
+            position, value = objective.best_extension(base, iter(candidates))
+            assert (position, repr(value)) == (first, want[first])
 
 
 def assert_first_best(choose, objective, sets, optimum):
