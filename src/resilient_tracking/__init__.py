@@ -42,7 +42,6 @@ from .objectives import (
     PropertyViolation,
     check_monotone,
     check_submodular,
-    normal_cdf,
 )
 from .planners import (
     PLANNER_NAMES,

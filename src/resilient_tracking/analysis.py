@@ -30,7 +30,7 @@ import numpy as np
 from .adversary import attack_optimal
 from .errors import DegenerateObjective, require_int
 from .matroid import PartitionMatroid, require_enumerable
-from .objectives import basis_grid, grid_index
+from .objectives import basis_grid
 from .planners import plan_bruteforce_maxmin, plan_resilient
 
 BOUND_SLACK = 1e-9
@@ -61,17 +61,20 @@ def constrained_curvature(matroid: PartitionMatroid, objective) -> CurvatureRepo
     the objective.  Raises :class:`DegenerateObjective` when no nonzero
     singleton exists.
     """
-    require_enumerable("the bases", map(len, matroid.blocks.values()))
-    return _curvature(matroid, objective, _grid_witness)
+    require_enumerable("the bases", map(len, matroid.menus))
+    return _curvature(matroid, objective, None)
 
 
-def _curvature(matroid, objective, find_witness) -> CurvatureReport:
-    """Score the singletons and the ratio of ``find_witness``'s pair through ``evaluate``.
+def _curvature(matroid, objective, certified) -> CurvatureReport:
+    """Score the singletons and the ratio of a minimal pair through ``evaluate``.
 
-    ``find_witness(matroid, objective, singleton)`` returns a basis and a
-    member of it that attains the minimum ratio; elements whose singleton is
-    zero are skipped, and :class:`DegenerateObjective` is raised when every
-    singleton is zero.
+    The pair is ``certified``, a basis and member that
+    ``objective.curvature_sandwich`` certified to attain the minimum ratio,
+    or, when that is None, the grid's first minimal pair.  Both attain the
+    same least ratio, of integers on a :class:`CoverageCount`, so the value
+    is the same bit for bit; only the witness may differ.  Elements whose
+    singleton is zero are skipped, and :class:`DegenerateObjective` is
+    raised when every singleton is zero.
 
     The singletons and the witness are scored through ``objective.evaluate``
     on purpose, not through ``evaluate_all``: they are the only path by
@@ -89,7 +92,7 @@ def _curvature(matroid, objective, find_witness) -> CurvatureReport:
     if len(skipped) == len(matroid.ground_set):
         raise DegenerateObjective("every singleton value is zero")
 
-    witness_set, witness_element = find_witness(matroid, objective, singleton)
+    witness_set, witness_element = certified or _grid_witness(matroid, objective, singleton)
     loss = evaluate(witness_set) - evaluate(witness_set - {witness_element})
     return CurvatureReport(
         value=1.0 - loss / singleton[witness_element],
@@ -97,21 +100,6 @@ def _curvature(matroid, objective, find_witness) -> CurvatureReport:
         witness_element=witness_element,
         skipped_zero_elements=skipped,
     )
-
-
-def _sandwich_or_grid(matroid, objective, singleton):
-    """The bound check's witness: the objective's certified pair, else the grid's first.
-
-    ``objective.curvature_sandwich`` names a basis and member attaining the
-    minimum ratio when its polynomial bounds meet; otherwise the first
-    minimal pair on the grid stands in.  Both attain the same least ratio,
-    of integers on a :class:`CoverageCount`, so the value is
-    ``constrained_curvature``'s bit for bit; only the witness may differ,
-    and the bound check reads only the value.
-    """
-    witness = objective.curvature_sandwich([matroid.blocks[robot] for robot in matroid.robots])
-    # the bound check's max-min has already held the bases to the enumeration cap
-    return witness or _grid_witness(matroid, objective, singleton)
 
 
 def _grid_witness(matroid, objective, singleton):
@@ -130,10 +118,9 @@ def _grid_witness(matroid, objective, singleton):
     minimum over the blocks in order keeps the first minimal basis of the
     grid.
     """
-    menus = [matroid.blocks[robot] for robot in matroid.robots]
-    n = len(menus)
+    n = matroid.num_robots
     witness = None
-    for origin, block in basis_grid(objective, menus):
+    for block in basis_grid(objective, matroid.menus):
         full, without = block.leave_one_out()
         best = np.full(block.shape, np.inf)
         first = np.zeros(block.shape, dtype=np.intp)
@@ -151,10 +138,9 @@ def _grid_witness(matroid, objective, singleton):
         at = best.argmin()
         value = best.item(at)
         if witness is None or value < witness[0]:
-            witness = value, grid_index(origin, at, block.shape), first.item(at)
-    _, index, robot = witness
-    basis = frozenset(menu[i] for menu, i in zip(menus, index))
-    return basis, menus[robot][index[robot]]
+            witness = value, block.basis(at, block.shape), first.item(at)
+    _, ids, robot = witness
+    return frozenset(ids), ids[robot]
 
 
 def h_bound(n: int, alpha: int) -> float:
@@ -213,7 +199,10 @@ def check_performance_bound(matroid: PartitionMatroid, objective, alpha: int) ->
     curvature = factor = None
     guarantee = 0.0
     if not degenerate:
-        curvature = _curvature(matroid, objective, _sandwich_or_grid).value
+        # the max-min has already held the bases to the enumeration cap, and
+        # the bound check reads only the value, not the witness
+        certified = objective.curvature_sandwich(matroid.menus)
+        curvature = _curvature(matroid, objective, certified).value
         factor = h_bound(n, alpha)
         guarantee = 0.5 * max(1.0 - curvature, factor) * optimal_value
     return BoundReport(

@@ -303,19 +303,6 @@ def _role_rng(trial_seed: int, *codes: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([trial_seed, *codes]))
 
 
-def _replayable(trial_seed: int, *codes: int):
-    """A role's generator and its start state, for :func:`_rewound`."""
-    rng = _role_rng(trial_seed, *codes)
-    return rng, rng.bit_generator.state
-
-
-def _rewound(stream) -> np.random.Generator:
-    """The generator of a :func:`_replayable` stream, back at its start."""
-    rng, start = stream
-    rng.bit_generator.state = start
-    return rng
-
-
 def _one_step_world(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[RecordRow]]]:
     """Every alpha's rows on the world of ``unit = (m position, trial)``."""
     i, trial = unit
@@ -331,31 +318,33 @@ def _one_step_world(spec: ExperimentSpec, unit) -> list[tuple[tuple, list[Record
     )
     objective = CoverageCount(instance.targets, instance.ids, instance.bounds)
     # only the random planner, and the random attacker at alpha > 0, draw;
-    # each stream they draw from is derived once, keyed by its role codes,
-    # and every alpha gets it back at its start: restoring a saved state
-    # costs far less than a new SeedSequence and bit generator
-    codes = [(1, PLANNER_NAMES.index(p)) for p in spec.planners if p == "random"]
-    if "random" in spec.attackers and any(alpha > 0 for alpha in spec.alphas):
-        acode = ATTACKER_NAMES.index("random")
-        codes += [(2, PLANNER_NAMES.index(p), acode) for p in spec.planners]
-    streams = {key: _replayable(trial_seed, *key) for key in dict.fromkeys(codes)}
+    # each stream they draw from is derived on its first use, keyed by its
+    # role codes, and every later use gets it back at its start: restoring
+    # a saved state costs far less than a new SeedSequence and bit generator
+    streams = {}
+
+    def stream(*codes: int) -> np.random.Generator:
+        if codes not in streams:
+            rng = _role_rng(trial_seed, *codes)
+            streams[codes] = rng, rng.bit_generator.state
+        rng, start = streams[codes]
+        rng.bit_generator.state = start
+        return rng
+
     keyed = []
     for j, alpha in enumerate(spec.alphas):
         rows = []
         for planner in spec.planners:
             pcode = PLANNER_NAMES.index(planner)
-            planner_rng = _rewound(streams[1, pcode]) if planner == "random" else None
+            planner_rng = stream(1, pcode) if planner == "random" else None
             t0 = time.perf_counter_ns()
             result = get_planner(planner)(instance.matroid, objective, alpha, planner_rng)
             plan_ns = time.perf_counter_ns() - t0
             f_full = float(objective.evaluate(result.selected))
             for attacker in spec.attackers:
                 acode = ATTACKER_NAMES.index(attacker)
-                attacker_rng = (
-                    _rewound(streams[2, pcode, acode])
-                    if attacker == "random" and alpha > 0
-                    else None
-                )
+                draws = attacker == "random" and alpha > 0
+                attacker_rng = stream(2, pcode, acode) if draws else None
                 t1 = time.perf_counter_ns()
                 attacked = get_attacker(attacker)(objective, result.selected, alpha, attacker_rng)
                 attack_ns = time.perf_counter_ns() - t1

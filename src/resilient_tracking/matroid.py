@@ -56,10 +56,11 @@ class PartitionMatroid:
         Mapping from robot id to that robot's trajectory menu (a non-empty
         sequence of unique trajectory ids).  Blocks must be disjoint.
 
-    ``owner`` maps each trajectory id to its robot and ``index`` to its
-    canonical rank, for callers whose ids come from this matroid;
-    ``robot_of`` makes the owner lookup and refuses an unknown id.  Like
-    ``blocks``, neither changes after construction.
+    ``menus`` holds the robots' menus in robot order, one axis each of the
+    basis grid.  ``owner`` maps each trajectory id to its robot and
+    ``index`` to its canonical rank, for callers whose ids come from this
+    matroid; ``robot_of`` makes the owner lookup and refuses an unknown id.
+    Like ``blocks``, none of them changes after construction.
     """
 
     def __init__(self, blocks: Mapping[str, Sequence[str]]):
@@ -81,6 +82,7 @@ class PartitionMatroid:
             cleaned[robot] = menu
         self.blocks = cleaned
         self.robots = robots
+        self.menus = tuple(cleaned.values())
         self.ground_set: tuple[str, ...] = tuple(
             tid for robot in robots for tid in cleaned[robot]
         )
@@ -118,11 +120,10 @@ class PartitionMatroid:
         Raises :class:`EnumerationCapExceeded` up front when the basis count
         is beyond ``ENUMERATION_CAP``.
         """
-        menus = [self.blocks[r] for r in self.robots]
-        require_enumerable("the bases", map(len, menus))
+        require_enumerable("the bases", map(len, self.menus))
 
         def generate() -> Iterator[frozenset]:
-            for combo in itertools.product(*menus):
+            for combo in itertools.product(*self.menus):
                 yield frozenset(combo)
 
         return generate()

@@ -85,6 +85,8 @@ and every basis's full and leave-one-out values (prefix and suffix
 unions).  The worst case is the keep/drop grid as built, not broadcast:
 it has the block's shape unless every robot is removed, is a size-1 grid
 only then, and its first ``argmax`` is the first of its broadcast.  A
+block names the basis at a position of either grid from its own menu
+runs, so no caller sees where the block lies in the whole grid.  A
 :class:`CoverageCount` ORs and counts its packed masks there
 (``menu_tables``), sharing each OR among all the unions that contain it;
 any other objective scores every combination of the listed robots' menus
@@ -139,15 +141,6 @@ def _cdf_in_place(z: np.ndarray) -> np.ndarray:
     _erfc()(z, out=z)
     z *= 0.5
     return z
-
-
-def normal_cdf(z):
-    """Standard normal CDF via the complementary error function.
-
-    Accepts scalars or numpy arrays; absolute error is far below 1e-12 over
-    the |z| <= 8 range the rectangle masses ever see.
-    """
-    return _cdf_in_place(np.array(z, dtype=float))[()]
 
 
 def _missing_rect(tid: str) -> MissingCoverageRect:
@@ -490,6 +483,19 @@ class _GridBlock:
         self.menus = menus
         self.shape = tuple(map(len, menus))
 
+    def basis(self, at, shape: Sequence[int]) -> list[str]:
+        """The ids, in robot order, of C-order position ``at`` of a grid of ``shape``.
+
+        ``shape`` is the block's, or a grid's as built whose length-1 axes
+        stand for a broadcast over the block; such an axis names its menu
+        run's first id, where a broadcast's first optimum lies.
+        """
+        at, ids = int(at), []
+        for menu, size in zip(self.menus[::-1], shape[::-1]):
+            at, i = divmod(at, size)
+            ids.append(menu[i])
+        return ids[::-1]
+
     def worst_case(self, removals: int) -> np.ndarray:
         """Every basis's least value once any ``removals`` robots are removed.
 
@@ -506,11 +512,11 @@ class _GridBlock:
         """Every basis's value, and its value without robot ``r`` for each ``r``.
 
         The value without ``r`` is the union of robots ``0..r-1`` (a
-        prefix) and ``r+1..n-1`` (a suffix), and the full value is robot
-        0 with the first suffix, so each prefix and suffix is built once.
+        prefix) and ``r+1..n-1`` (a suffix), and the full value is the
+        suffix of every robot, so each prefix and suffix is built once.
         """
         n = len(self.menus)
-        full = self.finish(self.keep(self.empty, 0), 1)
+        full = self.finish(self.empty, 0)
         prefix, without = self.empty, []
         for r in range(n):
             without.append(self.finish(prefix, r + 1))
@@ -540,13 +546,6 @@ class _CoverageBlock(_GridBlock):
 
     def finish(self, prefix, r):
         n, suffixes = len(self.tables), self._suffixes
-        if r == 0:
-            # the union of every robot, which only no removals asks for, so
-            # no suffix is kept: one-trajectory menus first (they add no
-            # axis), then from the last robot back, so that every OR runs
-            # along the trailing axes its union already has
-            order = sorted(reversed(self.tables), key=lambda table: table.size > len(table))
-            return _count(functools.reduce(np.bitwise_or, order))
         if r == n:
             if prefix is None:
                 return np.zeros((1,) * n, dtype=np.uint8)
@@ -581,42 +580,26 @@ class _SetBlock(_GridBlock):
 
 
 def _block_menus(menus: Sequence[Sequence[str]], cap: int):
-    """C-order blocks of the basis grid of ``menus``, as ``(origin, menus)``.
+    """The menu runs of each C-order block of the basis grid of ``menus``.
 
     A block fixes the leading robots' picks, takes a run of the next
     robot's menu and all of every later robot's, so it is a contiguous run
-    of C order with at most ``cap`` bases (or one when ``cap`` is smaller);
-    ``origin`` is its first basis's grid index.
+    of C order with at most ``cap`` bases (or one when ``cap`` is smaller).
     """
-    n = len(menus)
-    split, tail = n, 1
+    split, tail = len(menus), 1
     while split > 0 and tail * len(menus[split - 1]) <= cap:
         split -= 1
         tail *= len(menus[split])
     if split == 0:
-        yield (0,) * n, menus
+        yield menus
         return
     axis = split - 1
     step = max(1, cap // tail)
     rest = list(menus[split:])
-    for lead in itertools.product(*(range(len(menu)) for menu in menus[:axis])):
-        fixed = [menu[i : i + 1] for menu, i in zip(menus, lead)]
+    for lead in itertools.product(*menus[:axis]):
+        fixed = [(tid,) for tid in lead]
         for start in range(0, len(menus[axis]), step):
-            origin = (*lead, start) + (0,) * len(rest)
-            yield origin, fixed + [menus[axis][start : start + step]] + rest
-
-
-def grid_index(origin: Sequence[int], at, shape: Sequence[int]) -> list[int]:
-    """The grid index of C-order position ``at`` of a block laid out from ``origin``.
-
-    ``np.unravel_index`` in Python ints: ``divmod`` from the last axis back,
-    each axis's position added to the block's origin on that axis.
-    """
-    at, index = int(at), [0] * len(shape)
-    for axis in range(len(shape) - 1, -1, -1):
-        at, index[axis] = divmod(at, shape[axis])
-        index[axis] += origin[axis]
-    return index
+            yield fixed + [menus[axis][start : start + step]] + rest
 
 
 def basis_grid(objective, menus: Sequence[Sequence[str]]):
@@ -624,14 +607,14 @@ def basis_grid(objective, menus: Sequence[Sequence[str]]):
 
     ``menus`` are the robot menus in robot order, so a point of the grid
     (one axis per menu) is one basis and C order over the grid is
-    ``PartitionMatroid.enumerate_bases`` order.  Yields ``(origin, block)``
-    in C order: ``block.menus`` are the menu runs whose bases the block
-    holds, its first basis sits at grid index ``origin``, and
+    ``PartitionMatroid.enumerate_bases`` order.  Yields the blocks in C
+    order: ``block.menus`` are the menu runs whose bases the block holds,
     ``block.worst_case(removals)`` and ``block.leave_one_out()`` score its
-    bases.  The worst case comes as built: the block's shape, or a size-1
-    grid when every robot is removed; a caller reads its first maximum,
-    which is its broadcast's, and adds that position to ``origin``.  A
-    block holds at most about ``BLOCK_CELLS`` words: bases times the
+    bases, and ``block.basis(at, shape)`` names the basis at a position of
+    either.  The worst case comes as built: the block's shape, or a size-1
+    grid when every robot is removed; its first maximum is its
+    broadcast's, and ``block.basis`` reads its shape as built.  A block
+    holds at most about ``BLOCK_CELLS`` words: bases times the
     packed words per mask for a :class:`CoverageCount`, bases for any
     other objective.  A caller that keeps a strict running maximum or
     minimum over the blocks in order breaks ties as one pass over the whole
@@ -657,12 +640,12 @@ def basis_grid(objective, menus: Sequence[Sequence[str]]):
             if key not in grids:
                 grids.clear()
                 grids[key] = _CoverageBlock(objective, key[1])
-            yield (0,) * len(menus), grids[key]
+            yield grids[key]
             return
     else:
         kind, cap = _SetBlock, BLOCK_CELLS
-    for origin, run in _block_menus(menus, cap):
-        yield origin, kind(objective, run)
+    for run in _block_menus(menus, cap):
+        yield kind(objective, run)
 
 
 class ExpectedDetections(Objective):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import require_choice, require_int
 from .matroid import PartitionMatroid, require_enumerable
-from .objectives import basis_grid, grid_index
+from .objectives import basis_grid
 
 
 @dataclass(frozen=True)
@@ -180,24 +180,23 @@ def plan_bruteforce_maxmin(matroid: PartitionMatroid, objective, alpha: int) -> 
     a strict running maximum across the blocks give the first maximizer,
     and its grid value is the worst case an optimal attack on it leaves.
     A block's worst case may keep length-1 axes (all of them at ``alpha
-    == n``); its first maximum is the first of its broadcast, so the
-    winner's grid index is its origin plus its position in the grid as
-    built.
+    == n``); its first maximum is the first of its broadcast, and the
+    block names that basis from the worst case's shape as built.
     """
     n = matroid.num_robots
     require_int(alpha, "alpha", 0, n)
-    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    menus = matroid.menus
     work = require_enumerable("the max-min's attacked evaluations", map(len, menus), (n, alpha))
-    best = index = None
-    for origin, block in basis_grid(objective, menus):
+    best = selected = None
+    for block in basis_grid(objective, menus):
         worst = block.worst_case(alpha)
         at = worst.argmax()
         value = worst.item(at)
         if best is None or value > best:
             best = value
-            index = grid_index(origin, at, worst.shape)
+            selected = block.basis(at, worst.shape)
     return PlanResult(
-        selected=frozenset(menu[i] for menu, i in zip(menus, index)),
+        selected=frozenset(selected),
         trace=None,
         oracle_calls=work,
         maxmin_value=float(best),

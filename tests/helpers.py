@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite: tiny controlled worlds and objectives."""
 
+import itertools
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -118,6 +120,20 @@ class CountingOracle(Objective):
         self.eval_count += 1
         self.evaluated.append(frozenset(members))
         return self._objective.evaluate(self.evaluated[-1])
+
+
+class Draws:
+    """``st.data()`` in an ``@example``: each ``draw`` returns the next of ``values``.
+
+    The values repeat in a cycle, so a test that draws them all gets the
+    same ones however often the example runs.
+    """
+
+    def __init__(self, *values):
+        self._values = itertools.cycle(values)
+
+    def draw(self, strategy, label=None):
+        return next(self._values)
 
 
 # Edges on a half-unit lattice make shared edges, nesting, duplicates and

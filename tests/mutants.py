@@ -145,11 +145,39 @@ MUTANTS = (
         (f"{TEST_OBJECTIVES}::test_packed_word_table_is_the_literal_int_packing",),
     ),
     Mutant(
-        "a block's grid index ignores its origin",
+        "a block names every basis from the first position of each menu run",
         OBJECTIVES,
-        "index[axis] += origin[axis]",
-        "index[axis] += 0",
+        "ids.append(menu[i])",
+        "ids.append(menu[0])",
         (f"{TEST_BATCHED}::test_chunked_grid_matches_the_whole_grid_and_the_oracles",),
+    ),
+    Mutant(
+        "the kept grid is keyed by its menus alone",
+        OBJECTIVES,
+        "key = (cap, tuple(map(tuple, menus)))",
+        "key = (0, tuple(map(tuple, menus)))",
+        (f"{TEST_BATCHED}::test_a_one_block_grid_is_laid_out_once_per_cap",),
+    ),
+    Mutant(
+        "a kept suffix can be written",
+        OBJECTIVES,
+        "suffix.flags.writeable = False",
+        "pass",
+        (f"{TEST_BATCHED}::test_a_kept_grid_cannot_be_written",),
+    ),
+    Mutant(
+        "the gathered menu table can be written",
+        OBJECTIVES,
+        "rows.flags.writeable = False",
+        "pass",
+        (f"{TEST_BATCHED}::test_a_kept_grid_cannot_be_written",),
+    ),
+    Mutant(
+        "a block reads the suffix one robot further on",
+        OBJECTIVES,
+        "suffix = suffixes[n - 1 - r]",
+        "suffix = suffixes[n - 2 - r]",
+        (f"{TEST_BATCHED}::test_batched_maxmin_matches_loop_and_oracle",),
     ),
     Mutant(
         "the curvature witness keeps the last robot of a tied ratio",

@@ -3,9 +3,7 @@
 Everything here prefers the most literal possible enumeration over speed and
 shares no code paths with the package under test beyond the objective
 callables it is handed.  Blocks are plain {robot: [trajectory, ...]} dicts.
-There are three exceptions.  The literal expected-detections construction
-calls the package's ``normal_cdf``, since it pins the grid's weights bit
-for bit, not the CDF.  The literal closed loop at the end keeps its own
+There are two exceptions.  The literal closed loop at the end keeps its own
 per-object state and geometry but plans, attacks and scores with the
 package's planners, attackers and objectives.  The literal one-step schedule
 keeps only its loop order and its seeding; it samples worlds, plans, attacks
@@ -20,7 +18,11 @@ builds the package's ``RecordRow`` and ``CsvFormatError``.
 ``sample_instance_reference`` draws every coordinate with
 ``Generator.uniform``.  ``grid_witness_stacked`` is the package's curvature
 witness as it was while it stacked every robot's ratios into one ``(n,
-*block)`` array per block; it scores on the package's ``basis_grid``.
+*block)`` array per block; it scores on the package's ``basis_grid``, and
+counts the bases of the blocks before to place a block in the whole grid.
+The literal expected-detections construction computes the normal CDF as
+``0.5 * erfc(-z / sqrt(2))`` with scipy's ``erfc``, the function the
+package calls, since it pins the grid's weights bit for bit, not the CDF.
 """
 
 import itertools
@@ -31,18 +33,14 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
+from scipy.special import erfc
 
 from resilient_tracking.adversary import ATTACKER_NAMES, get_attacker, score_attack
 from resilient_tracking.errors import CsvFormatError
 from resilient_tracking.experiments import RecordRow
 from resilient_tracking.geometry import UNIT_STEP, Direction
 from resilient_tracking.matroid import PartitionMatroid
-from resilient_tracking.objectives import (
-    CoverageCount,
-    ExpectedDetections,
-    basis_grid,
-    normal_cdf,
-)
+from resilient_tracking.objectives import CoverageCount, ExpectedDetections, basis_grid
 from resilient_tracking.planners import PLANNER_NAMES, get_planner
 from resilient_tracking.simulation import RoundRecord
 from resilient_tracking.worlds import (
@@ -185,7 +183,8 @@ def grid_witness_stacked(matroid, objective, singleton):
     menus = [matroid.blocks[robot] for robot in matroid.robots]
     n = len(menus)
     witness = None
-    for origin, block in basis_grid(objective, menus):
+    start = 0
+    for block in basis_grid(objective, menus):
         full, without = block.leave_one_out()
         ratio = np.full((n, *block.shape), np.inf)
         for r, menu in enumerate(block.menus):
@@ -196,8 +195,9 @@ def grid_witness_stacked(matroid, objective, singleton):
         at = best.argmin()
         if witness is None or best.flat[at] < witness[0]:
             robot = int(ratio.reshape(n, -1)[:, at].argmin())
-            index = [o + int(i) for o, i in zip(origin, np.unravel_index(at, best.shape))]
+            index = np.unravel_index(start + at, [len(menu) for menu in menus])
             witness = best.flat[at], index, robot
+        start += best.size
     _, index, robot = witness
     return frozenset(menu[i] for menu, i in zip(menus, index)), menus[robot][index[robot]]
 
@@ -253,7 +253,7 @@ class LiteralExpectedDetections:
     rectangle's cell span, one normal CDF pass per axis and ``np.diff`` the
     per-belief cell masses, and evaluation paints a boolean grid.  The
     package's one-pass ``ExpectedDetections`` must give the same value bit
-    for bit; the two share only ``normal_cdf``.
+    for bit; the two share only scipy's ``erfc``.
     """
 
     def __init__(self, means, stds, ids, bounds):
@@ -268,8 +268,8 @@ class LiteralExpectedDetections:
         }
         mu_x, mu_y = np.asarray(means, dtype=float).reshape(-1, 2).T[:, :, None]
         sd_x, sd_y = np.asarray(stds, dtype=float).reshape(-1, 2).T[:, :, None]
-        dpx = np.diff(normal_cdf((xs - mu_x) / sd_x), axis=1)
-        dpy = np.diff(normal_cdf((ys - mu_y) / sd_y), axis=1)
+        dpx = np.diff(0.5 * erfc(-((xs - mu_x) / sd_x) / np.sqrt(2.0)), axis=1)
+        dpy = np.diff(0.5 * erfc(-((ys - mu_y) / sd_y) / np.sqrt(2.0)), axis=1)
         self.shape = (dpx.shape[1], dpy.shape[1])
         self.weights = (dpx.T @ dpy).ravel()
 

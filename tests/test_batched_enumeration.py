@@ -174,7 +174,7 @@ def test_exact_enumerations_on_expected_detections_match_the_oracles(instance, d
 
 def test_menu_tables_put_the_words_first():
     matroid, cov = random_coverage(3, [2, 3, 1], num_targets=150)
-    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    menus = matroid.menus
     tables = cov.menu_tables(menus)
     assert [t.shape for t in tables] == [(3, 2, 1, 1), (3, 1, 3, 1), (3, 1, 1, 1)]
     for r, (table, menu) in enumerate(zip(tables, menus)):
@@ -271,13 +271,33 @@ def assert_blocks_cut_c_order(objective, menus, cap):
     """The blocks cut C order into consecutive runs of at most ``max(1, cap)`` bases."""
     bases = list(itertools.product(*menus))
     start = 0
-    for origin, block in objectives.basis_grid(objective, menus):
+    for block in objectives.basis_grid(objective, menus):
         run = list(itertools.product(*block.menus))
         assert 1 <= len(run) <= max(1, cap)
         assert bases[start : start + len(run)] == run
-        assert bases.index(tuple(m[i] for m, i in zip(menus, origin))) == start
         start += len(run)
     assert start == len(bases)
+
+
+@pytest.mark.parametrize("block_cells", [1, 2, 3, 5, 8, 13, 40])
+def test_a_block_names_its_bases_in_enumeration_order(block_cells):
+    # every position of every block, then the size-1 worst case as built
+    # with every robot removed, whose one point stands for the block's
+    # first basis; 50 targets pack into one word, so the cap is block_cells
+    matroid, cov = random_coverage(9, [3, 1, 2, 4], num_targets=50)
+    n, bases = matroid.num_robots, list(itertools.product(*matroid.menus))
+    with mock.patch.object(objectives, "BLOCK_CELLS", block_cells):
+        for objective in (cov, helpers.SetFunction(cov.evaluate)):
+            start = 0
+            for block in objectives.basis_grid(objective, matroid.menus):
+                size = math.prod(block.shape)
+                named = [tuple(block.basis(at, block.shape)) for at in range(size)]
+                assert named == bases[start : start + size]
+                worst = block.worst_case(n)
+                assert worst.shape == (1,) * n
+                assert tuple(block.basis(worst.argmax(), worst.shape)) == bases[start]
+                start += size
+            assert start == len(bases)
 
 
 @PROPERTY_SETTINGS
@@ -289,7 +309,7 @@ def assert_blocks_cut_c_order(objective, menus, cap):
 def test_chunked_grid_matches_the_whole_grid_and_the_oracles(instance, block_cells, data):
     seed, menu_sizes, num_targets, spread = instance
     matroid, cov = random_coverage(seed, menu_sizes, num_targets, spread)
-    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    menus = matroid.menus
     alpha = data.draw(st.integers(0, matroid.num_robots))
     whole = plan_bruteforce_maxmin(matroid, cov, alpha)
     witness = oracles.curvature_witness_bruteforce(matroid.blocks, cov.evaluate)
@@ -414,7 +434,7 @@ def exact_answer(matroid, objective, call):
 def test_one_objective_asked_again_answers_as_a_fresh_one(instance, block_cells, data):
     seed, menu_sizes, num_targets, spread = instance
     matroid, cov = random_coverage(seed, menu_sizes, num_targets, spread)
-    menus = [matroid.blocks[robot] for robot in matroid.robots]
+    menus = matroid.menus
     alphas = range(matroid.num_robots + 1)
     calls = data.draw(st.permutations([*alphas, "curvature", "curvature"]))
 
@@ -461,9 +481,10 @@ def test_a_kept_grid_cannot_be_written():
     matroid, cov = random_coverage(7, [3, 2, 4, 2], num_targets=100)
     plan_bruteforce_maxmin(matroid, cov, 1)
     constrained_curvature(matroid, cov)
-    menus = [matroid.blocks[robot] for robot in matroid.robots]
-    ((_, block),) = objectives.basis_grid(cov, menus)
-    assert len(block._suffixes) == 3
+    (block,) = objectives.basis_grid(cov, matroid.menus)
+    # the full union, which no removals and the curvature ask for, is the
+    # last suffix, of every robot
+    assert len(block._suffixes) == 4
     for array in (*block.tables, *block._suffixes):
         with pytest.raises(ValueError):
             array[...] = 0

@@ -27,10 +27,6 @@ from resilient_tracking.objectives import CoverageCount
 from resilient_tracking.worlds import sample_instance
 
 
-def menus_of(matroid):
-    return [matroid.blocks[robot] for robot in matroid.robots]
-
-
 def curvature_at(objective, basis, member):
     """nu on one pair, 1 - (f(B) - f(B - s)) / f(s), evaluated as the bound check does."""
     evaluate = objective.evaluate
@@ -75,7 +71,7 @@ def test_bound_check_curvature_is_the_grid_and_the_oracle_bit_for_bit(
         rng, num_robots, num_targets, 3.0, fly_length, helpers.ARENA, tuple(menu_sizes)
     )
     cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
-    witness = cov.curvature_sandwich(menus_of(inst.matroid))
+    witness = cov.curvature_sandwich(inst.matroid.menus)
     want = oracles.curvature_bruteforce(inst.matroid.blocks, cov.evaluate)
     if want is None:
         assert witness is None
@@ -107,7 +103,7 @@ def fallback_world():
 
 def test_an_open_sandwich_falls_back_to_the_grid():
     matroid, cov = fallback_world()
-    assert cov.curvature_sandwich(menus_of(matroid)) is None
+    assert cov.curvature_sandwich(matroid.menus) is None
     grid = constrained_curvature(matroid, cov).value
     assert grid == 0.8
     assert repr(grid) == repr(oracles.curvature_bruteforce(matroid.blocks, cov.evaluate))
@@ -126,7 +122,7 @@ def test_the_sandwich_closes_on_every_bound_suite_world(monkeypatch, seed):
     ]
     assert len(defined) > 950
     for matroid, cov, report in defined:
-        witness = cov.curvature_sandwich(menus_of(matroid))
+        witness = cov.curvature_sandwich(matroid.menus)
         assert witness is not None
         if not report.degenerate:
             assert curvature_at(cov, *witness) == report.curvature
@@ -142,7 +138,7 @@ def test_zero_singletons_are_skipped_by_the_sandwich():
     }
     matroid = PartitionMatroid({"a": ["a0"], "b": ["b0", "b1"]})
     cov = helpers.coverage(targets, rects)
-    basis, member = cov.curvature_sandwich(menus_of(matroid))
+    basis, member = cov.curvature_sandwich(matroid.menus)
     report = constrained_curvature(matroid, cov)
     assert report.skipped_zero_elements == ("b1",)
     assert member != "b1"
@@ -154,7 +150,7 @@ def test_all_zero_singletons_are_degenerate_on_both_paths():
     # no target is covered: the sandwich certifies nothing, f* = 0
     cov = helpers.coverage([(50, 50)], {"a0": Rect(0, 1, 0, 1), "b0": Rect(2, 3, 2, 3)})
     matroid = PartitionMatroid({"a": ["a0"], "b": ["b0"]})
-    assert cov.curvature_sandwich(menus_of(matroid)) is None
+    assert cov.curvature_sandwich(matroid.menus) is None
     with pytest.raises(DegenerateObjective):
         constrained_curvature(matroid, cov)
     report = check_performance_bound(matroid, cov, 0)
@@ -167,8 +163,8 @@ def test_all_zero_singletons_are_degenerate_on_both_paths():
 
 def test_objectives_without_a_certificate_answer_none():
     matroid, cov = fallback_world()
-    assert helpers.SetFunction(cov.evaluate).curvature_sandwich(menus_of(matroid)) is None
-    assert helpers.CountingOracle(cov).curvature_sandwich(menus_of(matroid)) is None
+    assert helpers.SetFunction(cov.evaluate).curvature_sandwich(matroid.menus) is None
+    assert helpers.CountingOracle(cov).curvature_sandwich(matroid.menus) is None
 
 
 @pytest.mark.parametrize("num_robots", [25, 50])
@@ -181,6 +177,6 @@ def test_the_curvature_is_one_at_sweep_density_at_scale(num_robots, seed):
     rng = np.random.default_rng(seed)
     inst = sample_instance(rng, num_robots, 5 * num_robots, 3.0, 7.0, Rect(0.0, side, 0.0, side))
     cov = CoverageCount(inst.targets, inst.ids, inst.bounds)
-    basis, member = cov.curvature_sandwich(menus_of(inst.matroid))
+    basis, member = cov.curvature_sandwich(inst.matroid.menus)
     assert inst.matroid.is_basis(basis) and member in basis
     assert curvature_at(cov, basis, member) == 1.0

@@ -54,6 +54,14 @@ def test_enumeration_is_lexicographic_and_exhaustive():
     assert got == want
 
 
+def test_menus_are_the_robots_menus_in_robot_order():
+    m = PartitionMatroid({"r1": ["y0", "y1"], "r0": ["x0", "x1", "x2"], "r2": ["z0"]})
+    assert m.menus == (("x0", "x1", "x2"), ("y0", "y1"), ("z0",))
+    assert type(m.menus) is tuple and all(type(menu) is tuple for menu in m.menus)
+    assert m.menus == tuple(m.blocks[robot] for robot in m.robots)
+    assert list(m.enumerate_bases()) == [frozenset(c) for c in itertools.product(*m.menus)]
+
+
 def test_every_basis_is_independent_and_downward_closed():
     rng = np.random.default_rng(5)
     m = PartitionMatroid(
